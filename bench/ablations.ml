@@ -1,7 +1,7 @@
 (* Ablations of the design choices called out in DESIGN.md §5:
 
-   - checker compilation: AST-interpreting engine vs closure-compiled
-     checker on the same trace;
+   - checker compilation: the [Filter_eval] interpreter vs the
+     automaton-backed engine on the same trace;
    - isolation architecture: monolithic direct calls vs thread
      isolation with 1 / 2 / 4 Kernel Service Deputies;
    - Algorithm-1 cost vs filter-expression size (the CNF×DNF
@@ -14,37 +14,34 @@ open Bechamel
 (* Compilation ---------------------------------------------------------------- *)
 
 let run_compile () =
-  Bench_util.hr "Ablation: manifest compilation (interpreted AST vs closures)";
+  Bench_util.hr
+    "Ablation: manifest compilation (Filter_eval AST vs the engine's automaton)";
   let tests =
     List.concat_map
       (fun complexity ->
         let manifest = Perm_gen.generate ~complexity ~focus:`Insert () in
-        let engine =
-          Engine.create ~record_state:false
-            ~ownership:(Ownership.create ())
-            ~app_name:"ablate" ~cookie:1 manifest
-        in
-        let compiled = Compiled.of_manifest manifest in
+        let oracle = Automaton_lab.oracle manifest in
+        let engine = Automaton_lab.stateless_engine ~name:"ablate" manifest in
         let trace = Array.map fst (Api_trace.generate ~focus:`Insert ~n:4096 ()) in
         let i = ref 0 and j = ref 0 in
         let name suffix =
           Printf.sprintf "%s/%s" (Perm_gen.complexity_to_string complexity) suffix
         in
-        [ Test.make ~name:(name "interpreted")
+        [ Test.make ~name:(name "Filter_eval")
             (Staged.stage (fun () ->
                  let call = trace.(!i land 4095) in
                  incr i;
-                 Sys.opaque_identity (Engine.check engine call)));
-          Test.make ~name:(name "compiled")
+                 Sys.opaque_identity (oracle call)));
+          Test.make ~name:(name "engine")
             (Staged.stage (fun () ->
                  let call = trace.(!j land 4095) in
                  incr j;
-                 Sys.opaque_identity (Compiled.check compiled call))) ])
+                 Sys.opaque_identity (Engine.check engine call))) ])
       [ Perm_gen.Small; Perm_gen.Medium; Perm_gen.Large ]
   in
   let results = Bench_util.run_bechamel (Test.make_grouped ~name:"compile" tests) in
   Bench_util.table
-    [ "manifest/strategy"; "latency"; "throughput" ]
+    [ "manifest/checker"; "latency"; "throughput" ]
     (List.map
        (fun (name, ns) -> [ name; Bench_util.fmt_ns ns; Bench_util.fmt_ops ns ])
        results)

@@ -1,32 +1,48 @@
-(* Automaton lab — the decision DAG against the rest of the check
-   path, plus the batched entry point (docs/AUTOMATON.md).
+(* Automaton lab — the decision DAG against the [Filter_eval] oracle,
+   plus the batched entry point (docs/AUTOMATON.md).
 
-   Same methodology as the decision-cache bench (EXPERIMENTS.md): the
-   large Figure-5 manifest, insert-focused traces, stateless checking
-   as in the paper's single-core microbenchmark.  The two access
-   patterns bracket the cache's behaviour — skewed is its home turf,
-   uniform (32768 distinct calls churning a 16384-entry cache) is its
-   worst case and the automaton's motivating workload.  A batch-size
-   sweep measures what [check_batch] buys over call-at-a-time
-   dispatch.
+   The large Figure-5 manifest, insert-focused traces, stateless
+   checking as in the paper's single-core microbenchmark.  Two access
+   patterns: skewed (64 distinct calls, 90 % of accesses to the
+   hottest 8 — a CBench-style elephant-flow mix) and uniform (32768
+   distinct calls).  Each is measured for [Filter_eval] interpreting
+   the filter AST (the oracle), the deployed [Engine], and the bare
+   [Automaton].  A batch-size sweep measures what [check_batch] buys
+   over call-at-a-time dispatch.
 
    `run` persists its measurements to BENCH_AUTOMATON.json at the repo
    root (the perf trajectory lives in the tree); `smoke` is the tier-1
-   gate — equivalence over the generated corpus and the examples/lint
-   manifest plus a deliberately conservative single-core throughput
-   floor, no file writes. *)
+   gate — equivalence with the oracle over the generated corpus and
+   the examples/lint manifest plus a deliberately conservative
+   single-core throughput floor, no file writes. *)
 
 open Shield_workload
 open Sdnshield
+module Api = Shield_controller.Api
 module J = Bench_util.Json
 
 let manifest () = Perm_gen.generate ~complexity:Perm_gen.Large ~focus:`Insert ()
 
-(* Workloads are shared with the cache bench (same executable):
-   [Cache_bench.base_calls] and [.skewed_trace].  Measurement is not:
-   the automaton runs at tens of M ops/s, where [Cache_bench.
-   throughput]'s four fixed passes give a ~3 ms timed region that
-   drowns in timer jitter.  Scale the repeat count so every number
+(* Workloads ------------------------------------------------------------------ *)
+
+(** [base_calls n] — [n] distinct insert-focused calls, 5 % violating. *)
+let base_calls n = Array.map fst (Api_trace.generate ~focus:`Insert ~n ())
+
+(** A trace of [n] accesses over [base], 90 % of them drawn from the
+    first eighth of the population (the "hot set"). *)
+let skewed_trace ~base ~n =
+  let rng = Prng.of_int 42 in
+  let distinct = Array.length base in
+  let hot = max 1 (distinct / 8) in
+  Array.init n (fun _ ->
+      if Prng.int rng 10 < 9 then base.(Prng.int rng hot)
+      else base.(Prng.int rng distinct))
+
+(* Measurement ---------------------------------------------------------------
+
+   The automaton runs at tens of M ops/s, where a few fixed passes
+   give a timed region of milliseconds that drowns in timer jitter.
+   Unless the caller fixes the repeat count, scale it so every number
    comes from a region of comparable (generous) length. *)
 
 let target_region = 0.25 (* seconds *)
@@ -35,13 +51,16 @@ let adaptive_repeats dt =
   max 2 (min 512 (int_of_float (target_region /. Float.max 1e-6 dt)))
 
 (** Ops/s of [check] over [trace]: one warm (and calibration) pass,
-    then enough timed passes to fill [target_region]. *)
-let throughput check trace =
+    then [repeats] timed passes (default: enough to fill
+    [target_region]). *)
+let throughput ?repeats check trace =
   let pass () =
     Array.iter (fun call -> ignore (Sys.opaque_identity (check call))) trace
   in
   let (), dt = Bench_util.timed pass in
-  let repeats = adaptive_repeats dt in
+  let repeats =
+    match repeats with Some r -> r | None -> adaptive_repeats dt
+  in
   let (), total =
     Bench_util.timed (fun () ->
         for _ = 1 to repeats do
@@ -50,41 +69,48 @@ let throughput check trace =
   in
   float_of_int (repeats * Array.length trace) /. total
 
-(** The check path's four rungs over one manifest, stateless. *)
-let checkers ~tag m =
-  let engine ?cache_size name =
-    let e =
-      Engine.create ~record_state:false ?cache_size
-        ~ownership:(Ownership.create ())
-        ~app_name:(tag ^ "-" ^ name) ~cookie:1 m
-    in
-    fun call -> Engine.check e call
-  in
-  let compiled =
-    let c = Compiled.of_manifest m in
-    fun call -> Compiled.check c call
-  in
-  let automaton =
-    let a = Automaton.of_manifest m in
-    fun call -> Automaton.check a call
-  in
-  [ ("interpreted", engine "raw");
-    ("compiled", compiled);
-    ("engine + cache",
-     engine ~cache_size:Decision_cache.default_max_entries "cached");
-    ("automaton", automaton) ]
+(* Checkers ------------------------------------------------------------------- *)
+
+(** The oracle: does [Filter_eval], interpreting the granted token's
+    filter on the call's attributes, allow the call?  Stateless. *)
+let oracle (m : Perm.manifest) =
+  let filters = Array.make Token.count None in
+  List.iter
+    (fun (p : Perm.t) -> filters.(Token.index p.Perm.token) <- Some p.Perm.filter)
+    m;
+  fun call ->
+    match Dispatch.token_of_call call with
+    | None -> true
+    | Some t -> (
+      match filters.(Token.index t) with
+      | None -> false
+      | Some f -> Filter_eval.eval Filter_eval.pure_env f (Attrs.of_call call))
+
+let allows = function Api.Allow -> true | Api.Deny _ -> false
+
+let stateless_engine ~name m =
+  Engine.create ~record_state:false
+    ~ownership:(Ownership.create ())
+    ~app_name:name ~cookie:1 m
+
+(** The three rows over one manifest, stateless. *)
+let checkers m =
+  let oracle = oracle m in
+  let engine = stateless_engine ~name:"automaton-lab" m in
+  let automaton = Automaton.of_manifest m in
+  [ ("Filter_eval", oracle);
+    ("engine", fun call -> allows (Engine.check engine call));
+    ("automaton", fun call -> allows (Automaton.check automaton call)) ]
 
 (** One workload row set: ops/s per checker plus speedups. *)
 let workload_section ~title ~label ~trace m =
   Bench_util.subhr title;
   let measured =
-    List.map
-      (fun (name, check) -> (name, throughput check trace))
-      (checkers ~tag:label m)
+    List.map (fun (name, check) -> (name, throughput check trace)) (checkers m)
   in
-  let base = List.assoc "interpreted" measured in
+  let base = List.assoc "Filter_eval" measured in
   Bench_util.table
-    [ "checker"; "throughput"; "vs interpreted" ]
+    [ "checker"; "throughput"; "vs Filter_eval" ]
     (List.map
        (fun (name, ops) ->
          [ name;
@@ -101,7 +127,7 @@ let workload_section ~title ~label ~trace m =
                J.Obj
                  [ ("checker", J.Str name);
                    ("mops", J.Float (ops /. 1e6));
-                   ("vs_interpreted", J.Float (ops /. base)) ])
+                   ("vs_filter_eval", J.Float (ops /. base)) ])
              measured) ) ]
 
 (** Ops/s over [trace] cut into [batch]-sized chunks, producing one
@@ -186,26 +212,20 @@ let build_stats_json m =
       ("tokens", J.Int s.Automaton.tokens) ]
 
 let run () =
-  Bench_util.hr
-    "Automaton: decision-DAG checking vs the rest of the check path";
+  Bench_util.hr "Automaton: decision-DAG checking vs the Filter_eval oracle";
   let m = manifest () in
   let skewed =
     workload_section ~title:"skewed (64 distinct calls, 90% to hot 8)"
       ~label:"skewed"
-      ~trace:(Cache_bench.skewed_trace ~base:(Cache_bench.base_calls 64) ~n:65536)
+      ~trace:(skewed_trace ~base:(base_calls 64) ~n:65536)
       m
   in
-  let uniform_trace = Cache_bench.base_calls 32768 in
+  let uniform_trace = base_calls 32768 in
   let uniform =
-    workload_section
-      ~title:"uniform (32768 distinct calls vs 16384-entry cache)"
-      ~label:"uniform" ~trace:uniform_trace m
+    workload_section ~title:"uniform (32768 distinct calls)" ~label:"uniform"
+      ~trace:uniform_trace m
   in
   let sweep, per_call = batch_sweep m uniform_trace in
-  Fmt.pr
-    "@.note: uniform is the decision cache's worst case (flush churn) and@.";
-  Fmt.pr
-    "      the automaton's motivating workload; see docs/CACHING.md@.";
   Bench_util.write_json "BENCH_AUTOMATON.json"
     (J.Obj
        [ ("bench", J.Str "automaton-lab");
@@ -220,36 +240,22 @@ let run () =
 let failures = ref []
 let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt
 
-let same_verdict d1 d2 =
-  match (d1, d2) with
-  | Shield_controller.Api.Allow, Shield_controller.Api.Allow -> true
-  | Shield_controller.Api.Deny _, Shield_controller.Api.Deny _ -> true
-  | _ -> false
-
-(** Automaton == Engine == Compiled call-for-call on [m]. *)
+(** Automaton, Engine and batched Automaton each decide as the
+    [Filter_eval] oracle, call-for-call on [m]. *)
 let equivalence ~what m trace =
-  let e =
-    Engine.create ~record_state:false
-      ~ownership:(Ownership.create ())
-      ~app_name:("smoke-" ^ what) ~cookie:1 m
-  in
-  let c = Compiled.of_manifest m in
+  let want = oracle m in
+  let e = stateless_engine ~name:("smoke-" ^ what) m in
   let a = Automaton.of_manifest m in
+  let batched = Automaton.check_batch (Automaton.of_manifest m) trace in
   Array.iteri
     (fun i call ->
-      let de = Engine.check e call in
-      if not (same_verdict de (Automaton.check a call)) then
-        fail "%s: automaton diverges from engine at call %d" what i;
-      if not (same_verdict de (Compiled.check c call)) then
-        fail "%s: compiled diverges from engine at call %d" what i)
-    trace;
-  (* Batched verdicts must be the one-at-a-time verdicts. *)
-  let b = Automaton.of_manifest m in
-  let batched = Automaton.check_batch b trace in
-  Array.iteri
-    (fun i call ->
-      if not (same_verdict (Automaton.check a call) batched.(i)) then
-        fail "%s: check_batch diverges at call %d" what i)
+      let w = want call in
+      if allows (Automaton.check a call) <> w then
+        fail "%s: automaton diverges from Filter_eval at call %d" what i;
+      if allows (Engine.check e call) <> w then
+        fail "%s: engine diverges from Filter_eval at call %d" what i;
+      if allows batched.(i) <> w then
+        fail "%s: check_batch diverges from Filter_eval at call %d" what i)
     trace
 
 let read_example name =
@@ -306,15 +312,15 @@ let smoke () =
       equivalence ~what:"examples/clean"
         m
         (Array.map fst (Api_trace.generate_mixed ~violation_rate:0.3 ~n:2048 ()))));
-  Fmt.pr "equivalence (engine = compiled = automaton = batched): %s@."
+  Fmt.pr "equivalence (Filter_eval = automaton = engine = batched): %s@."
     (if !failures = [] then "ok" else "FAIL");
   (* 3. Conservative single-core throughput floor on the uniform
      workload — catches an automaton that silently fell back to
      something interpretive, not a benchmark. *)
   let m = manifest () in
   let a = Automaton.of_manifest m in
-  let trace = Cache_bench.base_calls 8192 in
-  let ops = Cache_bench.throughput ~repeats:2 (Automaton.check a) trace in
+  let trace = base_calls 8192 in
+  let ops = throughput ~repeats:2 (Automaton.check a) trace in
   Fmt.pr "uniform single-core throughput: %.2f M ops/s (floor 1.00)@."
     (ops /. 1e6);
   if ops < 1e6 then fail "throughput %.2f M ops/s under the 1M floor" (ops /. 1e6);

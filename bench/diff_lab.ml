@@ -179,11 +179,9 @@ let check_overtruncated () =
         (List.length ws);
     List.iter (confirm_slack ~what:"overtruncated") ws;
     if cert.Verify.crosscheck.Verify.replayed = 0 then
-      fail "overtruncated: no slack witness was replayed through the checkers";
+      fail "overtruncated: no slack witness was replayed through the engine";
     if not cert.Verify.crosscheck.Verify.checkers_agree then
-      fail
-        "overtruncated: Engine/Compiled/Automaton disagreed with Filter_eval: \
-         %s"
+      fail "overtruncated: Engine disagreed with Filter_eval: %s"
         (String.concat "; " cert.Verify.crosscheck.Verify.crosscheck_notes)
   | m ->
     fail "overtruncated: expected Slack with confirmed witnesses, got %s"

@@ -6,8 +6,8 @@
      dune exec bench/main.exe -- fig5     # one experiment
 
    Experiments: table1 effectiveness reconciliation fig5 fig6 fig7 fig8
-                reconcile-perf decision-cache cache-smoke automaton-lab
-                automaton-smoke faults faults-smoke vetting-lab
+                reconcile-perf automaton-lab automaton-smoke
+                faults faults-smoke vetting-lab
                 vet-smoke lint-lab lint-smoke verify-lab verify-smoke
                 diff-lab diff-smoke trace-lab obs-smoke health-smoke
                 market-lab market-smoke
@@ -22,8 +22,6 @@ let experiments : (string * (unit -> unit)) list =
     ("fig7", Fig7.run);
     ("fig8", Fig8.run);
     ("reconcile-perf", Reconcile_perf.run);
-    ("decision-cache", Cache_bench.run);
-    ("cache-smoke", Cache_bench.smoke);
     ("automaton-lab", Automaton_lab.run);
     ("automaton-smoke", Automaton_lab.smoke);
     ("faults", Fault_lab.run);

@@ -4,14 +4,14 @@
 
    - per-stage latency breakdown (queue wait / check / kernel exec /
      total) from the [lat:*] histograms a traced runtime records;
-   - tracing overhead on the cached hot path at several sampling
+   - tracing overhead on the engine's hot path at several sampling
      ratios — full sampling pays the span + histogram cost on every
      call, 1-in-N sampling amortizes it to the sampler's counter bump;
    - telemetry export: JSON and Prometheus snapshots of one run.
 
    `trace-lab` prints the full report; `obs-smoke` is the fast tier-1
    gate: tracing at the recommended 1-in-10 sampling must add <10%
-   wall-clock overhead to the cached hot path, both export formats
+   wall-clock overhead to the engine's hot path, both export formats
    must parse/round-trip, and every denied span must carry a decision
    explanation. *)
 
@@ -22,8 +22,7 @@ open Sdnshield
 
 (* The CLI `telemetry` demo's manifest: MAX_PRIORITY 400 makes every
    4th call (priority 1000) a denial, so traces carry explained
-   denials; the small distinct-call population keeps the decision
-   cache hot. *)
+   denials. *)
 let demo_manifest =
   "PERM insert_flow LIMITING MAX_PRIORITY 400 AND OWN_FLOWS\n\
    PERM pkt_in_event\nPERM read_payload"
@@ -34,8 +33,8 @@ let pkt_in dpid =
       reason = Message.No_match; buffer_id = None }
 
 (** One traced (or untraced) run: an engine-guarded app on the
-    isolated runtime, [warmup] events to fill the decision cache and
-    settle the thread pool, then [events] timed ones.  Returns the
+    isolated runtime, [warmup] events to settle the thread pool, then
+    [events] timed ones.  Returns the
     process-CPU seconds of the timed feed+drain: on a small CI box the
     runtime's thread pipeline timeshares the cores, so wall clock
     measures the scheduler; CPU time ([Sys.time], getrusage-backed,
@@ -61,7 +60,7 @@ let run_workload ?trace ~tag ~warmup ~events () =
       tag
   in
   let engine =
-    Engine.create ~cache_size:Decision_cache.default_max_entries
+    Engine.create
       ~ownership:(Ownership.create ())
       ~app_name:tag ~cookie:1
       (Perm_parser.manifest_exn demo_manifest)
@@ -84,7 +83,6 @@ let run_workload ?trace ~tag ~warmup ~events () =
   Runtime.drain rt;
   let dt = Sys.time () -. c0 in
   Runtime.shutdown rt;
-  Metrics.unregister_cache ("engine:" ^ tag);
   dt
 
 (** Overhead measurement: [trials] paired traced/untraced runs,
@@ -205,7 +203,7 @@ let latency_section ~events () =
 
 let overhead_section () =
   Bench_util.subhr
-    "tracing overhead on the cached hot path (median of 5 paired trials)";
+    "tracing overhead on the engine hot path (median of 5 paired trials)";
   let measured =
     List.map
       (fun sampling ->
@@ -372,7 +370,7 @@ let smoke () =
       fail "lat:total percentiles out of order: min=%g p50=%g p99=%g max=%g"
         e.Metrics.Histogram.min p50 p99 e.Metrics.Histogram.max);
   (* 4. Overhead gate: tracing at the recommended 1-in-10 sampling
-     adds <10% to the cached hot path.  Min-of-trials, interleaved,
+     adds <10% to the engine hot path.  Min-of-trials, interleaved,
      so scheduler noise hits both sides alike. *)
   let call_pairs = measure_overhead ~sampling:0.1 ~trials:9 ~events:2_000 () in
   let pct = overhead_pct call_pairs in
@@ -380,7 +378,7 @@ let smoke () =
           %+.1f %%@."
     pct;
   if pct >= 10. then
-    fail "tracing at sampling 0.1 adds %.1f%% >= 10%% to the cached hot path"
+    fail "tracing at sampling 0.1 adds %.1f%% >= 10%% to the engine hot path"
       pct;
   (* 5. Churn gate: transaction spans + stage histograms add <10% to
      market-lab-style churn throughput.  Each transaction does

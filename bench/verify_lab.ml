@@ -6,8 +6,8 @@
    - the raw dirty manifest is Refuted, and every witness is
      semantically sound: replayed through [Filter_eval], the call is
      admitted by the manifest side and escapes the bound — and the
-     certificate's own cross-check (the same witnesses through
-     [Engine], [Compiled] and [Automaton]) agrees;
+     certificate's own cross-check (the same witnesses through the
+     deployed [Engine]) agrees;
    - after reconciliation repairs the dirty manifest, the very same
      obligations certify — the paper's "repair produces a compliant
      manifest" claim, checked rather than assumed;
@@ -97,9 +97,9 @@ let check_dirty_corpus () =
         List.iter (confirm_witness ~what:"dirty") c.Verify.witnesses)
       cs;
     if raw.Verify.crosscheck.Verify.replayed = 0 then
-      fail "dirty: refuted but no witness was replayed through the checkers";
+      fail "dirty: refuted but no witness was replayed through the engine";
     if not raw.Verify.crosscheck.Verify.checkers_agree then
-      fail "dirty: Engine/Compiled/Automaton disagreed with Filter_eval: %s"
+      fail "dirty: Engine disagreed with Filter_eval: %s"
         (String.concat "; " raw.Verify.crosscheck.Verify.crosscheck_notes)
   | v ->
     fail "dirty: expected Refuted on the raw manifest, got %s"

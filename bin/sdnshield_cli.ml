@@ -201,7 +201,7 @@ let call_of_spec spec : (Api.call, string) result =
   | _ -> Error (Printf.sprintf "bad call spec %S" spec)
 
 let check_cmd =
-  let run use_cache use_automaton explain manifest_path specs =
+  let run explain manifest_path specs =
     match Perm_parser.manifest_of_string (read_file manifest_path) with
     | Error e -> `Error (false, "parse error: " ^ e)
     | Ok manifest -> (
@@ -212,20 +212,10 @@ let check_cmd =
             "manifest has unresolved stubs (" ^ String.concat ", " ms
             ^ "); reconcile first" )
       | [] ->
-        let cache_size =
-          if use_cache then Some Decision_cache.default_max_entries else None
-        in
-        let strategy = if use_automaton then `Automaton else `Interpreted in
         let engine =
-          Engine.create ?cache_size ~strategy ~ownership:(Ownership.create ())
-            ~app_name:"cli" ~cookie:1 manifest
+          Engine.create ~ownership:(Ownership.create ()) ~app_name:"cli"
+            ~cookie:1 manifest
         in
-        (match Engine.automaton_stats engine with
-        | Some s ->
-          Fmt.pr "automaton: %d nodes (%d shared, %d collapsed) for %d tokens@."
-            s.Automaton.nodes s.Automaton.shared s.Automaton.collapsed
-            s.Automaton.tokens
-        | None -> ());
         let had_error = ref false in
         List.iter
           (fun spec ->
@@ -240,12 +230,9 @@ let check_cmd =
                 | Api.Allow -> Fmt.pr "ALLOW  %a@." Api.pp_call call
                 | Api.Deny why ->
                   Fmt.pr "DENY   %a  (%s)@." Api.pp_call call why);
-                (match info.Api.explain with
+                match info.Api.explain with
                 | Some e -> Fmt.pr "       because: %s@." e
-                | None -> ());
-                if use_cache then
-                  Fmt.pr "       served: %s@."
-                    (Api.cache_outcome_to_string info.Api.cache)
+                | None -> ()
               end
               else
                 match Engine.check engine call with
@@ -253,28 +240,8 @@ let check_cmd =
                 | Api.Deny why ->
                   Fmt.pr "DENY   %a  (%s)@." Api.pp_call call why)
           specs;
-        if use_cache then Fmt.pr "%a" Metrics.pp_cache_report ();
         if !had_error then `Error (false, "some call specs were invalid")
         else `Ok ())
-  in
-  let cache_arg =
-    Arg.(
-      value & flag
-      & info [ "cache" ]
-          ~doc:
-            "Enable the decision cache on the checking engine and print \
-             the cache hit/miss report after the calls.")
-  in
-  let automaton_arg =
-    Arg.(
-      value & flag
-      & info [ "automaton" ]
-          ~doc:
-            "Compile the manifest into a flat decision automaton \
-             (docs/AUTOMATON.md) and decide with it instead of \
-             interpreting the filters; also prints the compiled DAG's \
-             node and sharing counts.  Decisions are identical either \
-             way — this flag trades compile time for per-check speed.")
   in
   let explain_arg =
     Arg.(
@@ -282,15 +249,14 @@ let check_cmd =
       & info [ "explain" ]
           ~doc:
             "Print, for each decision, which permission token and \
-             top-level filter clause decided it (and, with $(b,--cache), \
-             which cache level served it).")
+             top-level filter clause decided it.")
   in
   let manifest = Arg.(required & pos 0 (some file) None & info [] ~docv:"MANIFEST") in
   let specs = Arg.(value & pos_right 0 string [] & info [] ~docv:"CALL") in
   Cmd.v
     (Cmd.info "check" ~doc:"Check API call specs against a manifest")
     Term.(
-      ret (const run $ cache_arg $ automaton_arg $ explain_arg $ manifest $ specs))
+      ret (const run $ explain_arg $ manifest $ specs))
 
 (* vet ------------------------------------------------------------------------ *)
 
@@ -793,8 +759,7 @@ let run_traced_calls ~trace ?health ~events () =
   in
   let ownership = Ownership.create () in
   let engine =
-    Engine.create ~cache_size:Decision_cache.default_max_entries ~ownership
-      ~app_name:"demo" ~cookie:1
+    Engine.create ~ownership ~app_name:"demo" ~cookie:1
       (Perm_parser.manifest_exn demo_manifest)
   in
   let config =
@@ -816,7 +781,6 @@ let run_traced_calls ~trace ?health ~events () =
   Runtime.drain rt;
   let snap = Runtime.telemetry rt in
   Runtime.shutdown rt;
-  Metrics.unregister_cache "engine:demo";
   snap
 
 (* A churn script through a market wired to [trace] (and optionally

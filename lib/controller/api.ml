@@ -84,34 +84,18 @@ let is_denied = function Denied _ -> true | _ -> false
 type decision = Allow | Deny of string
 
 (* Decision provenance (docs/OBSERVABILITY.md).  A checker that can
-   explain itself reports where the decision came from — which cache
-   level served it and, in prose, which permission token and filter
+   explain itself reports, in prose, which permission token and filter
    clause granted or denied the call — so traces and forensic reports
    can show *why*, not just *what*. *)
 
-type cache_outcome =
-  | L1_hit  (** Served by the call-keyed fast path. *)
-  | L2_hit  (** Served by the canonical-signature table. *)
-  | Cache_miss  (** Evaluated, then cached. *)
-  | Cache_bypass  (** The cache refused the lookup (uncacheable). *)
-  | Uncached  (** No decision cache on this path. *)
-
-let cache_outcome_to_string = function
-  | L1_hit -> "l1-hit"
-  | L2_hit -> "l2-hit"
-  | Cache_miss -> "miss"
-  | Cache_bypass -> "bypass"
-  | Uncached -> "uncached"
-
 type check_info = {
-  cache : cache_outcome;
   explain : string option;
       (** Which token and top-level filter clause decided, e.g.
           ["token insert_flow: clause 2/3 failed: nw_dst 10.0.0.0 MASK
           255.0.0.0"]. *)
 }
 
-let no_check_info = { cache = Uncached; explain = None }
+let no_check_info = { explain = None }
 
 (** Coarse capabilities an app consumes, declared on the app and
     verified at load time (the paper's OSGi-level check, §VIII-B: when
@@ -158,7 +142,7 @@ type checker = {
           snapshot or a transaction).  [None] means the checker has no
           batch fast path; callers then loop over [check].
           Implementations amortize per-call overhead (dispatch,
-          scratch setup, cache probes) across the array — see
+          counter bookkeeping) across the array — see
           {!Sdnshield.Automaton.check_batch}. *)
   check_transaction : call list -> (unit, int * string) Stdlib.result;
       (** All-or-nothing pre-check of a call group; [Error (i, why)]

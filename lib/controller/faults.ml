@@ -20,7 +20,7 @@
    - [Swap_verify]   budget exhaustion (or a crash) mid-verify, while
                      certifying the reconciled result;
    - [Swap_compile]  kill mid-compile, while building the new epoch's
-                     engine/automaton/cache;
+                     engine and its automaton;
    - [Swap_publish]  deputy death at publish time, between preparing
                      the new epoch records and swapping them in.
 

@@ -23,7 +23,7 @@ type t = {
           assert on. *)
   mutable execs : int;
       (** Approved calls executed — the enforcement hot path's volume,
-          reported next to the cache hit rates. *)
+          reported next to the checker's counters. *)
 }
 
 let create ?(sandbox = Sandbox.create ()) ?(reflect_packet_out = false)

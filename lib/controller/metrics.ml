@@ -8,11 +8,10 @@
    array copy + sort — no list-to-array conversions on the hot path
    under domain parallelism.
 
-   The cache registry is how the decision caches and normal-form memo
-   tables in [lib/core] surface their hit rates to the runtimes, the
-   benchmarks and the CLI without a dependency cycle: producers
-   register a stats thunk under a name; consumers call
-   [cache_report]. *)
+   The cache registry is how the normal-form and inclusion memo tables
+   in [lib/core] surface their hit rates to the runtimes and the
+   telemetry exporters without a dependency cycle: producers register
+   a stats thunk under a name; consumers call [cache_report]. *)
 
 (* Monotonic time -------------------------------------------------------- *)
 
@@ -141,13 +140,12 @@ let pp_summary ppf s =
 type cache_stats = {
   hits : int;
   misses : int;
-  invalidations : int;  (** Entries discarded for a stale generation. *)
   evictions : int;  (** Entries discarded for capacity. *)
   bypasses : int;  (** Lookups the cache refused to serve (uncacheable). *)
 }
 
 let zero_cache_stats =
-  { hits = 0; misses = 0; invalidations = 0; evictions = 0; bypasses = 0 }
+  { hits = 0; misses = 0; evictions = 0; bypasses = 0 }
 
 let hit_rate (s : cache_stats) =
   let total = s.hits + s.misses in
@@ -156,17 +154,10 @@ let hit_rate (s : cache_stats) =
 let registry : (string, unit -> cache_stats) Hashtbl.t = Hashtbl.create 8
 let registry_mutex = Mutex.create ()
 
-(** Register (or replace) the stats source for cache [name].
-    Re-registration replaces, so short-lived caches (one engine per
-    benchmark iteration) do not grow the registry. *)
+(** Register (or replace) the stats source for cache [name]. *)
 let register_cache name read =
   Mutex.lock registry_mutex;
   Hashtbl.replace registry name read;
-  Mutex.unlock registry_mutex
-
-let unregister_cache name =
-  Mutex.lock registry_mutex;
-  Hashtbl.remove registry name;
   Mutex.unlock registry_mutex
 
 (** Snapshot every registered cache, sorted by name. *)
@@ -177,17 +168,9 @@ let cache_report () : (string * cache_stats) list =
   List.sort compare (List.map (fun (name, read) -> (name, read ())) sources)
 
 let pp_cache_stats ppf (s : cache_stats) =
-  Fmt.pf ppf "hits=%d misses=%d invalidations=%d evictions=%d bypasses=%d"
-    s.hits s.misses s.invalidations s.evictions s.bypasses;
+  Fmt.pf ppf "hits=%d misses=%d evictions=%d bypasses=%d" s.hits s.misses
+    s.evictions s.bypasses;
   if s.hits + s.misses > 0 then Fmt.pf ppf " hit-rate=%.1f%%" (100. *. hit_rate s)
-
-let pp_cache_report ppf () =
-  match cache_report () with
-  | [] -> Fmt.pf ppf "no caches registered@."
-  | report ->
-    List.iter
-      (fun (name, s) -> Fmt.pf ppf "%-24s %a@." name pp_cache_stats s)
-      report
 
 (* Queue-depth gauge registry ------------------------------------------------ *)
 

@@ -156,7 +156,6 @@ val pp_hist_report : Format.formatter -> unit -> unit
 type cache_stats = {
   hits : int;
   misses : int;
-  invalidations : int;  (** Entries discarded for a stale generation. *)
   evictions : int;  (** Entries discarded for capacity. *)
   bypasses : int;  (** Lookups the cache refused to serve (uncacheable). *)
 }
@@ -170,13 +169,10 @@ val hit_rate : cache_stats -> float
 val register_cache : string -> (unit -> cache_stats) -> unit
 (** Register (or replace) the stats source for cache [name]. *)
 
-val unregister_cache : string -> unit
-
 val cache_report : unit -> (string * cache_stats) list
 (** Snapshot every registered cache, sorted by name. *)
 
 val pp_cache_stats : Format.formatter -> cache_stats -> unit
-val pp_cache_report : Format.formatter -> unit -> unit
 
 (** {1 Queue-depth gauge registry} *)
 

@@ -280,10 +280,10 @@ let span_histograms inst ~queue_wait ~check_dur ~exec_dur =
     total
 
 let record_span tr inst ~call ~deputy ~start ~queue_wait ~check_dur
-    ~exec_dur ~decision ~cache ~explain =
+    ~exec_dur ~decision ~explain =
   span_histograms inst ~queue_wait ~check_dur ~exec_dur;
   Trace.span tr ~app:inst.app.App.name ~call ~deputy ~start ~queue_wait
-    ~check_dur ~exec_dur ~decision ~cache ~explain
+    ~check_dur ~exec_dur ~decision ~explain
 
 let checked_exec_traced t inst call tr ~deputy ~queue_wait : Api.result =
   incr_counter t (fun c -> c.calls <- c.calls + 1);
@@ -301,7 +301,7 @@ let checked_exec_traced t inst call tr ~deputy ~queue_wait : Api.result =
   | Api.Deny why ->
     audit_denial t inst call why;
     record_span tr inst ~call:call_str ~deputy ~start ~queue_wait ~check_dur
-      ~exec_dur:0. ~decision:Trace.Denied ~cache:info.Api.cache
+      ~exec_dur:0. ~decision:Trace.Denied
       ~explain:info.Api.explain;
     Api.Denied why
   | Api.Allow -> (
@@ -320,7 +320,7 @@ let checked_exec_traced t inst call tr ~deputy ~queue_wait : Api.result =
         | _ -> Trace.Allowed
       in
       record_span tr inst ~call:call_str ~deputy ~start ~queue_wait
-        ~check_dur ~exec_dur ~decision:cls ~cache:info.Api.cache
+        ~check_dur ~exec_dur ~decision:cls
         ~explain:info.Api.explain;
       result
     | exception exn ->
@@ -328,7 +328,7 @@ let checked_exec_traced t inst call tr ~deputy ~queue_wait : Api.result =
          failure here, then let the barrier shape the reply. *)
       let exec_dur = Metrics.now () -. t1 in
       record_span tr inst ~call:call_str ~deputy ~start ~queue_wait
-        ~check_dur ~exec_dur ~decision:Trace.Failed ~cache:info.Api.cache
+        ~check_dur ~exec_dur ~decision:Trace.Failed
         ~explain:(Some ("exception: " ^ Printexc.to_string exn));
       raise exn)
 
@@ -347,12 +347,12 @@ let checked_txn_traced t inst calls tr ~deputy ~queue_wait =
         (Trace.Denied, Some (Printf.sprintf "call %d of group: %s" i why))
     in
     record_span tr inst ~call:call_str ~deputy ~start ~queue_wait
-      ~check_dur:dur ~exec_dur:0. ~decision ~cache:Api.Uncached ~explain;
+      ~check_dur:dur ~exec_dur:0. ~decision ~explain;
     r
   | exception exn ->
     let dur = Metrics.now () -. t0 in
     record_span tr inst ~call:call_str ~deputy ~start ~queue_wait
-      ~check_dur:dur ~exec_dur:0. ~decision:Trace.Failed ~cache:Api.Uncached
+      ~check_dur:dur ~exec_dur:0. ~decision:Trace.Failed
       ~explain:(Some ("exception: " ^ Printexc.to_string exn));
     raise exn
 
@@ -914,8 +914,8 @@ let shutdown t =
 
 (** The runtime's observability report: reference-monitor counters,
     kernel execution volume, and every registered cache's hit/miss
-    counters (engines register their decision caches, [lib/core]
-    registers the normal-form and inclusion memos). *)
+    counters ([lib/core] registers the normal-form and inclusion
+    memos). *)
 let cache_report (_ : t) = Metrics.cache_report ()
 
 let pp_fault_report ppf r =

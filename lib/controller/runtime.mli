@@ -48,8 +48,7 @@ type config = {
           (docs/OBSERVABILITY.md).  [None] (default) keeps the
           mediation path exactly as untraced; with a store, every
           sampled call records a {!Trace.span} — queue wait, check and
-          kernel-execution durations, cache outcome, decision and its
-          explanation — and feeds the [lat:*] histograms in
+          kernel-execution durations, decision and its explanation — and feeds the [lat:*] histograms in
           {!Metrics}. *)
   health : Health.t option;
       (** Sliding-window health monitor (docs/OBSERVABILITY.md).
@@ -180,9 +179,9 @@ val fault_report : t -> fault_report
 val pp_fault_report : Format.formatter -> fault_report -> unit
 
 val cache_report : t -> (string * Metrics.cache_stats) list
-(** Hit/miss counters of every cache registered in this process:
-    per-engine decision caches and the normal-form / inclusion memo
-    tables (see {!Metrics.register_cache}). *)
+(** Hit/miss counters of every cache registered in this process: the
+    normal-form / inclusion memo tables (see
+    {!Metrics.register_cache}). *)
 
 val telemetry : t -> Telemetry.snapshot
 (** The runtime's slice of the unified telemetry snapshot: its

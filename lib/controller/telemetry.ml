@@ -277,7 +277,6 @@ let json_of_cache (c : Metrics.cache_stats) : Json.t =
   Json.Obj
     [ ("hits", Json.Num (float_of_int c.Metrics.hits));
       ("misses", Json.Num (float_of_int c.Metrics.misses));
-      ("invalidations", Json.Num (float_of_int c.Metrics.invalidations));
       ("evictions", Json.Num (float_of_int c.Metrics.evictions));
       ("bypasses", Json.Num (float_of_int c.Metrics.bypasses)) ]
 
@@ -435,11 +434,9 @@ let to_prometheus (s : snapshot) : string =
           line ~labels:[ ("cache", k) ] metric (float_of_int (get c)))
         s.caches
     in
-    field "hits" "Decision-cache hits." (fun (c : Metrics.cache_stats) ->
+    field "hits" "Memo-cache hits." (fun (c : Metrics.cache_stats) ->
         c.Metrics.hits);
-    field "misses" "Decision-cache misses." (fun c -> c.Metrics.misses);
-    field "invalidations" "Generation-stale entries discarded." (fun c ->
-        c.Metrics.invalidations);
+    field "misses" "Memo-cache misses." (fun c -> c.Metrics.misses);
     field "evictions" "Entries discarded for capacity." (fun c ->
         c.Metrics.evictions);
     field "bypasses" "Lookups the cache refused." (fun c -> c.Metrics.bypasses)

@@ -47,7 +47,6 @@ let call_event ~base (s : Trace.span) =
   let args =
     [ ("seq", Json.Num (float_of_int s.seq)); ("app", Json.Str s.app);
       ("decision", Json.Str (Trace.decision_class_to_string s.decision));
-      ("cache", Json.Str (Api.cache_outcome_to_string s.cache));
       ("deputy", Json.Num (float_of_int s.deputy));
       ("queue_wait_us", Json.Num (dur_us s.queue_wait));
       ("check_us", Json.Num (dur_us s.check_dur));

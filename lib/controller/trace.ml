@@ -4,9 +4,8 @@
    need to answer, per mediated API call, *why* it was allowed or
    denied and *where* its latency went.  A span ties the stages of one
    call together: queue wait between the app thread and the deputy
-   pool, permission-check duration (with the decision cache's verdict
-   on how it was served), kernel execution, and the decision itself
-   with its explanation.
+   pool, permission-check duration, kernel execution, and the decision
+   itself with its explanation.
 
    The store is deliberately dumb and bounded: a fixed-capacity ring
    under a mutex, overwriting oldest-first, with deterministic 1-in-N
@@ -35,7 +34,6 @@ type span = {
   exec_dur : float;  (** Kernel-execution (+ vetting) duration, seconds. *)
   total : float;  (** Queue wait + check + exec, seconds. *)
   decision : decision_class;
-  cache : Api.cache_outcome;
   explain : string option;
       (** Token/clause responsible for the decision, when the checker
           can explain itself (always populated for engine denials). *)
@@ -141,10 +139,10 @@ let record t (s : span) =
 
 (** Convenience over {!record}. *)
 let span t ~app ~call ~deputy ~start ~queue_wait ~check_dur ~exec_dur
-    ~decision ~cache ~explain =
+    ~decision ~explain =
   record t
     { seq = 0; app; call; deputy; start; queue_wait; check_dur; exec_dur;
-      total = queue_wait +. check_dur +. exec_dur; decision; cache; explain }
+      total = queue_wait +. check_dur +. exec_dur; decision; explain }
 
 (** Record a lifecycle-transaction span (the [tseq] field of the
     argument is ignored and reassigned under the store's lock).
@@ -221,12 +219,11 @@ let clear t =
 let pp_span ppf s =
   Fmt.pf ppf
     "@[<h>#%d %s %s [%s] deputy=%d wait=%.1fus check=%.1fus exec=%.1fus \
-     total=%.1fus cache=%s%a@]"
+     total=%.1fus%a@]"
     s.seq s.app s.call
     (decision_class_to_string s.decision)
     s.deputy (s.queue_wait *. 1e6) (s.check_dur *. 1e6) (s.exec_dur *. 1e6)
     (s.total *. 1e6)
-    (Api.cache_outcome_to_string s.cache)
     Fmt.(option (any " — " ++ string))
     s.explain
 

@@ -107,7 +107,6 @@ type t = {
   roots : int array;  (* Token.index -> node/leaf, or [absent] *)
   shapes : shape array;
   env : Filter_eval.env;
-  cache : Decision_cache.t option;
   deny_missing : Api.decision array;  (* preallocated per token *)
   deny_reject : Api.decision array;
   built : build_stats;
@@ -495,8 +494,7 @@ let compile_filter b (expr : Filter.expr) : int * shape =
     in
     (root, Sh_single (Filter.to_string e))
 
-let of_manifest ?(env = Filter_eval.pure_env) ?cache_size ?generation
-    (manifest : Perm.manifest) : t =
+let of_manifest ?(env = Filter_eval.pure_env) (manifest : Perm.manifest) : t =
   let b = new_builder () in
   let roots = Array.make Token.count absent in
   let shapes = Array.make Token.count Sh_false in
@@ -506,12 +504,6 @@ let of_manifest ?(env = Filter_eval.pure_env) ?cache_size ?generation
       roots.(Token.index p.Perm.token) <- root;
       shapes.(Token.index p.Perm.token) <- shape)
     manifest;
-  let cache =
-    match cache_size with
-    | None -> None
-    | Some max_entries ->
-      Some (Decision_cache.create ~name:"automaton" ~max_entries ?generation manifest)
-  in
   let tok = Array.of_list Token.all in
   { tests = Array.sub b.b_tests 0 b.n;
     on_true = Array.sub b.b_true 0 b.n;
@@ -519,7 +511,6 @@ let of_manifest ?(env = Filter_eval.pure_env) ?cache_size ?generation
     roots;
     shapes;
     env;
-    cache;
     deny_missing =
       Array.map
         (fun t -> Api.Deny ("missing permission " ^ Token.to_string t))
@@ -540,11 +531,9 @@ let of_manifest ?(env = Filter_eval.pure_env) ?cache_size ?generation
 
    The per-call context: the call's filter-relevant attributes
    projected into one small record — unboxed ints for the scalar
-   dimensions, the match fields shared with the call itself.  Built
-   either straight off the call (the hot path — no [Attrs.t] unless an
-   ownership or slow-fallback test forces one), or from a
-   caller-supplied [Attrs.t] (the decision-cache eval callback and
-   [eval_token], whose callers already paid for the attributes).
+   dimensions, the match fields shared with the call itself — built
+   straight off the call, with no [Attrs.t] unless an ownership or
+   slow-fallback test forces one.
 
    One young-generation allocation per governed call and no shared
    mutable state is the whole concurrency story: any number of threads
@@ -555,8 +544,7 @@ let of_manifest ?(env = Filter_eval.pure_env) ?cache_size ?generation
 
 type ctx = {
   call : Api.call;
-  mutable attrs : Attrs.t option;
-      (* lazy [Attrs.of_call call]; pre-set on the attrs path *)
+  mutable attrs : Attrs.t option;  (* lazy [Attrs.of_call call] *)
   m : Shield_openflow.Match_fields.t option;
   has_hdr : bool;
   ins_del : bool;  (* kind is insert/delete flow *)
@@ -634,32 +622,6 @@ let ctx_of_call (call : Api.call) : ctx =
           a.Shield_net.Topology.dpid) }
   | Api.Syscall (Api.Net_connect _) -> { ctx0 with call; has_hdr = true }
   | _ -> { ctx0 with call }
-
-let ctx_of_attrs (attrs : Attrs.t) : ctx =
-  let ins_del =
-    match attrs.Attrs.kind with
-    | Attrs.K_insert_flow | Attrs.K_delete_flow -> true
-    | _ -> false
-  in
-  { call = Api.Read_topology (* never consulted: [attrs] is pre-set *);
-    attrs = Some attrs;
-    m = attrs.Attrs.match_;
-    has_hdr = Attrs.has_header_dimension attrs;
-    ins_del;
-    insert_add =
-      ((match attrs.Attrs.kind with Attrs.K_insert_flow -> true | _ -> false)
-      && attrs.Attrs.flow_command = Some Shield_openflow.Flow_mod.Add);
-    owner_applies = ins_del || attrs.Attrs.cookie <> None;
-    prio = (match attrs.Attrs.priority with Some p -> p | None -> -1);
-    dpid = (match attrs.Attrs.dpid with Some d -> d | None -> dpid_absent);
-    from_pkt_in =
-      (match attrs.Attrs.from_pkt_in with
-      | Some b -> if b then 1 else 0
-      | None -> -1);
-    stats_lv =
-      (match attrs.Attrs.stats_level with
-      | Some l -> stats_code l
-      | None -> -1) }
 
 let the_attrs cx =
   match cx.attrs with
@@ -813,17 +775,13 @@ let walk t cx root =
 
 (* Public checking ------------------------------------------------------------ *)
 
-let eval_token t token attrs =
-  let root = t.roots.(Token.index token) in
-  root <> absent && leaf_pass (walk t (ctx_of_attrs attrs) root)
-
 let granted t token = t.roots.(Token.index token) <> absent
 
-(* Decide one call; counts the denial but not the check (callers batch
-   the check counter).  A context is built only where the decision
-   actually needs attributes: never for ungoverned or ungranted calls,
-   and only on a miss when a cache fronts the walk. *)
-let decide t (call : Api.call) : Api.decision =
+(* Decide one call.  A context is built only where the decision
+   actually needs attributes: never for ungoverned or ungranted
+   calls. *)
+let check t (call : Api.call) : Api.decision =
+  t.checks <- t.checks + 1;
   let ti = Dispatch.token_index_of_call call in
   if ti < 0 then Api.Allow
   else
@@ -832,23 +790,11 @@ let decide t (call : Api.call) : Api.decision =
       t.denials <- t.denials + 1;
       Array.unsafe_get t.deny_missing ti
     end
-    else
-      let pass =
-        match t.cache with
-        | None -> leaf_pass (walk t (ctx_of_call call) root)
-        | Some cache ->
-          Decision_cache.check cache ~token:(Dispatch.token_of_index ti) ~call
-            ~eval:(fun attrs -> leaf_pass (walk t (ctx_of_attrs attrs) root))
-      in
-      if pass then Api.Allow
-      else begin
-        t.denials <- t.denials + 1;
-        Array.unsafe_get t.deny_reject ti
-      end
-
-let check t (call : Api.call) : Api.decision =
-  t.checks <- t.checks + 1;
-  decide t call
+    else if leaf_pass (walk t (ctx_of_call call) root) then Api.Allow
+    else begin
+      t.denials <- t.denials + 1;
+      Array.unsafe_get t.deny_reject ti
+    end
 
 let check_batch t (calls : Api.call array) : Api.decision array =
   let n = Array.length calls in
@@ -857,60 +803,42 @@ let check_batch t (calls : Api.call array) : Api.decision array =
     t.checks <- t.checks + n;
     let out = Array.make n Api.Allow in
     let denials = ref 0 in
-    (match t.cache with
-    | Some _ ->
-      (* A cache in front means the walk is already amortized; keep the
-         straightforward loop (decide counts its own denials). *)
-      for i = 0 to n - 1 do
-        let call = Array.unsafe_get calls i in
-        if i > 0 && call == Array.unsafe_get calls (i - 1) then begin
-          (* Storms repeat the same boxed event: reuse the verdict (the
-             counters still see every call). *)
-          let d = Array.unsafe_get out (i - 1) in
-          (match d with Api.Deny _ -> incr denials | _ -> ());
+    (* [check] inlined with the per-call bookkeeping hoisted: denials
+       tallied locally, [Allow] slots left as the array's fill,
+       repeated boxed events (storms) reusing the previous verdict. *)
+    for i = 0 to n - 1 do
+      let call = Array.unsafe_get calls i in
+      if i > 0 && call == Array.unsafe_get calls (i - 1) then begin
+        let d = Array.unsafe_get out (i - 1) in
+        match d with
+        | Api.Deny _ ->
+          incr denials;
           Array.unsafe_set out i d
-        end
-        else out.(i) <- decide t call
-      done
-    | None ->
-      (* The batch fast loop: [decide] inlined with the per-call
-         bookkeeping hoisted — denials tallied locally, [Allow] slots
-         left as the array's fill, repeated boxed events (storms)
-         reusing the previous verdict. *)
-      for i = 0 to n - 1 do
-        let call = Array.unsafe_get calls i in
-        if i > 0 && call == Array.unsafe_get calls (i - 1) then begin
-          let d = Array.unsafe_get out (i - 1) in
-          match d with
-          | Api.Deny _ ->
+        | Api.Allow -> ()
+      end
+      else
+        let ti = Dispatch.token_index_of_call call in
+        if ti >= 0 then begin
+          let root = Array.unsafe_get t.roots ti in
+          if root = absent then begin
             incr denials;
-            Array.unsafe_set out i d
-          | Api.Allow -> ()
-        end
-        else
-          let ti = Dispatch.token_index_of_call call in
-          if ti >= 0 then begin
-            let root = Array.unsafe_get t.roots ti in
-            if root = absent then begin
-              incr denials;
-              Array.unsafe_set out i (Array.unsafe_get t.deny_missing ti)
-            end
-            else if not (leaf_pass (walk t (ctx_of_call call) root)) then begin
-              incr denials;
-              Array.unsafe_set out i (Array.unsafe_get t.deny_reject ti)
-            end
+            Array.unsafe_set out i (Array.unsafe_get t.deny_missing ti)
           end
-      done);
+          else if not (leaf_pass (walk t (ctx_of_call call) root)) then begin
+            incr denials;
+            Array.unsafe_set out i (Array.unsafe_get t.deny_reject ti)
+          end
+        end
+    done;
     t.denials <- t.denials + !denials;
     out
   end
 
 let check_explained t (call : Api.call) : Api.decision * Api.check_info =
   t.checks <- t.checks + 1;
-  let info ?explain cache = { Api.cache; explain } in
+  let info explain = { Api.explain = Some explain } in
   match Dispatch.token_of_call call with
-  | None ->
-    (Api.Allow, info ~explain:"no permission token governs this call" Api.Uncached)
+  | None -> (Api.Allow, info "no permission token governs this call")
   | Some token -> (
     let ti = Token.index token in
     let tok = Token.to_string token in
@@ -918,26 +846,11 @@ let check_explained t (call : Api.call) : Api.decision * Api.check_info =
     if root = absent then begin
       t.denials <- t.denials + 1;
       ( t.deny_missing.(ti),
-        info
-          ~explain:(Printf.sprintf "token %s: not granted by the manifest" tok)
-          Api.Uncached )
+        info (Printf.sprintf "token %s: not granted by the manifest" tok) )
     end
     else begin
       let leaf = walk t (ctx_of_call call) root in
       let pass = leaf_pass leaf in
-      let cache_outcome =
-        match t.cache with
-        | None -> Api.Uncached
-        | Some cache ->
-          (* Consult (and fill) the cache exactly as [check] would, so
-             explained checks keep the same provenance counters.  The
-             cache never disagrees with the walk (docs/CACHING.md). *)
-          let _, o =
-            Decision_cache.check_outcome cache ~token ~call ~eval:(fun attrs ->
-                leaf_pass (walk t (ctx_of_attrs attrs) root))
-          in
-          Decision_cache.to_cache_outcome o
-      in
       let why =
         match t.shapes.(ti) with
         | Sh_true -> "filter is TRUE (unconditional grant)"
@@ -959,14 +872,13 @@ let check_explained t (call : Api.call) : Api.decision * Api.check_info =
             (if pass then "passed" else "failed")
             s
       in
-      let explain = Printf.sprintf "token %s: %s" tok why in
-      if pass then (Api.Allow, info ~explain cache_outcome)
+      let explain = info (Printf.sprintf "token %s: %s" tok why) in
+      if pass then (Api.Allow, explain)
       else begin
         t.denials <- t.denials + 1;
-        (t.deny_reject.(ti), info ~explain cache_outcome)
+        (t.deny_reject.(ti), explain)
       end
     end)
 
 let build_stats t = t.built
 let stats t = (t.checks, t.denials)
-let cache_stats t = Option.map Decision_cache.stats t.cache

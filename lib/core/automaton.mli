@@ -1,8 +1,8 @@
-(** Flat decision automaton for the permission hot path.
+(** Flat decision automaton: the permission hot path.
 
-    Where {!Engine} interprets the filter AST per call and {!Compiled}
-    applies a closure tree, this module compiles each admitted,
-    reconciled manifest down to a {e flat decision DAG}:
+    Where {!Filter_eval} interprets the filter AST per call, this
+    module compiles each admitted, reconciled manifest down to a {e
+    flat decision DAG}, and {!Engine} decides every call through it:
 
     - {b perfect-hashed token dispatch} — the manifest becomes a root
       table indexed by {!Token.index} (the token enumeration's dense,
@@ -32,54 +32,41 @@
       straight off the call's match record as unboxed integer
       compares, instead of building an attribute record and
       re-projecting (with allocation) at every predicate atom as the
-      interpreted and closure-compiled paths do.
+      interpreter does.
 
     {!check} shares no mutable evaluation state between calls (each
     governed call gets one small immutable context record), so any
     number of threads may check against one automaton concurrently;
     the [stats] counters are plain increments and best-effort under
-    races, as in {!Engine}.
+    races.
 
     Decisions are bit-for-bit those of {!Filter_eval.eval} under the
-    same environment (property-tested in [test/test_automaton.ml]);
-    deny messages match {!Engine}'s.  Construction cost is accounted
-    to the ambient {!Budget} (one tick per DAG node), so {!Vetting}
-    can build the automaton at admission time under the same
-    fail-closed resource discipline as parsing and reconciliation.
+    same environment (property-tested in [test/test_automaton.ml]).
+    Construction cost is accounted to the ambient {!Budget} (one tick
+    per DAG node), so the admission pipeline builds the automaton
+    under the same fail-closed resource discipline as parsing and
+    reconciliation.
 
     Stateful atoms ([OWN_FLOWS], [MAX_RULE_COUNT]) are evaluated live
     through [env] on every visit — the DAG itself never goes stale
-    when the ownership store mutates.  Only the optional fronting
-    {!Decision_cache} memoizes stateful decisions, and it is
-    generation-gated on {!Ownership.generation} exactly as in the
-    other checkers (docs/CACHING.md); pass [generation] when [env]
-    reads mutable state.
+    when the ownership store mutates, and nothing memoizes a
+    decision.
 
     See docs/AUTOMATON.md for construction details, batch semantics,
-    and measured comparisons against the other checkers. *)
+    and measured comparisons against the interpreter. *)
 
 type t
 
-val of_manifest :
-  ?env:Filter_eval.env ->
-  ?cache_size:int ->
-  ?generation:(unit -> int) ->
-  Perm.manifest ->
-  t
+val of_manifest : ?env:Filter_eval.env -> Perm.manifest -> t
 (** Compile [manifest] once into a decision DAG.  [env] supplies the
     stateful dimensions (defaults to {!Filter_eval.pure_env} for
-    stateless checking).  [cache_size] fronts the DAG with a
-    {!Decision_cache}; [generation] must then be the mutation counter
-    of the state behind [env] (normally
-    [fun () -> Ownership.generation store]) — its constant default is
-    sound only for the pure environment.  Ticks the ambient {!Budget}
-    once per constructed node; callers admitting untrusted manifests
-    should run it inside {!Budget.with_scope} (as {!Vetting} does). *)
+    stateless checking).  Ticks the ambient {!Budget} once per
+    constructed node; callers compiling untrusted manifests should run
+    it inside {!Budget.with_scope} (as {!Verify}'s cross-check does). *)
 
 val check : t -> Shield_controller.Api.call -> Shield_controller.Api.decision
-(** Decide one call: token-indexed root lookup, then one DAG walk
-    (memoized when a decision cache is attached).  Deny messages match
-    {!Engine.check}'s ("missing permission …", "permission filter
+(** Decide one call: token-indexed root lookup, then one DAG walk.
+    Deny messages are {!Engine.check}'s ("missing permission …", "permission filter
     rejects call: …") and are preallocated per token — the deny path
     does not build strings. *)
 
@@ -97,25 +84,16 @@ val check_batch :
     transaction (for all-or-nothing groups use
     {!Engine.check_transaction}). *)
 
-val eval_token : t -> Token.t -> Attrs.t -> bool
-(** Evaluate the compiled filter for [token] against pre-extracted
-    attributes; [false] when the token is not granted.  This is the
-    hook {!Engine} plugs into its per-token evaluator slots when
-    created with [~strategy:`Automaton], and the [eval] callback handed
-    to a fronting {!Decision_cache} — it bypasses token dispatch,
-    caching, and counters. *)
-
 val check_explained :
   t ->
   Shield_controller.Api.call ->
   Shield_controller.Api.decision * Shield_controller.Api.check_info
-(** {!check} with provenance: the identical decision plus the cache
-    outcome and the deciding top-level clause.  Unlike {!Compiled},
-    the automaton does not re-interpret the source filter to explain
-    itself: every DAG leaf records which top-level clause it decides,
-    so the walk that produced the verdict also names the clause.  The
-    rendered account matches {!Filter_eval.explain}'s wording
-    (property-tested). *)
+(** {!check} with provenance: the identical decision plus the deciding
+    top-level clause.  The automaton does not re-interpret the source
+    filter to explain itself: every DAG leaf records which top-level
+    clause it decides, so the walk that produced the verdict also
+    names the clause.  The rendered account matches
+    {!Filter_eval.explain}'s wording (property-tested). *)
 
 val granted : t -> Token.t -> bool
 (** Is a root compiled for [token]? *)
@@ -136,7 +114,4 @@ type build_stats = {
 val build_stats : t -> build_stats
 
 val stats : t -> int * int
-(** [(checks, denials)] so far, as {!Engine.stats}. *)
-
-val cache_stats : t -> Shield_controller.Metrics.cache_stats option
-(** Fronting decision-cache counters; [None] without [cache_size]. *)
+(** [(checks, denials)] so far. *)

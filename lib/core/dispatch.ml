@@ -1,12 +1,11 @@
 (* Shared check-path plumbing.
 
-   Every checker on the permission hot path answers the same two
-   questions before it evaluates a single filter: which token does this
-   call require, and how are the stateful filter dimensions (ownership,
-   rule budgets) answered?  This module holds both, so the interpreting
-   [Engine], the closure-compiled [Compiled] checker and the flat
-   [Automaton] share one call→token mapping and one ownership
-   environment instead of three drifting copies. *)
+   Every decision answers the same two questions before it evaluates a
+   single filter: which token does this call require, and how are the
+   stateful filter dimensions (ownership, rule budgets) answered?  This
+   module holds both, so the [Engine], its [Automaton] and the
+   [Filter_eval] oracle's callers share one call→token mapping and one
+   ownership environment instead of drifting copies. *)
 
 open Shield_openflow
 open Shield_controller
@@ -87,13 +86,6 @@ let token_index_of_call (call : Api.call) : int =
   | Api.Syscall (Api.Net_connect _) -> ix_host_network
   | Api.Syscall (Api.File_open _) -> ix_file_system
   | Api.Syscall (Api.Spawn_process _) -> ix_process_runtime
-
-let tokens_by_index =
-  let a = Array.make Token.count Token.Read_flow_table in
-  List.iter (fun t -> a.(Token.index t) <- t) Token.all;
-  a
-
-let token_of_index i = tokens_by_index.(i)
 
 let is_stateful_call = function Api.Install_flow _ -> true | _ -> false
 

@@ -1,11 +1,11 @@
 (** Shared check-path plumbing: the call→token mapping and the
-    ownership-backed evaluation environment used by every checker on
-    the permission hot path ({!Engine}, {!Compiled}, {!Automaton}).
+    ownership-backed evaluation environment used on the permission hot
+    path ({!Engine}, {!Automaton}) and by the {!Filter_eval} oracle's
+    callers.
 
-    Factored out of {!Engine} so the compiled checkers can dispatch on
-    tokens without depending on the interpreting engine (and so the
-    engine can, in turn, delegate its evaluation to them without a
-    dependency cycle).  See docs/ARCHITECTURE.md for the layer map. *)
+    Factored out of {!Engine} so the automaton can dispatch on tokens
+    without depending on the engine that delegates to it.  See
+    docs/ARCHITECTURE.md for the layer map. *)
 
 open Shield_controller
 
@@ -19,10 +19,6 @@ val token_index_of_call : Api.call -> int
     the required token, or [-1] when no permission is needed.
     Allocation-free (the option above is a statically-allocated [Some],
     but an index slots straight into token-indexed dispatch arrays). *)
-
-val token_of_index : int -> Token.t
-(** Inverse of {!Token.index}.  Raises [Invalid_argument] outside
-    [0, Token.count). *)
 
 val is_stateful_call : Api.call -> bool
 (** Does checking this call read or write the ownership store when

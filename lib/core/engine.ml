@@ -1,7 +1,8 @@
 (* The permission engine (PE, §VI-B).
 
    One engine instance guards one app.  It holds the app's reconciled
-   manifest, answers allow/deny for every API call, tracks the stateful
+   manifest, compiled at load time into an [Automaton] decision DAG
+   that answers allow/deny for every API call, tracks the stateful
    dimensions (ownership, rule budgets) in a store shared with the
    other apps' engines, enforces transactional call groups with
    rollback, translates virtual-topology calls, and vets read results
@@ -13,7 +14,6 @@ open Shield_net
 open Shield_controller
 
 type t = {
-  app_name : string;
   cookie : int;
   manifest : Perm.manifest;
   ownership : Ownership.t;
@@ -23,21 +23,14 @@ type t = {
           ownership store: pure stateless checking, as the paper
           characterises the permission engine for its Figure-5
           microbenchmark. *)
-  cache : Decision_cache.t option;
-      (** Decision memoization over canonicalized call signatures;
-          stateful entries are generation-gated on [ownership] (see
-          docs/CACHING.md). *)
   env : Filter_eval.env;
-  evals : (Attrs.t -> bool) option array;
-      (** Per-token filter evaluators, indexed by {!Token.index} —
-          filter and environment pre-bound so the hot path does no
-          manifest scan or closure construction. *)
-  automaton : Automaton.t option;
-      (** With [~strategy:`Automaton], the decision DAG the [evals]
-          slots delegate to; also serves {!check_batch}'s fast path. *)
+  automaton : Automaton.t;
+      (** The manifest compiled once, at load time, into a decision
+          DAG over [env]: every token decision goes through it. *)
   mutex : Mutex.t;  (** Guards stateful check/record sequences. *)
-  mutable checks : int;
-  mutable denials : int;
+  mutable confined : int;
+      (** Calls denied by virtual-topology confinement, which the
+          automaton never sees. *)
 }
 
 (* Manifest compilation ----------------------------------------------------- *)
@@ -66,17 +59,11 @@ let find_virt_members (manifest : Perm.manifest) =
              | _ -> acc)
            Filter.Int_set.empty p.Perm.filter)
 
-(* Evaluation environment ---------------------------------------------------- *)
-
-let env_of ~ownership ~cookie : Filter_eval.env =
-  Dispatch.env_of_ownership ~ownership ~cookie
-
 (** Build an engine for [app_name].  [ownership] must be shared across
     all engines of one deployment; [topo] enables virtual-topology
     translation when the manifest requests it.  Manifests containing
     unexpanded macros are rejected: reconciliation must run first. *)
-let create ?topo ?(record_state = true) ?cache_size
-    ?(strategy = `Interpreted) ~ownership ~app_name ~cookie
+let create ?topo ?(record_state = true) ~ownership ~app_name ~cookie
     (manifest : Perm.manifest) : t =
   (match Perm.macros manifest with
   | [] -> ()
@@ -95,42 +82,10 @@ let create ?topo ?(record_state = true) ?cache_size
            app_name)
     | None, _ -> None
   in
-  let cache =
-    match cache_size with
-    | None -> None
-    | Some max_entries ->
-      Some
-        (Decision_cache.create ~name:("engine:" ^ app_name) ~max_entries
-           ~generation:(fun () -> Ownership.generation ownership)
-           manifest)
-  in
-  let env = env_of ~ownership ~cookie in
-  let evals = Array.make Token.count None in
-  let automaton =
-    match strategy with
-    | `Interpreted ->
-      List.iter
-        (fun (p : Perm.t) ->
-          let filter = p.Perm.filter in
-          evals.(Token.index p.Perm.token) <-
-            Some (fun attrs -> Filter_eval.eval env filter attrs))
-        manifest;
-      None
-    | `Automaton ->
-      (* One shared DAG; the per-token slots dispatch into it so the
-         rest of the engine (cache, vtopo, recording, explanations) is
-         strategy-agnostic. *)
-      let a = Automaton.of_manifest ~env manifest in
-      List.iter
-        (fun (p : Perm.t) ->
-          let token = p.Perm.token in
-          evals.(Token.index token) <-
-            Some (fun attrs -> Automaton.eval_token a token attrs))
-        manifest;
-      Some a
-  in
-  { app_name; cookie; manifest; ownership; vtopo; record_state; cache; env;
-    evals; automaton; mutex = Mutex.create (); checks = 0; denials = 0 }
+  let env = Dispatch.env_of_ownership ~ownership ~cookie in
+  { cookie; manifest; ownership; vtopo; record_state; env;
+    automaton = Automaton.of_manifest ~env manifest;
+    mutex = Mutex.create (); confined = 0 }
 
 (* Token resolution --------------------------------------------------------- *)
 
@@ -139,13 +94,11 @@ let create ?topo ?(record_state = true) ?cache_size
     look for it). *)
 let token_of_call = Dispatch.token_of_call
 
-(* Evaluation environment --------------------------------------------------- *)
+(* Checking ------------------------------------------------------------------
 
-let env t = t.env
-
-(* Checking ------------------------------------------------------------------ *)
-
-let is_stateful = function Api.Install_flow _ -> true | _ -> false
+   The automaton decides every token; the engine adds what the
+   automaton does not do: virtual-topology confinement in front, and
+   ownership recording behind an approved flow-mod. *)
 
 let record_state t (call : Api.call) =
   if t.record_state then
@@ -156,53 +109,53 @@ let record_state t (call : Api.call) =
 
 (** When a virtual topology is active, the app's entire view is the
     big switch: any call addressing a physical datapath directly is
-    outside the abstraction and denied, whichever token it rides on. *)
-let vtopo_confined t (attrs : Attrs.t) =
-  match (t.vtopo, attrs.Attrs.dpid) with
-  | Some vt, Some d -> d = vt.Vtopo.vdpid
-  | _ -> true
+    outside the abstraction and denied, whichever token it rides on.
+    [Attrs.of_call] runs only when a virtual topology is active, so the
+    common physical deployment keeps the hot path free of it. *)
+let escapes_vtopo t (call : Api.call) =
+  match t.vtopo with
+  | None -> false
+  | Some vt -> (
+    match (Attrs.of_call call).Attrs.dpid with
+    | Some d -> d <> vt.Vtopo.vdpid
+    | None -> false)
 
-let check_unlocked t (call : Api.call) : Api.decision =
-  t.checks <- t.checks + 1;
-  let deny why =
-    t.denials <- t.denials + 1;
-    Api.Deny why
-  in
-  if
-    (* [Attrs.of_call] only when a virtual topology is actually active:
-       the common physical deployment keeps the hot path free of it. *)
-    match t.vtopo with
-    | None -> false
-    | Some _ -> not (vtopo_confined t (Attrs.of_call call))
-  then deny "virtual topology: physical switches are not addressable"
-  else
-  match token_of_call call with
-  | None -> Api.Allow
-  | Some token -> (
-    match t.evals.(Token.index token) with
-    | None -> deny (Printf.sprintf "missing permission %s" (Token.to_string token))
-    | Some eval ->
-      let pass =
-        match t.cache with
-        | None -> eval (Attrs.of_call call)
-        | Some cache -> Decision_cache.check cache ~token ~call ~eval
-      in
-      if pass then begin
-        record_state t call;
-        Api.Allow
-      end
-      else
-        (* Keep the hot deny path allocation-light: permission checking
-           sits on the control-plane critical path (§IX-B2), and the
-           runtime's audit layer already records the offending call. *)
-        deny ("permission filter rejects call: " ^ Token.to_string token))
+let confinement_denial =
+  Api.Deny "virtual topology: physical switches are not addressable"
+
+let confinement_info =
+  { Api.explain =
+      Some
+        "virtual-topology confinement: the call addresses a physical \
+         datapath outside the app's big-switch view" }
+
+let confine t r =
+  t.confined <- t.confined + 1;
+  r
+
+let check_unlocked t call =
+  if escapes_vtopo t call then confine t confinement_denial
+  else begin
+    let d = Automaton.check t.automaton call in
+    (match d with Api.Allow -> record_state t call | Api.Deny _ -> ());
+    d
+  end
+
+let check_explained_unlocked t call =
+  if escapes_vtopo t call then
+    confine t (confinement_denial, confinement_info)
+  else begin
+    let ((d, _) as r) = Automaton.check_explained t.automaton call in
+    (match d with Api.Allow -> record_state t call | Api.Deny _ -> ());
+    r
+  end
 
 (** Check one call; approved flow-mods update the ownership store.  The
     lock serializes the check-then-record sequence of stateful calls;
     with [record_state:false] there is no record step to keep atomic,
     so pure checking runs lock-free. *)
 let check t call =
-  if t.record_state && is_stateful call then begin
+  if t.record_state && Dispatch.is_stateful_call call then begin
     Mutex.lock t.mutex;
     let d = check_unlocked t call in
     Mutex.unlock t.mutex;
@@ -211,23 +164,15 @@ let check t call =
   else check_unlocked t call
 
 (** Batched checking: one verdict per call, in order, each decided as
-    {!check} would at that position.  When the automaton alone decides
-    — [`Automaton] strategy with no decision cache, no virtual
-    topology, and no state recording — the whole array goes through
-    {!Automaton.check_batch} (shared scratch, coalesced repeats);
-    otherwise each element takes the ordinary {!check} path, so the
-    batch is merely a loop and stays bit-for-bit compatible. *)
+    {!check} would at that position.  A burst with nothing to confine
+    or record goes through {!Automaton.check_batch} in one pass;
+    otherwise each element takes the ordinary {!check} path. *)
 let check_batch t (calls : Api.call array) : Api.decision array =
-  match t.automaton with
-  | Some a
-    when (not t.record_state) && t.vtopo = None && t.cache = None ->
-    let out = Automaton.check_batch a calls in
-    t.checks <- t.checks + Array.length calls;
-    Array.iter
-      (function Api.Deny _ -> t.denials <- t.denials + 1 | Api.Allow -> ())
-      out;
-    out
-  | _ -> Array.map (fun call -> check t call) calls
+  if
+    t.vtopo = None
+    && not (t.record_state && Array.exists Dispatch.is_stateful_call calls)
+  then Automaton.check_batch t.automaton calls
+  else Array.map (check t) calls
 
 (** Transactional check (§VI-B2): every call in the group must pass;
     state updates from earlier calls in the group are visible to later
@@ -249,82 +194,15 @@ let check_transaction t (calls : Api.call list) :
   Mutex.unlock t.mutex;
   r
 
-(* Explained checking --------------------------------------------------------
-
-   Same decision procedure as [check_unlocked] — same counters, same
-   cache consultation, same state recording, same [Deny] messages — but
-   additionally reporting provenance: which cache level served the
-   decision and which token/filter clause made it.  Kept separate so
-   the plain hot path stays allocation-light. *)
-
-let check_explained_unlocked t (call : Api.call) :
-    Api.decision * Api.check_info =
-  t.checks <- t.checks + 1;
-  let deny why =
-    t.denials <- t.denials + 1;
-    Api.Deny why
-  in
-  let info ?explain cache = { Api.cache; explain } in
-  if
-    match t.vtopo with
-    | None -> false
-    | Some _ -> not (vtopo_confined t (Attrs.of_call call))
-  then
-    ( deny "virtual topology: physical switches are not addressable",
-      info
-        ~explain:
-          "virtual-topology confinement: the call addresses a physical \
-           datapath outside the app's big-switch view"
-        Api.Uncached )
-  else
-  match token_of_call call with
-  | None ->
-    ( Api.Allow,
-      info ~explain:"no permission token governs this call" Api.Uncached )
-  | Some token -> (
-    let tok = Token.to_string token in
-    match t.evals.(Token.index token) with
-    | None ->
-      ( deny (Printf.sprintf "missing permission %s" tok),
-        info
-          ~explain:(Printf.sprintf "token %s: not granted by the manifest" tok)
-          Api.Uncached )
-    | Some eval ->
-      let pass, cache_outcome =
-        match t.cache with
-        | None -> (eval (Attrs.of_call call), Api.Uncached)
-        | Some cache ->
-          let pass, o = Decision_cache.check_outcome cache ~token ~call ~eval in
-          (pass, Decision_cache.to_cache_outcome o)
-      in
-      (* The clause-level account re-evaluates the filter.
-         [Filter_eval.explain] always agrees with [eval], and the cache
-         never disagrees with [eval] (docs/CACHING.md), so the verdict
-         reported is the verdict served. *)
-      let filter =
-        match Perm.find t.manifest token with
-        | Some p -> p.Perm.filter
-        | None -> Filter.False
-      in
-      let _, why = Filter_eval.explain t.env filter (Attrs.of_call call) in
-      let explain = Printf.sprintf "token %s: %s" tok why in
-      if pass then begin
-        record_state t call;
-        (Api.Allow, info ~explain cache_outcome)
-      end
-      else
-        ( deny ("permission filter rejects call: " ^ tok),
-          info ~explain cache_outcome ))
-
-(** {!check} with provenance: the same decision (bit-for-bit, including
-    ownership recording and counters) plus the cache outcome and a
-    prose account of the deciding token and filter clause. *)
+(** {!check} with provenance: the same decision (including ownership
+    recording and counters) plus a prose account of the deciding token
+    and filter clause, read off the same automaton walk. *)
 let check_explained t call =
-  if t.record_state && is_stateful call then begin
+  if t.record_state && Dispatch.is_stateful_call call then begin
     Mutex.lock t.mutex;
-    let d = check_explained_unlocked t call in
+    let r = check_explained_unlocked t call in
     Mutex.unlock t.mutex;
-    d
+    r
   end
   else check_explained_unlocked t call
 
@@ -406,10 +284,10 @@ let entry_visible t expr ~dpid (fs : Stats.flow_stat) =
       dpid = Some dpid;
       cookie = Some fs.Stats.cookie }
   in
-  Filter_eval.eval (env t) expr attrs
+  Filter_eval.eval t.env expr attrs
 
 let switch_visible t expr ~kind d =
-  Filter_eval.eval (env t) expr { (Attrs.base kind) with Attrs.dpid = Some d }
+  Filter_eval.eval t.env expr { (Attrs.base kind) with Attrs.dpid = Some d }
 
 let vet_flow_entries t expr l =
   let vetted =
@@ -510,12 +388,6 @@ let checker (t : t) : Api.checker =
     explain = Some (fun call -> check_explained t call);
     snapshot = None }
 
-let stats t = (t.checks, t.denials)
-
-let cache_stats t = Option.map Decision_cache.stats t.cache
-
-let automaton_stats t = Option.map Automaton.build_stats t.automaton
-
-let reset_stats t =
-  t.checks <- 0;
-  t.denials <- 0
+let stats t =
+  let checks, denials = Automaton.stats t.automaton in
+  (checks + t.confined, denials + t.confined)

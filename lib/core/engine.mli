@@ -16,32 +16,20 @@ type t
 val create :
   ?topo:Topology.t ->
   ?record_state:bool ->
-  ?cache_size:int ->
-  ?strategy:[ `Interpreted | `Automaton ] ->
   ownership:Ownership.t ->
   app_name:string ->
   cookie:int ->
   Perm.manifest ->
   t
-(** Build an engine.  [ownership] must be shared across all engines of
-    one deployment; [topo] enables virtual-topology translation when
-    the manifest requests it; [record_state:false] disables ownership
+(** Build an engine.  The manifest is compiled once, here, into an
+    {!Automaton} decision DAG whose stateful atoms (OWN_FLOWS,
+    MAX_RULE_COUNT) read [ownership] live; every check decides through
+    it.  [ownership] must be shared across all engines of one
+    deployment; [topo] enables virtual-topology translation when the
+    manifest requests it; [record_state:false] disables ownership
     recording (pure stateless checking, as the paper characterises the
-    engine for its Figure-5 microbenchmark).  [cache_size] enables a
-    {!Decision_cache} of that capacity in front of filter evaluation:
-    stateless filter decisions are memoized unconditionally, stateful
-    ones (OWN_FLOWS, MAX_RULE_COUNT) are invalidated by [ownership]
-    mutations via its generation counter — decisions are bit-for-bit
-    identical with the uncached engine (see docs/CACHING.md).
-
-    [strategy] selects how per-token filters are evaluated:
-    [`Interpreted] (default) walks the filter AST via
-    {!Filter_eval.eval}; [`Automaton] compiles the manifest once into
-    an {!Automaton} decision DAG and dispatches into it — same
-    decisions (property-tested), faster hot path, and a batched fast
-    path for {!check_batch}.  Everything else (cache, virtual
-    topology, ownership recording, explanations) is
-    strategy-agnostic.
+    engine for its Figure-5 microbenchmark).  Compilation ticks the
+    ambient {!Budget} once per DAG node.
 
     @raise Invalid_argument on manifests with unresolved stub macros
     (reconciliation must run first) and on virtual-topology manifests
@@ -58,17 +46,17 @@ val check : t -> Api.call -> Api.decision
 val check_batch : t -> Api.call array -> Api.decision array
 (** Check a burst of calls: one verdict per call, in order, each
     decided exactly as {!check} would at that position (same counters,
-    same deny messages).  With [`Automaton] strategy and no cache,
-    virtual topology, or state recording, the burst is decided by one
-    {!Automaton.check_batch} pass, which amortizes per-call dispatch
-    and scratch setup; otherwise it degrades to a loop over {!check}. *)
+    same deny messages).  Unless a virtual topology is active or the
+    burst holds a flow-mod to record, it is decided by one
+    {!Automaton.check_batch} pass, which amortizes per-call dispatch;
+    otherwise it is a loop over {!check}. *)
 
 val check_explained : t -> Api.call -> Api.decision * Api.check_info
 (** {!check} with provenance: the identical decision (same ownership
-    recording, counters and [Deny] messages), plus which cache level
-    served it and a prose account of the deciding token and top-level
-    filter clause ({!Filter_eval.explain}).  This is what the engine's
-    {!checker} exposes as its [explain] entry point. *)
+    recording, counters and [Deny] messages), plus a prose account of
+    the deciding token and top-level filter clause, worded as
+    {!Filter_eval.explain}.  This is what the engine's {!checker}
+    exposes as its [explain] entry point. *)
 
 val check_transaction : t -> Api.call list -> (unit, int * string) result
 (** Transactional check (§VI-B2): every call must pass; earlier calls'
@@ -101,13 +89,3 @@ val checker : t -> Api.checker
 
 val stats : t -> int * int
 (** (checks performed, denials). *)
-
-val cache_stats : t -> Metrics.cache_stats option
-(** Decision-cache counters; [None] when the engine was created without
-    [cache_size]. *)
-
-val automaton_stats : t -> Automaton.build_stats option
-(** Decision-DAG construction stats (node/sharing counts); [None]
-    unless the engine was created with [~strategy:`Automaton]. *)
-
-val reset_stats : t -> unit

@@ -47,8 +47,6 @@ type t = {
   policy : Policy.t;
   sdeps : (Policy.stmt * deps) list;  (* policy order, one entry per stmt *)
   limits : Budget.limits option;
-  cache_size : int option;
-  strategy : [ `Interpreted | `Automaton ];
   strict_verify : bool;
   topo : Topology.t option;
   ownership : Ownership.t;
@@ -139,8 +137,7 @@ let register_gauges t =
 
 let close (_ : t) = List.iter Metrics.unregister_gauge gauge_names
 
-let create ?limits ?cache_size ?(strategy = `Interpreted)
-    ?(strict_verify = false) ?topo ~policy () : (t, string) result =
+let create ?limits ?(strict_verify = false) ?topo ~policy () : (t, string) result =
   match Vetting.vet_policy ?limits policy with
   | Vetting.Rejected r ->
     Error (Printf.sprintf "policy rejected at %s: %s" r.Vetting.stage r.reason)
@@ -148,8 +145,7 @@ let create ?limits ?cache_size ?(strategy = `Interpreted)
     let policy = a.Vetting.value in
     Ok
       (let t =
-         { policy; sdeps = analyze policy; limits; cache_size; strategy;
-           strict_verify; topo; ownership = Ownership.create ();
+         { policy; sdeps = analyze policy; limits; strict_verify; topo; ownership = Ownership.create ();
            mutex = Mutex.create (); epoch_counter = Atomic.make 0;
            slots = Atomic.make []; originals = []; cookies = [];
            next_cookie = 1; delta_runs = Atomic.make 0;
@@ -400,8 +396,7 @@ let compile_stage t ~next_epoch to_publish () =
     (fun (name, manifest) ->
       Faults.point Faults.Swap_compile;
       let engine =
-        Engine.create ?topo:t.topo ?cache_size:t.cache_size
-          ~strategy:t.strategy ~ownership:t.ownership ~app_name:name
+        Engine.create ?topo:t.topo ~ownership:t.ownership ~app_name:name
           ~cookie:(cookie_for t name) manifest
       in
       ( name,

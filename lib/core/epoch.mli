@@ -3,8 +3,8 @@
     An SDN app market admits, upgrades and revokes apps while the
     controller mediates traffic.  This module makes that churn
     crash-safe and non-disruptive: every admitted app's {e reconciled
-    manifest + compiled engine (automaton, decision-cache slice) +
-    packaged checker} is one immutable {!record} published by a single
+    manifest + compiled engine (decision automaton) + packaged
+    checker} is one immutable {!record} published by a single
     atomic store into the app's slot.  Readers resolve the slot once
     per mediated call (via the {!Shield_controller.Api.checker}
     [snapshot] hook), so an in-flight call finishes entirely on the
@@ -38,9 +38,8 @@ type record = {
   app : string;
   manifest : Perm.manifest;  (** Reconciled, macro-free. *)
   engine : Engine.t;
-      (** Compiled checker: filter evaluation (or the {!Automaton}
-          decision DAG), the app's {!Decision_cache} slice, ownership
-          wiring. *)
+      (** Compiled checker: the manifest's {!Automaton} decision DAG
+          and its ownership wiring. *)
   checker : Api.checker;  (** [Engine.checker engine], epoch-pinned. *)
 }
 
@@ -52,8 +51,6 @@ type t
 
 val create :
   ?limits:Budget.limits ->
-  ?cache_size:int ->
-  ?strategy:[ `Interpreted | `Automaton ] ->
   ?strict_verify:bool ->
   ?topo:Topology.t ->
   policy:string ->
@@ -61,8 +58,8 @@ val create :
   (t, string) result
 (** Build a deployment around a policy (vetted once, by
     {!Vetting.vet_policy}; [Error] when it is rejected).  [limits]
-    budget every transaction stage; [cache_size] / [strategy] / [topo]
-    are passed to each admitted app's {!Engine.create}.
+    budget every transaction stage; [topo] is passed to each admitted
+    app's {!Engine.create}.
     [strict_verify] (default [false]) additionally rolls a transaction
     back when its certificate is [Unverified] (budget ran out) rather
     than only on [Refuted].

@@ -15,42 +15,13 @@ type rule = { match_ : Match_fields.t; priority : int; cookie : int }
 type t = {
   mutable rules : (dpid, rule list) Hashtbl.t;
       (** Only read/written under [mutex].  The field is [mutable] only
-          so {!restore} can swap in a snapshot table — also under the
-          lock, after its bump — so there is no unsynchronized access
-          to the table or the field; [generation] is the one value read
-          outside the lock. *)
-  generation : int Atomic.t;
-      (** Bumped on every mutation (inside the store's lock, before the
-          mutation lands).  Decision caches gate entries whose filters
-          inspect ownership state (OWN_FLOWS, MAX_RULE_COUNT) on this
-          counter: an entry recorded at generation [g] is served only
-          while the store is still at [g], so a cached decision can
-          never outlive the state it was derived from.  Atomic so the
-          checking hot path reads it without taking the store's lock.
-
-          The bump-BEFORE-mutate ordering is load-bearing, not
-          stylistic.  The counter is monotone and moves strictly before
-          the state it describes, so for any observer: if two counter
-          reads bracketing a locked read of the table agree on [g],
-          the table content seen is exactly the generation-[g] state —
-          no mutation can land between them without moving the
-          counter first.  A cache entry tagged with a generation
-          captured before its evaluation is therefore served only when
-          re-evaluating now would read the same state (equivalently:
-          entries are over-invalidated under races, never stale-served).
-          With the reversed order (mutate, then bump) there would be a
-          window where the table had changed but the counter had not,
-          and a concurrently cached old decision would be served as
-          current.  The two-domain hammer in test/test_ownership.ml
-          pins this ordering: each writer mutation adds exactly one
-          rule, so a reader whose bracketing generation reads agree
-          must see [count = generation]. *)
+          so {!restore} can swap in a snapshot table, also under the
+          lock. *)
   mutex : Mutex.t;
 }
 
 let create () =
-  { rules = Hashtbl.create 16; generation = Atomic.make 0;
-    mutex = Mutex.create () }
+  { rules = Hashtbl.create 16; mutex = Mutex.create () }
 
 let with_lock t f =
   Mutex.lock t.mutex;
@@ -59,8 +30,6 @@ let with_lock t f =
 let rules_at_unlocked t dpid = Option.value ~default:[] (Hashtbl.find_opt t.rules dpid)
 
 let rules_at t dpid = with_lock t (fun () -> rules_at_unlocked t dpid)
-
-let generation t = Atomic.get t.generation
 
 let all_rules t =
   with_lock t (fun () ->
@@ -97,13 +66,11 @@ let record t ~dpid (fm : Flow_mod.t) ~cookie =
                    ~inner:r.match_))
             existing
       in
-      Atomic.incr t.generation;
       Hashtbl.replace t.rules dpid updated)
 
 (** Drop a rule that timed out on the switch (flow-removed event). *)
 let forget t ~dpid ~match_ ~cookie =
   with_lock t (fun () ->
-      Atomic.incr t.generation;
       Hashtbl.replace t.rules dpid
         (List.filter
            (fun r ->
@@ -151,6 +118,4 @@ type snapshot = (dpid, rule list) Hashtbl.t
 let snapshot t : snapshot = with_lock t (fun () -> Hashtbl.copy t.rules)
 
 let restore t (s : snapshot) =
-  with_lock t (fun () ->
-      Atomic.incr t.generation;
-      t.rules <- s)
+  with_lock t (fun () -> t.rules <- s)

@@ -17,21 +17,6 @@ val create : unit -> t
 val rules_at : t -> dpid -> rule list
 val all_rules : t -> (dpid * rule) list
 
-val generation : t -> int
-(** Mutation counter: bumped by every {!record}, {!forget} and
-    {!restore}.  {!Decision_cache} gates stateful entries on it — a
-    decision cached at generation [g] is served only while the store is
-    still at [g] (see docs/CACHING.md for the invalidation protocol).
-    Reads are lock-free (atomic), so the checking hot path can consult
-    it on every lookup; bumps happen inside the store's lock {e before}
-    the mutation lands, so a reader that can observe a mutation also
-    observes its bump.  Consequence (the publication invariant the
-    caches rely on, pinned by the two-domain hammer in
-    test/test_ownership.ml): two generation reads that bracket a locked
-    read of the store and agree on [g] guarantee the store content seen
-    is the generation-[g] state; stale cache entries are thereby
-    over-invalidated under races, never served. *)
-
 val record : t -> dpid:dpid -> Flow_mod.t -> cookie:int -> unit
 (** Record an approved flow-mod: adds on [Add], re-attributes on
     [Modify], removes subsumed rules on [Delete].  [cookie] attributes

@@ -348,41 +348,25 @@ let check_minimality env (repairs : Reconcile.violation list) : minimality =
 let decision_allows = function Api.Allow -> true | Api.Deny _ -> false
 
 (** What [Filter_eval] says a manifest decides for a call — the
-    semantic ground truth the three checkers are compared against. *)
+    semantic ground truth the deployed engine is compared against. *)
 let expected_decision (m : Perm.manifest) (call : Api.call) : bool =
   match Dispatch.token_of_call call with
   | None -> true
   | Some t ->
     Perm.grants_token m t && eval_f (Perm.filter_of m t) (Attrs.of_call call)
 
-type trio = {
-  engine : Engine.t option;
-  compiled : Compiled.t option;
-  automaton : Automaton.t option;
-}
-
-let build_trio notes (m : Perm.manifest) : trio =
-  let engine =
-    match
-      Engine.create ~record_state:false ~ownership:(Ownership.create ())
-        ~app_name:"verify" ~cookie:1 m
-    with
-    | e -> Some e
-    | exception Invalid_argument msg ->
-      notes := Fmt.str "engine replay skipped: %s" msg :: !notes;
-      None
-  in
-  let compiled =
-    match Compiled.of_manifest m with
-    | c -> Some c
-    | exception _ -> None
-  in
-  let automaton =
-    match Automaton.of_manifest m with
-    | a -> Some a
-    | exception _ -> None
-  in
-  { engine; compiled; automaton }
+(* The deployed engine for [m], or a note saying why [Engine.create]
+   rejected it.  Anything else, budget exhaustion included, propagates:
+   [verify] degrades it to an empty, disagreeing cross-check. *)
+let build_engine notes (m : Perm.manifest) : Engine.t option =
+  match
+    Engine.create ~record_state:false ~ownership:(Ownership.create ())
+      ~app_name:"verify" ~cookie:1 m
+  with
+  | e -> Some e
+  | exception Invalid_argument msg ->
+    notes := Fmt.str "engine replay skipped: %s" msg :: !notes;
+    None
 
 let run_crosscheck ~(apps : (string * Perm.manifest) list)
     ~(obligations : obligation list) ~(extra : witness list) : crosscheck =
@@ -391,28 +375,26 @@ let run_crosscheck ~(apps : (string * Perm.manifest) list)
   let replayed = ref 0 in
   let replay (m : Perm.manifest) (call : Api.call) =
     let want = expected_decision m call in
-    let trio = build_trio notes m in
-    let one label decide =
-      incr replayed;
-      let got = decision_allows (decide call) in
-      if got <> want then begin
-        agree := false;
-        notes :=
-          Fmt.str "%s disagrees with Filter_eval on %a (got %s, expected %s)"
-            label Api.pp_call call
-            (if got then "allow" else "deny")
-            (if want then "allow" else "deny")
-          :: !notes
-      end
-    in
-    Option.iter (fun e -> one "engine" (Engine.check e)) trio.engine;
-    Option.iter (fun c -> one "compiled" (Compiled.check c)) trio.compiled;
-    Option.iter (fun a -> one "automaton" (Automaton.check a)) trio.automaton
+    Option.iter
+      (fun e ->
+        incr replayed;
+        let got = decision_allows (Engine.check e call) in
+        if got <> want then begin
+          agree := false;
+          notes :=
+            Fmt.str "engine disagrees with Filter_eval on %a (got %s, expected %s)"
+              Api.pp_call call
+              (if got then "allow" else "deny")
+              (if want then "allow" else "deny")
+            :: !notes
+        end)
+      (build_engine notes m)
   in
   (* Every synthesized witness is replayed against the manifest that
      admits it and (for boundary escapes and repair slack) against the
-     bound it escapes — a differential test of all three checkers on
-     exactly the calls verification's verdict rests on. *)
+     bound it escapes — a differential test of the deployed engine
+     against Filter_eval on exactly the calls verification's verdict
+     rests on. *)
   let witnesses =
     extra
     @ List.concat_map

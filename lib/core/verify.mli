@@ -16,9 +16,9 @@
       and semantically confirmed by {!Filter_eval}: the call is
       admitted by the manifest side yet escapes the bound (or, for
       exclusions, one call per exclusive set is admitted).  Every
-      witness is additionally replayed through {!Engine}, {!Compiled}
-      and {!Automaton} — a standing differential test of the three
-      checkers.
+      witness is additionally replayed through the deployed {!Engine}
+      — a standing differential test of its automaton against the
+      interpreter.
     - {b unknown} — neither provable nor witnessed (incompleteness,
       budget exhaustion, [Nf.Too_large] degradation, policy evaluation
       error).  Unknown never certifies: the overall verdict degrades
@@ -102,11 +102,12 @@ type minimality =
     calls (see docs/VERIFY.md). *)
 type crosscheck = {
   replayed : int;
-      (** Witness-side replays performed across the three checkers
+      (** Witness-side replays performed through {!Engine}
           (counterexample and slack witnesses alike). *)
   checkers_agree : bool;
-      (** {!Engine}, {!Compiled} and {!Automaton} each matched the
-          {!Filter_eval} expectation on every replay. *)
+      (** {!Engine} matched the {!Filter_eval} expectation on every
+          replay.  A manifest {!Engine.create} rejects replays nothing
+          and leaves a note instead. *)
   infer_consistent : bool;
       (** {!Infer.of_trace} over calls admitted by each app's manifest
           produced a least-privilege manifest that re-admits every one

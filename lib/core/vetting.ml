@@ -254,19 +254,6 @@ let vet_manifest_ast ?limits (m : Perm.manifest) : Perm.manifest verdict =
       Budget.set_stage "lint";
       Ok (m, Lint.lint_manifest m, None))
 
-let vet_manifest_compiled ?limits (m : Perm.manifest) :
-    (Perm.manifest * Automaton.t) verdict =
-  run ?limits (fun _b ->
-      check_manifest m;
-      (* Build the decision DAG inside the same scope: [Automaton]
-         ticks the budget once per node, so a manifest whose compiled
-         form explodes is cut off at this stage instead of costing the
-         controller the blow-up at app-load time. *)
-      Budget.set_stage "compile";
-      let a = Automaton.of_manifest m in
-      Budget.set_stage "lint";
-      Ok ((m, a), Lint.lint_manifest m, None))
-
 let vet_manifest ?limits (src : string) : Perm.manifest verdict =
   run ?limits (fun b ->
       Budget.set_stage "parse";

@@ -29,8 +29,7 @@
 type rejection = {
   stage : string;
       (** Pipeline stage that cut the input off: ["parse"],
-          ["structure"], ["expand"], ["normalize"], ["compile"] or
-          ["reconcile"]. *)
+          ["structure"], ["expand"], ["normalize"] or ["reconcile"]. *)
   reason : string;
   spent : Budget.spent;  (** Resources consumed up to the cut-off. *)
 }
@@ -77,20 +76,6 @@ val vet_manifest_ast :
     source text): the same pipeline minus the parse stage.  Safe on
     adversarially deep expressions — structural checks are iterative.
     Never raises. *)
-
-val vet_manifest_compiled :
-  ?limits:Budget.limits ->
-  Perm.manifest ->
-  (Perm.manifest * Automaton.t) verdict
-(** {!vet_manifest_ast} plus admission-time compilation: build the
-    {!Automaton} decision DAG for the manifest inside the same budget
-    scope (stage ["compile"], one tick per DAG node), so pathological
-    manifests pay for their compiled size at admission rather than at
-    app-load time.  The returned automaton is built against
-    {!Filter_eval.pure_env}; engines that need the stateful dimensions
-    recompile with their own environment ([Engine.create
-    ~strategy:`Automaton]), which is cheap for anything this stage
-    admitted.  Never raises. *)
 
 val vet_policy : ?limits:Budget.limits -> string -> Policy.t verdict
 (** Vet policy source text: parse, structural caps on every embedded

@@ -1,9 +1,9 @@
-(* The decision automaton must agree exactly with the interpreting
-   engine and the closure-compiled checker: stateless decisions over
-   random manifests × calls, batched vs. one-at-a-time verdicts,
-   stateful (ownership/rule-budget) manifests under live mutation,
-   cache-fronted automata across generation invalidations, and the
-   leaf-mapped explanations against [Filter_eval.explain]'s wording. *)
+(* The decision automaton, and the engine that decides through it,
+   must agree exactly with the [Filter_eval] oracle: stateless
+   decisions over random manifests × calls, batched vs. one-at-a-time
+   verdicts, stateful (ownership/rule-budget) manifests under random
+   insert/delete sequences with recording on, and the leaf-mapped
+   explanations against [Filter_eval.explain]'s wording. *)
 
 open Shield_openflow
 open Shield_openflow.Types
@@ -19,25 +19,30 @@ let same_verdict d1 d2 =
   | Api.Allow, Api.Allow | Api.Deny _, Api.Deny _ -> true
   | _ -> false
 
-(* Engine (interpreted), Compiled, Automaton, and an Engine running the
-   automaton strategy must all agree on stateless decisions. *)
-let four_way_agree m call =
+(* The oracle: the token the call requires is granted and
+   [Filter_eval] passes its filter under [env]. *)
+let oracle_allows ?(env = Filter_eval.pure_env) m call =
+  match Dispatch.token_of_call call with
+  | None -> true
+  | Some t ->
+    Perm.grants_token m t
+    && Filter_eval.eval env (Perm.filter_of m t) (Attrs.of_call call)
+
+let allows = function Api.Allow -> true | Api.Deny _ -> false
+
+(* [Engine.check], [Automaton.check] and [Automaton.check_batch] all
+   decide as the oracle on stateless checking. *)
+let oracle_agree m call =
   let engine =
     Engine.create ~record_state:false
       ~ownership:(Ownership.create ())
       ~app_name:"cmp" ~cookie:1 m
   in
-  let engine_a =
-    Engine.create ~record_state:false ~strategy:`Automaton
-      ~ownership:(Ownership.create ())
-      ~app_name:"cmp-a" ~cookie:1 m
-  in
-  let compiled = Compiled.of_manifest m in
   let automaton = Automaton.of_manifest m in
-  let d = Engine.check engine call in
-  same_verdict d (Compiled.check compiled call)
-  && same_verdict d (Automaton.check automaton call)
-  && same_verdict d (Engine.check engine_a call)
+  let want = oracle_allows m call in
+  allows (Engine.check engine call) = want
+  && allows (Automaton.check automaton call) = want
+  && allows (Automaton.check_batch automaton [| call |]).(0) = want
 
 let test_automaton_basic () =
   let m =
@@ -115,11 +120,6 @@ let test_priority_interval () =
        MAX_PRIORITY 50000"
   in
   let a = Automaton.of_manifest m in
-  let e =
-    Engine.create ~record_state:false
-      ~ownership:(Ownership.create ())
-      ~app_name:"prio" ~cookie:1 m
-  in
   let insert priority =
     Api.Install_flow
       ( 1,
@@ -131,7 +131,7 @@ let test_priority_interval () =
       Alcotest.(check bool)
         (Printf.sprintf "priority %d agrees" p)
         true
-        (same_verdict (Automaton.check a (insert p)) (Engine.check e (insert p))))
+        (allows (Automaton.check a (insert p)) = oracle_allows m (insert p)))
     [ 0; 99; 100; 50000; 50001; 60000; 65535 ]
 
 (* Stateful manifests: ownership and rule budgets are read live through
@@ -148,7 +148,6 @@ let test_stateful_ownership () =
     (* record_state defaults to true: approvals mutate the store *)
   in
   let env = Dispatch.env_of_ownership ~ownership ~cookie:1 in
-  let a = Automaton.of_manifest ~env m in
   let insert nw_dst =
     Api.Install_flow
       ( 1,
@@ -166,19 +165,18 @@ let test_stateful_ownership () =
           ~match_:(Match_fields.make ~nw_dst:(Match_fields.exact_ip (ip nw_dst)) ())
           () )
   in
-  (* Check the automaton first at each step, against the same pre-state
-     the engine's check-then-record will see. *)
+  (* Ask the oracle first at each step, against the same pre-state the
+     engine's check-then-record will see. *)
   let agree label call =
-    let da = Automaton.check a call in
-    let de = Engine.check engine call in
-    Alcotest.(check bool) label true (same_verdict da de)
+    let want = oracle_allows ~env m call in
+    Alcotest.(check bool) label want (allows (Engine.check engine call))
   in
   agree "first insert" (insert "10.0.0.1");
   agree "second insert" (insert "10.0.0.2");
-  (* Budget is 2 and alice now owns 2 rules: both must deny. *)
-  (match Automaton.check a (insert "10.0.0.3") with
+  (* Budget is 2 and alice now owns 2 rules: the insert must deny. *)
+  (match Engine.check engine (insert "10.0.0.3") with
   | Api.Deny _ -> ()
-  | Api.Allow -> Alcotest.fail "rule budget exceeded: automaton must deny");
+  | Api.Allow -> Alcotest.fail "rule budget exceeded: engine must deny");
   agree "third insert over budget" (insert "10.0.0.3");
   (* A foreign rule appears: deleting it violates OWN_FLOWS for both. *)
   Ownership.record ownership ~dpid:1
@@ -188,33 +186,6 @@ let test_stateful_ownership () =
     ~cookie:2;
   agree "delete own flow" (delete "10.0.0.1");
   agree "delete foreign flow" (delete "10.9.9.9")
-
-(* A cache-fronted automaton must invalidate stateful entries on
-   ownership mutation (generation gating), not serve stale verdicts. *)
-let test_cache_invalidation_rebuild () =
-  let ownership = Ownership.create () in
-  let m = manifest "PERM insert_flow LIMITING MAX_RULE_COUNT 1" in
-  let env = Dispatch.env_of_ownership ~ownership ~cookie:1 in
-  let a =
-    Automaton.of_manifest ~env ~cache_size:64
-      ~generation:(fun () -> Ownership.generation ownership)
-      m
-  in
-  let fm =
-    Flow_mod.add ~priority:100 ~cookie:1
-      ~match_:(Match_fields.make ~nw_dst:(Match_fields.exact_ip (ip "10.0.0.1")) ())
-      ~actions:[ Action.Output 1 ] ()
-  in
-  let call = Api.Install_flow (1, fm) in
-  (match Automaton.check a call with
-  | Api.Allow -> ()
-  | Api.Deny why -> Alcotest.failf "under budget, must allow: %s" why);
-  (* The decision is now cached.  Fill the budget behind the cache's
-     back; the generation gate must force re-evaluation. *)
-  Ownership.record ownership ~dpid:1 fm ~cookie:1;
-  (match Automaton.check a call with
-  | Api.Deny _ -> ()
-  | Api.Allow -> Alcotest.fail "stale cached ALLOW served after mutation")
 
 (* Batched and one-at-a-time verdicts must be identical, including
    counters, on the generated workload traces. *)
@@ -235,9 +206,9 @@ let test_batch_matches_single_on_trace () =
   Alcotest.(check bool)
     "same counters" true
     (Automaton.stats a1 = Automaton.stats a2);
-  (* Engine's batched entry point with the automaton strategy. *)
+  (* The engine's batched entry point. *)
   let e =
-    Engine.create ~record_state:false ~strategy:`Automaton
+    Engine.create ~record_state:false
       ~ownership:(Ownership.create ())
       ~app_name:"batch" ~cookie:1 m
   in
@@ -249,7 +220,22 @@ let test_batch_matches_single_on_trace () =
     singles
 
 (* Explanations: the DAG's leaf-to-clause mapping must reproduce
-   [Filter_eval.explain]'s account exactly (the engine's wording). *)
+   [Filter_eval.explain]'s account exactly, through the automaton and
+   through the engine. *)
+let oracle_explain m call =
+  match Dispatch.token_of_call call with
+  | None -> "no permission token governs this call"
+  | Some t ->
+    let tok = Token.to_string t in
+    if not (Perm.grants_token m t) then
+      Printf.sprintf "token %s: not granted by the manifest" tok
+    else
+      let _, why =
+        Filter_eval.explain Filter_eval.pure_env (Perm.filter_of m t)
+          (Attrs.of_call call)
+      in
+      Printf.sprintf "token %s: %s" tok why
+
 let explanations_agree m call =
   let engine =
     Engine.create ~record_state:false
@@ -257,9 +243,10 @@ let explanations_agree m call =
       ~app_name:"exp" ~cookie:1 m
   in
   let a = Automaton.of_manifest m in
-  let de, ie = Engine.check_explained engine call in
-  let da, ia = Automaton.check_explained a call in
-  same_verdict de da && ie.Api.explain = ia.Api.explain
+  let want = (oracle_allows m call, Some (oracle_explain m call)) in
+  let got (d, (i : Api.check_info)) = (allows d, i.Api.explain) in
+  got (Engine.check_explained engine call) = want
+  && got (Automaton.check_explained a call) = want
 
 let test_explanations_basic () =
   let m =
@@ -293,14 +280,131 @@ let test_explanations_basic () =
         true (explanations_agree m call))
     calls
 
+(* Stateful oracle ---------------------------------------------------------
+
+   An engine with recording on against a reference that decides with
+   [Filter_eval.eval] over [Dispatch.env_of_ownership] on a twin
+   [Ownership] store and records on allow.  Manifests mix OWN_FLOWS
+   and MAX_RULE_COUNT atoms into random filters; call sequences mix
+   inserts, exact and subnet-wide deletes, and rules another app
+   installs behind both stores' backs. *)
+
+type op =
+  | Insert of { dpid : int; dst : int; priority : int }
+  | Delete of { dpid : int; dst : int option }  (* [None]: the whole /24 *)
+  | Foreign of { dpid : int; dst : int }
+
+let dst_match = function
+  | Some d ->
+    Match_fields.make ~dl_type:Eth_ip
+      ~nw_dst:(Match_fields.exact_ip (ipv4_of_octets 10 0 0 d))
+      ()
+  | None ->
+    Match_fields.make ~dl_type:Eth_ip
+      ~nw_dst:(Match_fields.subnet (ipv4_of_octets 10 0 0 0) (prefix_mask 24))
+      ()
+
+let call_of_op = function
+  | Insert { dpid; dst; priority } ->
+    Some
+      (Api.Install_flow
+         ( dpid,
+           Flow_mod.add ~priority ~match_:(dst_match (Some dst))
+             ~actions:[ Action.Output 1 ] () ))
+  | Delete { dpid; dst } ->
+    Some (Api.Install_flow (dpid, Flow_mod.delete ~match_:(dst_match dst) ()))
+  | Foreign _ -> None
+
+let pp_op ppf = function
+  | Insert { dpid; dst; priority } ->
+    Fmt.pf ppf "insert s%d 10.0.0.%d prio %d" dpid dst priority
+  | Delete { dpid; dst = Some d } -> Fmt.pf ppf "delete s%d 10.0.0.%d" dpid d
+  | Delete { dpid; dst = None } -> Fmt.pf ppf "delete s%d 10.0.0.0/24" dpid
+  | Foreign { dpid; dst } -> Fmt.pf ppf "foreign s%d 10.0.0.%d" dpid dst
+
+let op_gen : op QCheck.Gen.t =
+  let open QCheck.Gen in
+  let dpid = int_range 1 2 and dst = int_range 1 4 in
+  frequency
+    [ (5, map3 (fun dpid dst priority -> Insert { dpid; dst; priority })
+            dpid dst (int_bound 1000));
+      (2, map2 (fun dpid dst -> Delete { dpid; dst = Some dst }) dpid dst);
+      (1, map (fun dpid -> Delete { dpid; dst = None }) dpid);
+      (1, map2 (fun dpid dst -> Foreign { dpid; dst }) dpid dst) ]
+
+let stateful_expr_gen : Filter.expr QCheck.Gen.t =
+  let open QCheck.Gen in
+  let stateful =
+    oneof
+      [ return Filter.own_flows;
+        map (fun n -> Filter.atom (Filter.Max_rule_count n)) (int_range 1 4) ]
+  in
+  let other = Test_filters.expr_gen 1 in
+  frequency
+    [ (3, stateful);
+      (3, map2 (fun a b -> Filter.And (a, b)) stateful other);
+      (2, map2 (fun a b -> Filter.Or (a, b)) stateful other);
+      (2, map2 (fun a b -> Filter.And (a, b)) stateful stateful);
+      (1, map (fun a -> Filter.Not a) stateful) ]
+
+let stateful_manifest_gen : Perm.manifest QCheck.Gen.t =
+  QCheck.Gen.map2
+    (fun ins del ->
+      Perm.normalize
+        [ Perm.make ~filter:ins Token.Insert_flow;
+          Perm.make ~filter:del Token.Delete_flow ])
+    stateful_expr_gen stateful_expr_gen
+
+let stateful_arb =
+  QCheck.make
+    ~print:(fun (m, ops, _) ->
+      Fmt.str "%s@.%a" (Perm.to_string m) Fmt.(list ~sep:cut pp_op) ops)
+    QCheck.Gen.(
+      triple stateful_manifest_gen
+        (list_size (int_range 1 30) op_gen)
+        (list_size (return 30) (int_bound 2)))
+
+(* Replay [ops]; each call goes through [Engine.check],
+   [Engine.check_explained] or [Engine.check_batch] as [via] picks. *)
+let stateful_agree (m, ops, via) =
+  let own = Ownership.create () and twin = Ownership.create () in
+  let engine = Engine.create ~ownership:own ~app_name:"sut" ~cookie:1 m in
+  let env = Dispatch.env_of_ownership ~ownership:twin ~cookie:1 in
+  let decide i call =
+    match List.nth via i with
+    | 0 -> Engine.check engine call
+    | 1 -> fst (Engine.check_explained engine call)
+    | _ -> (Engine.check_batch engine [| call |]).(0)
+  in
+  let rules o = List.sort compare (Ownership.all_rules o) in
+  List.for_all Fun.id
+    (List.mapi
+       (fun i op ->
+         match (op, call_of_op op) with
+         | Foreign { dpid; dst }, _ ->
+           List.iter
+             (fun o ->
+               Ownership.record o ~dpid
+                 (Flow_mod.add ~priority:5 ~match_:(dst_match (Some dst))
+                    ~actions:[] ())
+                 ~cookie:2)
+             [ own; twin ];
+           true
+         | _, None -> true
+         | _, Some call ->
+           let want = oracle_allows ~env m call in
+           (if want then
+              match call with
+              | Api.Install_flow (dpid, fm) ->
+                Ownership.record twin ~dpid fm ~cookie:1
+              | _ -> ());
+           allows (decide i call) = want && rules own = rules twin)
+       ops)
+
 (* Property suites ----------------------------------------------------------- *)
 
 let qsuite =
-  [ QCheck.Test.make ~count:500
-      ~name:"automaton = compiled = interpreted (stateless)"
-      (QCheck.pair Test_perm_ops.manifest_arb Test_filters.call_arb)
-      (fun (m, call) -> four_way_agree m call);
-    QCheck.Test.make ~count:200 ~name:"check_batch = map check"
+  [ QCheck.Test.make ~count:200 ~name:"check_batch = map check"
       (QCheck.pair Test_perm_ops.manifest_arb
          (QCheck.list_of_size (QCheck.Gen.int_range 0 40) Test_filters.call_arb))
       (fun (m, calls) ->
@@ -311,7 +415,7 @@ let qsuite =
         Array.length singles = Array.length batched
         && Array.for_all2 same_verdict singles batched
         && Automaton.stats a1 = Automaton.stats a2);
-    QCheck.Test.make ~count:300 ~name:"automaton explanations = engine's"
+    QCheck.Test.make ~count:500 ~name:"automaton explanations = engine's"
       (QCheck.pair Test_perm_ops.manifest_arb Test_filters.call_arb)
       (fun (m, call) -> explanations_agree m call) ]
 
@@ -321,9 +425,18 @@ let suite =
     Alcotest.test_case "priority interval fusion" `Quick test_priority_interval;
     Alcotest.test_case "stateful ownership/budget agreement" `Quick
       test_stateful_ownership;
-    Alcotest.test_case "cache invalidation on mutation" `Quick
-      test_cache_invalidation_rebuild;
     Alcotest.test_case "batch = single on workload trace" `Quick
       test_batch_matches_single_on_trace;
     Alcotest.test_case "explanations match (unit)" `Quick test_explanations_basic ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qsuite
+
+(* The engine against the [Filter_eval] oracle, stateless and with
+   ownership recording on. *)
+let oracle_suite =
+  List.map
+    (QCheck_alcotest.to_alcotest ~long:false)
+    [ QCheck.Test.make ~count:500 ~name:"stateless checkers = Filter_eval"
+        (QCheck.pair Test_perm_ops.manifest_arb Test_filters.call_arb)
+        (fun (m, call) -> oracle_agree m call);
+      QCheck.Test.make ~count:300 ~name:"stateful engine = Filter_eval"
+        stateful_arb stateful_agree ]

@@ -12,9 +12,8 @@ let () =
       ("apps", Test_apps.suite);
       ("attacks", Test_attacks.suite);
       ("workload", Test_workload.suite);
-      ("compiled", Test_compiled.suite);
       ("automaton", Test_automaton.suite);
-      ("decision-cache", Test_decision_cache.suite);
+      ("engine-oracles", Test_automaton.oracle_suite);
       ("infer", Test_infer.suite);
       ("hll", Test_hll.suite);
       ("runtime-ext", Test_runtime_ext.suite);
@@ -27,6 +26,5 @@ let () =
       ("verify", Test_verify.suite);
       ("roundtrip", Test_roundtrip.suite);
       ("forensics", Test_forensics.suite);
-      ("ownership", Test_ownership.suite);
       ("market", Test_market.suite);
       ("epoch", Test_epoch.suite) ]

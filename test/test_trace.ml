@@ -21,7 +21,7 @@ let dummy_span i =
   { Trace.seq = 0; app = "a"; call = "install_flow"; deputy = 0;
     start = float_of_int i; queue_wait = float_of_int i; check_dur = 0.;
     exec_dur = 0.; total = float_of_int i; decision = Trace.Allowed;
-    cache = Api.Uncached; explain = None }
+    explain = None }
 
 (* Span store ---------------------------------------------------------------- *)
 
@@ -122,7 +122,7 @@ let demo_manifest = "PERM insert_flow LIMITING MAX_PRIORITY 400"
 
 let test_engine_check_explained () =
   let e =
-    Engine.create ~cache_size:256
+    Engine.create
       ~ownership:(Ownership.create ())
       ~app_name:"explained" ~cookie:1
       (Perm_parser.manifest_exn demo_manifest)
@@ -151,14 +151,6 @@ let test_engine_check_explained () =
     | Some ex -> check_contains "missing perm explained" ~sub:"not granted" ex
     | None -> Alcotest.fail "missing-permission denial unexplained")
   | Api.Allow, _ -> Alcotest.fail "ungranted read_topology must be denied");
-  (* Repeating a call is served from the cache, and the provenance
-     says so. *)
-  let _, info = Engine.check_explained e (insert ~priority:1000) in
-  (match info.Api.cache with
-  | Api.L1_hit | Api.L2_hit -> ()
-  | o ->
-    Alcotest.failf "repeat not served from cache: %s"
-      (Api.cache_outcome_to_string o));
   (* [check_explained] and [check] agree. *)
   List.iter
     (fun call ->
@@ -166,24 +158,6 @@ let test_engine_check_explained () =
       let explained, _ = Engine.check_explained e call in
       Alcotest.(check bool) "explained = plain"
         (plain = Api.Allow) (explained = Api.Allow))
-    [ insert ~priority:100; insert ~priority:1000; Api.Read_topology ];
-  Metrics.unregister_cache "engine:explained"
-
-let test_compiled_check_explained () =
-  let m = Perm_parser.manifest_exn demo_manifest in
-  let c = Compiled.of_manifest ~cache_size:256 m in
-  (match Compiled.check_explained c (insert ~priority:1000) with
-  | Api.Deny _, info ->
-    (match info.Api.explain with
-    | Some ex -> check_contains "compiled explains" ~sub:"MAX_PRIORITY 400" ex
-    | None -> Alcotest.fail "compiled denial unexplained")
-  | Api.Allow, _ -> Alcotest.fail "compiled must deny priority 1000");
-  List.iter
-    (fun call ->
-      let plain = Compiled.check c call in
-      let explained, _ = Compiled.check_explained c call in
-      Alcotest.(check bool) "compiled explained = plain" (plain = Api.Allow)
-        (explained = Api.Allow))
     [ insert ~priority:100; insert ~priority:1000; Api.Read_topology ]
 
 (* Histograms ---------------------------------------------------------------- *)
@@ -306,7 +280,7 @@ let test_traced_runtime_denials_explained () =
       "traced"
   in
   let engine =
-    Engine.create ~cache_size:256
+    Engine.create
       ~ownership:(Ownership.create ())
       ~app_name:"traced" ~cookie:1
       (Perm_parser.manifest_exn
@@ -344,7 +318,6 @@ let test_traced_runtime_denials_explained () =
   | Some st -> Alcotest.(check int) "snapshot trace recorded" 20 st.Trace.recorded
   | None -> Alcotest.fail "telemetry snapshot lost the trace store");
   Runtime.shutdown rt;
-  Metrics.unregister_cache "engine:traced";
   List.iter Metrics.unregister_hist
     [ "lat:queue"; "lat:check"; "lat:exec"; "lat:total"; "lat:app:traced" ]
 
@@ -446,7 +419,7 @@ let arb_timeline_store =
           { Trace.seq = 0; app = "a"; call = "install_flow"; deputy = -1;
             start = st; queue_wait = qw; check_dur = cd; exec_dur = ed;
             total = qw +. cd +. ed; decision = Trace.Allowed;
-            cache = Api.Uncached; explain = None })
+            explain = None })
         (pair (float_bound_inclusive 1.0)
            (triple (float_bound_inclusive 0.01) (float_bound_inclusive 0.01)
               (float_bound_inclusive 0.01))))
@@ -536,8 +509,6 @@ let suite =
       test_filter_explain_agrees_with_eval;
     Alcotest.test_case "engine check_explained" `Quick
       test_engine_check_explained;
-    Alcotest.test_case "compiled check_explained" `Quick
-      test_compiled_check_explained;
     Alcotest.test_case "histogram merge laws" `Quick test_histogram_merge_laws;
     Alcotest.test_case "histogram edges" `Quick test_histogram_edges;
     Alcotest.test_case "telemetry roundtrip" `Quick test_telemetry_roundtrip;

@@ -6,8 +6,7 @@
    - every [Refuted] verdict carries concrete counterexample calls
      that [Filter_eval] confirms (admitted by the manifest side,
      escaping the bound), and the certificate's own cross-check —
-     replaying those calls through [Engine], [Compiled] and
-     [Automaton] — agrees;
+     replaying those calls through the deployed [Engine] — agrees;
    - reconciliation's repair actually works: the dirty corpus is
      refuted raw and certified post-repair;
    - budget exhaustion and [Nf.Too_large] degrade to [Unverified],
@@ -76,7 +75,7 @@ let test_dirty_refuted_soundly () =
     ws;
   Alcotest.(check bool) "witnesses replayed through the checkers" true
     (cert.Verify.crosscheck.Verify.replayed > 0);
-  Alcotest.(check bool) "Engine/Compiled/Automaton agree" true
+  Alcotest.(check bool) "Engine agrees with Filter_eval" true
     cert.Verify.crosscheck.Verify.checkers_agree
 
 let test_dirty_certified_after_repair () =
@@ -329,40 +328,6 @@ let test_json_rendering () =
     | Some (Telemetry.Json.Obj _) -> ()
     | _ -> Alcotest.fail "minimality field missing or wrong")
 
-(* Checker-composition regression (check --automaton --explain --cache):
-   the CLI builds exactly this engine, so pin at the library layer
-   that the automaton strategy still produces explanations and cache
-   provenance instead of silently dropping either. *)
-let test_automaton_explain_cache_compose () =
-  let m = manifest (read_example "clean.manifest") in
-  let e =
-    Engine.create ~record_state:false ~strategy:`Automaton
-      ~cache_size:Decision_cache.default_max_entries
-      ~ownership:(Ownership.create ())
-      ~app_name:"compose" ~cookie:1 m
-  in
-  Alcotest.(check bool) "automaton stats exposed" true
-    (Engine.automaton_stats e <> None);
-  let call =
-    Api.Install_flow
-      ( 1,
-        Shield_openflow.Flow_mod.add
-          ~match_:
-            (Shield_openflow.Match_fields.make
-               ~nw_dst:
-                 (Shield_openflow.Match_fields.exact_ip
-                    (Shield_openflow.Types.ipv4_of_string "10.0.0.1"))
-               ())
-          ~actions:[ Shield_openflow.Action.Output 2 ] () )
-  in
-  let _, info1 = Engine.check_explained e call in
-  Alcotest.(check bool) "--explain still explains under --automaton" true
-    (info1.Api.explain <> None);
-  let _, info2 = Engine.check_explained e call in
-  Alcotest.(check bool) "--cache provenance visible under --automaton" true
-    (info2.Api.cache <> Api.Uncached);
-  Metrics.unregister_cache "engine:compose"
-
 (* Properties ------------------------------------------------------------------ *)
 
 let qsuite =
@@ -414,8 +379,7 @@ let qsuite =
            each witness must be (re-derived from scratch) allowed by
            MEET(original, boundary) and denied by the published
            repaired manifest — and the certificate's cross-check must
-           have replayed it identically through Engine, Compiled and
-           Automaton. *)
+           have replayed it identically through the Engine. *)
         let m = Test_util.manifest_exn (fst (Hostile.assertion_heavy ~seed)) in
         let bound_src =
           Printf.sprintf
@@ -535,7 +499,5 @@ let suite =
     Alcotest.test_case "verdict counters reach telemetry" `Quick
       test_counters_reach_telemetry;
     Alcotest.test_case "certificate JSON round-trips" `Quick
-      test_json_rendering;
-    Alcotest.test_case "automaton composes with explain and cache" `Quick
-      test_automaton_explain_cache_compose ]
+      test_json_rendering ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qsuite
