@@ -107,8 +107,13 @@ let median xs =
 (** One churn run through the live-update pipeline (Epoch + Market),
     traced or not: CPU seconds for [txns] lifecycle transactions.
     Quantifies what transaction spans + stage histograms add to
-    market-lab-style churn throughput. *)
+    market-lab-style churn throughput.  Every run starts with cold
+    normal-form and inclusion memos: they are process-global, so
+    otherwise the first run of a pair would do the normal-form work
+    the second one reuses. *)
 let run_churn ?trace ~txns ~apps ~seed () =
+  Nf.clear_memo ();
+  Inclusion.clear_memo ();
   let t =
     match Epoch.create ~policy:"" () with
     | Ok t -> t

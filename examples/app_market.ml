@@ -75,10 +75,10 @@ let () =
   Fmt.pr "@.--- Load-time access control ---@.";
   List.iter
     (fun (name, reason) -> Fmt.pr "REJECTED %-18s (%s)@." name reason)
-    rt.Runtime.rejected;
+    (Runtime.rejected rt);
   List.iter
     (fun (name, _, _) ->
-      if not (List.mem_assoc name rt.Runtime.rejected) then
+      if not (List.mem_assoc name (Runtime.rejected rt)) then
         Fmt.pr "LOADED   %s@." name)
     catalogue;
 

@@ -28,10 +28,6 @@ type mode =
           scalability claim.  App threads remain systhreads (apps can
           outnumber cores). *)
 
-let is_isolated = function
-  | Monolithic -> false
-  | Isolated _ | Isolated_domains _ -> true
-
 (* Failure model (docs/RUNTIME.md): every request gets a reply, no lock
    survives an exception, and a fault in one app's call path never
    wedges another app.  [config] sets the three knobs: deputy restart
@@ -63,9 +59,9 @@ type config = {
           than dropping the call. *)
   trace : Trace.t option;
       (** Span store for end-to-end call tracing.  [None] (default)
-          keeps the mediation path exactly as untraced; with a store,
-          every sampled call records a {!Trace.span} and feeds the
-          [lat:*] histograms in {!Metrics}. *)
+          records nothing; with a store, every sampled call records a
+          {!Trace.span} and feeds the [lat:*] histograms in
+          {!Metrics}. *)
   health : Health.t option;
       (** Sliding-window health monitor.  [None] (default) records
           nothing; with a monitor, denials, mediation faults, deadline
@@ -78,8 +74,13 @@ let default_config =
     ev_policy = Channel.Block; req_capacity = None; trace = None;
     health = None }
 
-(* Fault-tolerance observability: how often the safety nets fired. *)
-type fault_counters = {
+(* The reference monitor's counters and how often the safety nets
+   fired; lock-free, since deputies on other domains bump them. *)
+type counters = {
+  calls : int Atomic.t;
+  denials : int Atomic.t;
+  events_delivered : int Atomic.t;
+  events_suppressed : int Atomic.t;
   ksd_failures : int Atomic.t;
       (** Exceptions the deputy barrier converted to [Api.Failed]. *)
   ksd_restarts : int Atomic.t;  (** Supervisor restarts of dead deputies. *)
@@ -96,14 +97,6 @@ type fault_report = {
   rejections : int;
 }
 
-type counters = {
-  mutable calls : int;
-  mutable denials : int;
-  mutable events_delivered : int;
-  mutable events_suppressed : int;
-  cmutex : Mutex.t;
-}
-
 type instance = {
   app : App.t;
   checker : Api.checker;
@@ -115,16 +108,19 @@ type instance = {
 
 and ev_item = Deliver of Events.t * Channel.Latch.t option
 
-(* The [float option] is the monotonic enqueue timestamp of a call the
-   trace sampler selected ([None] = untraced): the deputy that pops the
-   request turns it into the span's queue-wait stage. *)
+(* The trace sampler's verdict on one call, taken where the call is
+   issued: unsampled, sampled and served inline (no deputy, no queue
+   wait), or sampled and enqueued for a deputy at the given
+   {!Metrics.now}.  Only a sampled call takes timestamps. *)
+type span_ctx = Unsampled | Inline | Queued of float
+
 type request =
-  | Call of instance * Api.call * Api.result Channel.Ivar.t * float option
+  | Call of instance * Api.call * Api.result Channel.Ivar.t * span_ctx
   | Txn of
       instance
       * Api.call list
       * (Api.result list, int * string) result Channel.Ivar.t
-      * float option
+      * span_ctx
 
 type t = {
   kernel : Kernel.t;
@@ -133,39 +129,31 @@ type t = {
   config : config;
   mutable instances : instance list;
   reqs : request Channel.t;
-  mutable ksd_pool : Thread.t list;
-  mutable ksd_domains : unit Domain.t list;
+  mutable deputies : (unit -> unit) list;
+      (** Joins of the KSD pool, deputy threads or domains alike. *)
   inflight_mutex : Mutex.t;
   inflight_zero : Condition.t;
   mutable inflight : int;
   counters : counters;
-  faults : fault_counters;
   mutable rejected : (string * string) list;
       (** Apps refused at load time, with the reason. *)
 }
 
 let sandbox t = t.kernel.Kernel.sandbox
 let kernel t = t.kernel
-
-let incr_counter t f =
-  Mutex.lock t.counters.cmutex;
-  f t.counters;
-  Mutex.unlock t.counters.cmutex
+let rejected t = t.rejected
 
 let stats t =
-  Mutex.lock t.counters.cmutex;
-  let r =
-    ( t.counters.calls, t.counters.denials, t.counters.events_delivered,
-      t.counters.events_suppressed )
-  in
-  Mutex.unlock t.counters.cmutex;
-  r
+  let c = t.counters in
+  ( Atomic.get c.calls, Atomic.get c.denials, Atomic.get c.events_delivered,
+    Atomic.get c.events_suppressed )
 
 let fault_report t =
-  { failures = Atomic.get t.faults.ksd_failures;
-    restarts = Atomic.get t.faults.ksd_restarts;
-    deadlines = Atomic.get t.faults.deadline_expiries;
-    rejections = Atomic.get t.faults.backpressure_rejections }
+  let c = t.counters in
+  { failures = Atomic.get c.ksd_failures;
+    restarts = Atomic.get c.ksd_restarts;
+    deadlines = Atomic.get c.deadline_expiries;
+    rejections = Atomic.get c.backpressure_rejections }
 
 (* In-flight accounting (for [drain]) ------------------------------------- *)
 
@@ -190,7 +178,7 @@ let wait_inflight_zero t =
 (* Permission-checked execution ------------------------------------------- *)
 
 let audit_denial t inst call why =
-  incr_counter t (fun c -> c.denials <- c.denials + 1);
+  Atomic.incr t.counters.denials;
   (match t.config.health with
   | Some h -> Health.denial h
   | None -> ());
@@ -219,141 +207,125 @@ let locked_exec t inst call =
 let resolve (c : Api.checker) : Api.checker =
   match c.Api.snapshot with Some f -> f () | None -> c
 
-let checked_exec t inst call : Api.result =
-  incr_counter t (fun c -> c.calls <- c.calls + 1);
-  let ck = resolve inst.checker in
-  match ck.Api.check call with
-  | Api.Allow ->
-    let concrete = ck.Api.rewrite call in
-    let results = List.map (locked_exec t inst) concrete in
-    ck.Api.vet_result call (ck.Api.combine call results)
-  | Api.Deny why ->
-    audit_denial t inst call why;
-    Api.Denied why
+let sampled = function Unsampled -> false | Inline | Queued _ -> true
 
-let checked_txn t inst calls =
-  incr_counter t (fun c -> c.calls <- c.calls + List.length calls);
+(* A sampled call's clock; an unsampled call reads 0. and takes no
+   timestamp. *)
+let stamp sc = if sampled sc then Metrics.now () else 0.
+
+let decision_class = function
+  | Api.Denied _ -> Trace.Denied
+  | Api.Failed _ -> Trace.Failed
+  | _ -> Trace.Allowed
+
+(* Record a sampled call's span and feed the [lat:*] histograms.  [t0],
+   [t1] and [t2] are the stamps at check start, check end and exec
+   end; a queued call's wait runs from its enqueue to [t0]. *)
+let record_span t inst sc ~deputy ~call ~t0 ~t1 ~t2 decision explain =
+  match t.config.trace with
+  | None -> ()
+  | Some tr ->
+    let start, queue_wait =
+      match sc with
+      | Queued enq -> (enq, t0 -. enq)
+      | Unsampled | Inline -> (t0, 0.)
+    in
+    let check_dur = t1 -. t0 and exec_dur = t2 -. t1 in
+    let total = queue_wait +. check_dur +. exec_dur in
+    let app = inst.app.App.name in
+    Metrics.Histogram.record (Metrics.hist "lat:queue") queue_wait;
+    Metrics.Histogram.record (Metrics.hist "lat:check") check_dur;
+    Metrics.Histogram.record (Metrics.hist "lat:exec") exec_dur;
+    Metrics.Histogram.record (Metrics.hist "lat:total") total;
+    Metrics.Histogram.record (Metrics.hist ("lat:app:" ^ app)) total;
+    Trace.record tr
+      { Trace.seq = 0; app; call; deputy; start; queue_wait; check_dur;
+        exec_dur; total; decision; explain }
+
+(* A group records one span, its whole duration as the check. *)
+let record_group t inst sc ~deputy ~t0 calls decision explain =
+  let t1 = Metrics.now () in
+  record_span t inst sc ~deputy
+    ~call:(Printf.sprintf "txn(%d calls)" (List.length calls))
+    ~t0 ~t1 ~t2:t1 decision explain
+
+let raised exn = Some ("exception: " ^ Printexc.to_string exn)
+
+(* The mediated call, inline or on a deputy.  A sampled call asks the
+   checker to explain its decision and records one span; a raise past
+   the check still records its span before the deputy barrier shapes
+   the reply. *)
+let checked_exec t inst ~deputy sc call : Api.result =
+  Atomic.incr t.counters.calls;
   let ck = resolve inst.checker in
-  match ck.Api.check_transaction calls with
-  | Ok () ->
-    (* All checks passed: execute the whole group under one kernel
-       lock so no other app observes a partial transaction. *)
-    Mutex.lock t.kmutex;
-    let results =
+  let t0 = stamp sc in
+  let decision, info =
+    match (sc, ck.Api.explain) with
+    | (Inline | Queued _), Some explain -> explain call
+    | _ -> (ck.Api.check call, Api.no_check_info)
+  in
+  let t1 = stamp sc in
+  match
+    match decision with
+    | Api.Deny why ->
+      audit_denial t inst call why;
+      Api.Denied why
+    | Api.Allow ->
+      let results = List.map (locked_exec t inst) (ck.Api.rewrite call) in
+      ck.Api.vet_result call (ck.Api.combine call results)
+  with
+  | result ->
+    if sampled sc then
+      record_span t inst sc ~deputy ~call:(Api.call_kind call) ~t0 ~t1
+        ~t2:(match decision with Api.Allow -> Metrics.now () | Api.Deny _ -> t1)
+        (decision_class result) info.Api.explain;
+    result
+  | exception exn ->
+    if sampled sc then
+      record_span t inst sc ~deputy ~call:(Api.call_kind call) ~t0 ~t1
+        ~t2:(Metrics.now ()) Trace.Failed (raised exn);
+    raise exn
+
+(* An atomic call group: checked as a whole, then executed under one
+   kernel lock so no other app observes a partial transaction. *)
+let checked_txn t inst ~deputy sc calls =
+  ignore (Atomic.fetch_and_add t.counters.calls (List.length calls));
+  let ck = resolve inst.checker in
+  let t0 = stamp sc in
+  match
+    match ck.Api.check_transaction calls with
+    | Ok () ->
+      Mutex.lock t.kmutex;
       Fun.protect
         ~finally:(fun () -> Mutex.unlock t.kmutex)
         (fun () ->
-          List.map
-            (fun call ->
-              let concrete = ck.Api.rewrite call in
-              let rs =
-                List.map
-                  (fun c ->
-                    Kernel.exec t.kernel ~app:inst.app.App.name
-                      ~cookie:inst.cookie c)
-                  concrete
-              in
-              ck.Api.vet_result call (ck.Api.combine call rs))
-            calls)
-    in
-    Ok results
-  | Error (i, why) ->
-    audit_denial t inst (List.nth calls i) why;
-    Error (i, why)
-
-(* Traced execution ---------------------------------------------------------
-
-   The traced twin of [checked_exec]: same counters, same audit, same
-   result — plus per-stage timing on the monotonic clock, the checker's
-   decision provenance (via its [explain] entry point when it has one),
-   a span in the store, and samples into the [lat:*] histograms.  Kept
-   separate so the untraced hot path pays nothing. *)
-
-let span_histograms inst ~queue_wait ~check_dur ~exec_dur =
-  Metrics.Histogram.record (Metrics.hist "lat:queue") queue_wait;
-  Metrics.Histogram.record (Metrics.hist "lat:check") check_dur;
-  Metrics.Histogram.record (Metrics.hist "lat:exec") exec_dur;
-  let total = queue_wait +. check_dur +. exec_dur in
-  Metrics.Histogram.record (Metrics.hist "lat:total") total;
-  Metrics.Histogram.record
-    (Metrics.hist ("lat:app:" ^ inst.app.App.name))
-    total
-
-let record_span tr inst ~call ~deputy ~start ~queue_wait ~check_dur
-    ~exec_dur ~decision ~explain =
-  span_histograms inst ~queue_wait ~check_dur ~exec_dur;
-  Trace.span tr ~app:inst.app.App.name ~call ~deputy ~start ~queue_wait
-    ~check_dur ~exec_dur ~decision ~explain
-
-let checked_exec_traced t inst call tr ~deputy ~queue_wait : Api.result =
-  incr_counter t (fun c -> c.calls <- c.calls + 1);
-  let ck = resolve inst.checker in
-  let call_str = Api.call_kind call in
-  let t0 = Metrics.now () in
-  let start = t0 -. queue_wait in
-  let decision, info =
-    match ck.Api.explain with
-    | Some explain -> explain call
-    | None -> (ck.Api.check call, Api.no_check_info)
-  in
-  let check_dur = Metrics.now () -. t0 in
-  match decision with
-  | Api.Deny why ->
-    audit_denial t inst call why;
-    record_span tr inst ~call:call_str ~deputy ~start ~queue_wait ~check_dur
-      ~exec_dur:0. ~decision:Trace.Denied
-      ~explain:info.Api.explain;
-    Api.Denied why
-  | Api.Allow -> (
-    let t1 = Metrics.now () in
-    match
-      let concrete = ck.Api.rewrite call in
-      let results = List.map (locked_exec t inst) concrete in
-      ck.Api.vet_result call (ck.Api.combine call results)
-    with
-    | result ->
-      let exec_dur = Metrics.now () -. t1 in
-      let cls =
-        match result with
-        | Api.Denied _ -> Trace.Denied
-        | Api.Failed _ -> Trace.Failed
-        | _ -> Trace.Allowed
-      in
-      record_span tr inst ~call:call_str ~deputy ~start ~queue_wait
-        ~check_dur ~exec_dur ~decision:cls
-        ~explain:info.Api.explain;
-      result
-    | exception exn ->
-      (* The span must not be lost to the deputy barrier: record the
-         failure here, then let the barrier shape the reply. *)
-      let exec_dur = Metrics.now () -. t1 in
-      record_span tr inst ~call:call_str ~deputy ~start ~queue_wait
-        ~check_dur ~exec_dur ~decision:Trace.Failed
-        ~explain:(Some ("exception: " ^ Printexc.to_string exn));
-      raise exn)
-
-(* Transactions trace as one span covering the whole group. *)
-let checked_txn_traced t inst calls tr ~deputy ~queue_wait =
-  let call_str = Printf.sprintf "txn(%d calls)" (List.length calls) in
-  let t0 = Metrics.now () in
-  let start = t0 -. queue_wait in
-  match checked_txn t inst calls with
+          Ok
+            (List.map
+               (fun call ->
+                 let rs =
+                   List.map
+                     (fun c ->
+                       Kernel.exec t.kernel ~app:inst.app.App.name
+                         ~cookie:inst.cookie c)
+                     (ck.Api.rewrite call)
+                 in
+                 ck.Api.vet_result call (ck.Api.combine call rs))
+               calls))
+    | Error (i, why) ->
+      audit_denial t inst (List.nth calls i) why;
+      Error (i, why)
+  with
   | r ->
-    let dur = Metrics.now () -. t0 in
-    let decision, explain =
-      match r with
-      | Ok _ -> (Trace.Allowed, None)
-      | Error (i, why) ->
-        (Trace.Denied, Some (Printf.sprintf "call %d of group: %s" i why))
-    in
-    record_span tr inst ~call:call_str ~deputy ~start ~queue_wait
-      ~check_dur:dur ~exec_dur:0. ~decision ~explain;
+    (if sampled sc then
+       match r with
+       | Ok _ -> record_group t inst sc ~deputy ~t0 calls Trace.Allowed None
+       | Error (i, why) ->
+         record_group t inst sc ~deputy ~t0 calls Trace.Denied
+           (Some (Printf.sprintf "call %d of group: %s" i why)));
     r
   | exception exn ->
-    let dur = Metrics.now () -. t0 in
-    record_span tr inst ~call:call_str ~deputy ~start ~queue_wait
-      ~check_dur:dur ~exec_dur:0. ~decision:Trace.Failed
-      ~explain:(Some ("exception: " ^ Printexc.to_string exn));
+    if sampled sc then
+      record_group t inst sc ~deputy ~t0 calls Trace.Failed (raised exn);
     raise exn
 
 (* Contexts ---------------------------------------------------------------- *)
@@ -369,65 +341,61 @@ let await_reply t ivar ~on_deadline =
     match Channel.Ivar.read_timeout ivar d with
     | Some r -> r
     | None ->
-      Atomic.incr t.faults.deadline_expiries;
+      Atomic.incr t.counters.deadline_expiries;
       (match t.config.health with
       | Some h -> Health.deadline h
       | None -> ());
       on_deadline)
 
-(* The trace sampler runs at the call site (app thread), before any
-   timestamping, so sampled-out calls pay one mutex-protected counter
-   bump and nothing else. *)
-let trace_enq t =
+(* Hand a request to the deputies and wait for its reply; [refused]
+   shapes the reply to a request the channel turned away. *)
+let submit t req ivar ~on_deadline ~refused =
+  match Channel.push t.reqs req with
+  | () ->
+    (match t.config.health with
+    | Some h -> Health.queue_depth h (Channel.length t.reqs)
+    | None -> ());
+    await_reply t ivar ~on_deadline
+  | exception Channel.Closed -> refused "runtime shut down"
+  | exception Channel.Full ->
+    Atomic.incr t.counters.backpressure_rejections;
+    refused "backpressure: request queue full"
+
+(* The trace sampler runs where the call is issued, before any
+   timestamp, so a sampled-out call pays one atomic increment. *)
+let sample t ~inline =
   match t.config.trace with
-  | Some tr when Trace.sampled tr -> Some (Metrics.now ())
-  | _ -> None
+  | Some tr when Trace.sampled tr ->
+    if inline then Inline else Queued (Metrics.now ())
+  | Some _ | None -> Unsampled
 
 let make_ctx t inst : App.ctx =
+  let app_name = inst.app.App.name in
   match t.mode with
   | Monolithic ->
-    { App.app_name = inst.app.App.name;
+    { App.app_name;
       call =
         (fun call ->
-          match t.config.trace with
-          | Some tr when Trace.sampled tr ->
-            (* Inline execution: no deputy, no queue wait. *)
-            checked_exec_traced t inst call tr ~deputy:(-1) ~queue_wait:0.
-          | _ -> checked_exec t inst call);
+          checked_exec t inst ~deputy:(-1) (sample t ~inline:true) call);
       transaction =
         (fun calls ->
-          match t.config.trace with
-          | Some tr when Trace.sampled tr ->
-            checked_txn_traced t inst calls tr ~deputy:(-1) ~queue_wait:0.
-          | _ -> checked_txn t inst calls) }
+          checked_txn t inst ~deputy:(-1) (sample t ~inline:true) calls) }
   | Isolated _ | Isolated_domains _ ->
-    { App.app_name = inst.app.App.name;
+    { App.app_name;
       call =
         (fun call ->
           let ivar = Channel.Ivar.create () in
-          match Channel.push t.reqs (Call (inst, call, ivar, trace_enq t)) with
-          | () ->
-            (match t.config.health with
-            | Some h -> Health.queue_depth h (Channel.length t.reqs)
-            | None -> ());
-            await_reply t ivar ~on_deadline:(Api.Failed "deadline")
-          | exception Channel.Closed -> Api.Failed "runtime shut down"
-          | exception Channel.Full ->
-            Atomic.incr t.faults.backpressure_rejections;
-            Api.Failed "backpressure: request queue full");
+          submit t
+            (Call (inst, call, ivar, sample t ~inline:false))
+            ivar ~on_deadline:(Api.Failed "deadline")
+            ~refused:(fun why -> Api.Failed why));
       transaction =
         (fun calls ->
           let ivar = Channel.Ivar.create () in
-          match Channel.push t.reqs (Txn (inst, calls, ivar, trace_enq t)) with
-          | () ->
-            (match t.config.health with
-            | Some h -> Health.queue_depth h (Channel.length t.reqs)
-            | None -> ());
-            await_reply t ivar ~on_deadline:(Error (-1, "deadline"))
-          | exception Channel.Closed -> Error (-1, "runtime shut down")
-          | exception Channel.Full ->
-            Atomic.incr t.faults.backpressure_rejections;
-            Error (-1, "backpressure: request queue full")) }
+          submit t
+            (Txn (inst, calls, ivar, sample t ~inline:false))
+            ivar ~on_deadline:(Error (-1, "deadline"))
+            ~refused:(fun why -> Error (-1, why))) }
 
 let ctx_of inst =
   match inst.ctx with
@@ -463,7 +431,7 @@ let vet_event ?pre t inst ev : Events.t option =
   in
   match receive_verdict with
   | Api.Deny why ->
-    incr_counter t (fun c -> c.events_suppressed <- c.events_suppressed + 1);
+    Atomic.incr t.counters.events_suppressed;
     audit_denial t inst (Api.Receive_event kind) why;
     None
   | Api.Allow -> (
@@ -484,7 +452,7 @@ let vet_event ?pre t inst ev : Events.t option =
     | _ -> Some ev)
 
 let handle_in_instance t inst ev =
-  incr_counter t (fun c -> c.events_delivered <- c.events_delivered + 1);
+  Atomic.incr t.counters.events_delivered;
   try inst.app.App.handle (ctx_of inst) ev
   with exn ->
     (* A crashing app must not take the runtime down: the isolation
@@ -511,7 +479,7 @@ let dispatch_one ?pre t inst ev latch =
       | () -> ()
       | exception (Channel.Closed | Channel.Full as e) ->
         (match e with
-        | Channel.Full -> Atomic.incr t.faults.backpressure_rejections
+        | Channel.Full -> Atomic.incr t.counters.backpressure_rejections
         | _ -> ());
         inflight_decr t;
         (match latch with Some l -> Channel.Latch.count_down l | None -> ())))
@@ -706,7 +674,7 @@ let app_thread t inst () =
      is exactly what [config.call_deadline] exists for. *)
 
 let ksd_failure t inst exn =
-  Atomic.incr t.faults.ksd_failures;
+  Atomic.incr t.counters.ksd_failures;
   (match t.config.health with
   | Some h -> Health.fault h
   | None -> ());
@@ -714,32 +682,18 @@ let ksd_failure t inst exn =
     ~action:"ksd-exception" ~allowed:true ~detail:(Printexc.to_string exn)
 
 let serve_request t ~deputy = function
-  | Call (inst, call, ivar, enq) ->
-    let r =
-      try
-        match (t.config.trace, enq) with
-        | Some tr, Some enq_at ->
-          let queue_wait = Metrics.now () -. enq_at in
-          checked_exec_traced t inst call tr ~deputy ~queue_wait
-        | _ -> checked_exec t inst call
-      with exn ->
-        ksd_failure t inst exn;
-        Api.Failed (Printexc.to_string exn)
-    in
-    Channel.Ivar.fill ivar r
-  | Txn (inst, calls, ivar, enq) ->
-    let r =
-      try
-        match (t.config.trace, enq) with
-        | Some tr, Some enq_at ->
-          let queue_wait = Metrics.now () -. enq_at in
-          checked_txn_traced t inst calls tr ~deputy ~queue_wait
-        | _ -> checked_txn t inst calls
-      with exn ->
-        ksd_failure t inst exn;
-        Error (-1, Printexc.to_string exn)
-    in
-    Channel.Ivar.fill ivar r
+  | Call (inst, call, ivar, sc) ->
+    Channel.Ivar.fill ivar
+      (try checked_exec t inst ~deputy sc call
+       with exn ->
+         ksd_failure t inst exn;
+         Api.Failed (Printexc.to_string exn))
+  | Txn (inst, calls, ivar, sc) ->
+    Channel.Ivar.fill ivar
+      (try checked_txn t inst ~deputy sc calls
+       with exn ->
+         ksd_failure t inst exn;
+         Error (-1, Printexc.to_string exn))
 
 let ksd_thread t deputy () =
   let rec loop () =
@@ -757,7 +711,7 @@ let ksd_thread t deputy () =
       Sandbox.record_audit (sandbox t) ~app:"<ksd>" ~action:"deputy-crash"
         ~allowed:true ~detail:(Printexc.to_string exn);
       if budget > 0 then begin
-        Atomic.incr t.faults.ksd_restarts;
+        Atomic.incr t.counters.ksd_restarts;
         supervise (budget - 1)
       end
       else
@@ -825,18 +779,16 @@ let register_queue_gauges t =
     restart budget 8 — the seed semantics, plus supervision). *)
 let create ?(load_check = Skip_load_check) ?(config = default_config) ~mode
     kernel (apps : (App.t * Api.checker) list) : t =
-  let counters =
-    { calls = 0; denials = 0; events_delivered = 0; events_suppressed = 0;
-      cmutex = Mutex.create () }
-  in
   let t =
     { kernel; kmutex = Mutex.create (); mode; config; instances = [];
       reqs = Channel.create ?capacity:config.req_capacity ();
-      ksd_pool = []; ksd_domains = [];
+      deputies = [];
       inflight_mutex = Mutex.create ();
-      inflight_zero = Condition.create (); inflight = 0; counters;
-      faults =
-        { ksd_failures = Atomic.make 0; ksd_restarts = Atomic.make 0;
+      inflight_zero = Condition.create (); inflight = 0;
+      counters =
+        { calls = Atomic.make 0; denials = Atomic.make 0;
+          events_delivered = Atomic.make 0; events_suppressed = Atomic.make 0;
+          ksd_failures = Atomic.make 0; ksd_restarts = Atomic.make 0;
           deadline_expiries = Atomic.make 0;
           backpressure_rejections = Atomic.make 0 };
       rejected = [] }
@@ -873,19 +825,20 @@ let create ?(load_check = Skip_load_check) ?(config = default_config) ~mode
   in
   t.instances <- instances;
   List.iter (fun inst -> inst.ctx <- Some (make_ctx t inst)) instances;
+  (* The two isolated modes differ only in what hosts a deputy. *)
+  let spawn_deputy serve =
+    match mode with
+    | Isolated_domains _ ->
+      let d = Domain.spawn serve in
+      fun () -> Domain.join d
+    | Monolithic | Isolated _ ->
+      let th = Thread.create serve () in
+      fun () -> Thread.join th
+  in
   (match mode with
   | Monolithic -> ()
-  | Isolated { ksd_threads } ->
-    t.ksd_pool <-
-      List.init (max 1 ksd_threads) (fun i ->
-          Thread.create (ksd_thread t i) ());
-    List.iter
-      (fun inst -> inst.thread <- Some (Thread.create (app_thread t inst) ()))
-      instances;
-    register_queue_gauges t
-  | Isolated_domains { ksd_domains } ->
-    t.ksd_domains <-
-      List.init (max 1 ksd_domains) (fun i -> Domain.spawn (ksd_thread t i));
+  | Isolated { ksd_threads = n } | Isolated_domains { ksd_domains = n } ->
+    t.deputies <- List.init (max 1 n) (fun i -> spawn_deputy (ksd_thread t i));
     List.iter
       (fun inst -> inst.thread <- Some (Thread.create (app_thread t inst) ()))
       instances;
@@ -908,15 +861,8 @@ let shutdown t =
       (fun inst -> match inst.thread with Some th -> Thread.join th | None -> ())
       t.instances;
     Channel.close t.reqs;
-    List.iter Thread.join t.ksd_pool;
-    List.iter Domain.join t.ksd_domains;
+    List.iter (fun join -> join ()) t.deputies;
     List.iter Metrics.unregister_gauge (gauge_names t))
-
-(** The runtime's observability report: reference-monitor counters,
-    kernel execution volume, and every registered cache's hit/miss
-    counters ([lib/core] registers the normal-form and inclusion
-    memos). *)
-let cache_report (_ : t) = Metrics.cache_report ()
 
 let pp_fault_report ppf r =
   Fmt.pf ppf
@@ -943,11 +889,6 @@ let telemetry t : Telemetry.snapshot =
     ?trace:t.config.trace ?health:t.config.health ()
 
 let pp_report ppf t = Telemetry.pp ppf (telemetry t)
-
-(** The retained spans of the configured trace store, oldest first
-    (empty without one). *)
-let spans t =
-  match t.config.trace with None -> [] | Some tr -> Trace.spans tr
 
 let instance_ctx t name =
   match List.find_opt (fun i -> i.app.App.name = name) t.instances with

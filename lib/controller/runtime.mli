@@ -21,8 +21,6 @@ type mode =
   | Isolated of { ksd_threads : int }
   | Isolated_domains of { ksd_domains : int }
 
-val is_isolated : mode -> bool
-
 (** Fault-tolerance knobs (docs/RUNTIME.md).  The defaults reproduce
     the original semantics — unbounded queues, no deadline — plus
     deputy supervision. *)
@@ -45,11 +43,11 @@ type config = {
           flooding app parks its own call loop. *)
   trace : Trace.t option;
       (** Span store for end-to-end call tracing
-          (docs/OBSERVABILITY.md).  [None] (default) keeps the
-          mediation path exactly as untraced; with a store, every
-          sampled call records a {!Trace.span} — queue wait, check and
-          kernel-execution durations, decision and its explanation — and feeds the [lat:*] histograms in
-          {!Metrics}. *)
+          (docs/OBSERVABILITY.md).  [None] (default) records nothing;
+          with a store, every sampled call records a {!Trace.span} —
+          queue wait, check and kernel-execution durations, decision
+          and its explanation — and feeds the [lat:*] histograms in
+          {!Metrics}.  A sampled-out call takes no timestamp. *)
   health : Health.t option;
       (** Sliding-window health monitor (docs/OBSERVABILITY.md).
           [None] (default) records nothing; with a monitor, denials,
@@ -70,57 +68,7 @@ type fault_report = {
           refused against a closed or full request channel. *)
 }
 
-type t = private {
-  kernel : Kernel.t;
-  kmutex : Mutex.t;
-  mode : mode;
-  config : config;
-  mutable instances : instance list;
-  reqs : request Channel.t;
-  mutable ksd_pool : Thread.t list;
-  mutable ksd_domains : unit Domain.t list;
-  inflight_mutex : Mutex.t;
-  inflight_zero : Condition.t;
-  mutable inflight : int;
-  counters : counters;
-  faults : fault_counters;
-  mutable rejected : (string * string) list;
-      (** Apps refused at load time, with the reason. *)
-}
-
-and instance = private {
-  app : App.t;
-  checker : Api.checker;
-  cookie : int;
-  ev_chan : ev_item Channel.t;
-  mutable thread : Thread.t option;
-  mutable ctx : App.ctx option;
-}
-
-and ev_item = Deliver of Events.t * Channel.Latch.t option
-
-and request =
-  | Call of instance * Api.call * Api.result Channel.Ivar.t * float option
-  | Txn of
-      instance
-      * Api.call list
-      * (Api.result list, int * string) result Channel.Ivar.t
-      * float option
-
-and counters = private {
-  mutable calls : int;
-  mutable denials : int;
-  mutable events_delivered : int;
-  mutable events_suppressed : int;
-  cmutex : Mutex.t;
-}
-
-and fault_counters = private {
-  ksd_failures : int Atomic.t;
-  ksd_restarts : int Atomic.t;
-  deadline_expiries : int Atomic.t;
-  backpressure_rejections : int Atomic.t;
-}
+type t
 
 type load_check = Skip_load_check | Warn_at_load | Reject_at_load
 
@@ -178,11 +126,6 @@ val fault_report : t -> fault_report
 
 val pp_fault_report : Format.formatter -> fault_report -> unit
 
-val cache_report : t -> (string * Metrics.cache_stats) list
-(** Hit/miss counters of every cache registered in this process: the
-    normal-form / inclusion memo tables (see
-    {!Metrics.register_cache}). *)
-
 val telemetry : t -> Telemetry.snapshot
 (** The runtime's slice of the unified telemetry snapshot: its
     reference-monitor and fault counters, the process-wide
@@ -190,16 +133,15 @@ val telemetry : t -> Telemetry.snapshot
     accounting.  Render with {!Telemetry.to_json} /
     {!Telemetry.to_prometheus} / {!Telemetry.pp}. *)
 
-val spans : t -> Trace.span list
-(** Retained spans of the configured trace store, oldest first (empty
-    without one). *)
-
 val pp_report : Format.formatter -> t -> unit
 (** Human-readable observability report — {!Telemetry.pp} of
     {!telemetry}. *)
 
 val sandbox : t -> Sandbox.t
 val kernel : t -> Kernel.t
+
+val rejected : t -> (string * string) list
+(** Apps refused at load time by [Reject_at_load], with the reason. *)
 
 val instance_ctx : t -> string -> App.ctx
 (** The mediated context of a hosted app, for external drivers.

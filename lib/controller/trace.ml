@@ -70,16 +70,38 @@ type txn_span = {
 let txn_committed (t : txn_span) =
   match t.verdict with Txn_committed _ -> true | Txn_rolled_back _ -> false
 
+(* One bounded ring serves both span kinds: a fixed array overwriting
+   oldest-first, and a count of every record ever written.  Callers
+   hold the store's lock. *)
+type 'a ring = { slots : 'a option array; mutable written : int }
+
+let ring capacity = { slots = Array.make capacity None; written = 0 }
+let capacity r = Array.length r.slots
+let stored r = Stdlib.min r.written (capacity r)
+
+let push r x =
+  r.slots.(r.written mod capacity r) <- Some x;
+  r.written <- r.written + 1
+
+let contents r =
+  let first = r.written - stored r in
+  List.init (stored r) (fun i ->
+      match r.slots.((first + i) mod capacity r) with
+      | Some x -> x
+      | None -> assert false (* slots below [written] are filled *))
+
+let reset r =
+  Array.fill r.slots 0 (capacity r) None;
+  r.written <- 0
+
 type t = {
-  ring : span option array;
-  mutable recorded : int;  (** Spans written into the ring, ever. *)
+  calls : span ring;
   seen : int Atomic.t;  (** Calls offered, including sampled-out ones. *)
   stride : int;  (** Record every [stride]-th offered call. *)
-  txn_ring : txn_span option array;
+  txns : txn_span ring;
       (** Lifecycle transactions, unsampled: churn is orders of
           magnitude rarer than mediated calls, so every transaction is
           kept (bounded by the ring). *)
-  mutable txn_recorded : int;
   mutex : Mutex.t;
 }
 
@@ -113,12 +135,10 @@ let create ?(capacity = default_capacity) ?(sampling = 1.0)
     invalid_arg "Trace.create: sampling must be in (0, 1]";
   if txn_capacity <= 0 then
     invalid_arg "Trace.create: txn_capacity must be > 0";
-  { ring = Array.make capacity None;
-    recorded = 0;
+  { calls = ring capacity;
     seen = Atomic.make 0;
     stride = Stdlib.max 1 (int_of_float (Float.round (1. /. sampling)));
-    txn_ring = Array.make txn_capacity None;
-    txn_recorded = 0;
+    txns = ring txn_capacity;
     mutex = Mutex.create () }
 
 (** Offer one call: bumps the seen counter and says whether this call
@@ -132,89 +152,43 @@ let sampled (t : t) = Atomic.fetch_and_add t.seen 1 mod t.stride = 0
     reassigned under the store's lock). *)
 let record t (s : span) =
   Mutex.lock t.mutex;
-  let seq = t.recorded in
-  t.ring.(seq mod Array.length t.ring) <- Some { s with seq };
-  t.recorded <- t.recorded + 1;
+  push t.calls { s with seq = t.calls.written };
   Mutex.unlock t.mutex
-
-(** Convenience over {!record}. *)
-let span t ~app ~call ~deputy ~start ~queue_wait ~check_dur ~exec_dur
-    ~decision ~explain =
-  record t
-    { seq = 0; app; call; deputy; start; queue_wait; check_dur; exec_dur;
-      total = queue_wait +. check_dur +. exec_dur; decision; explain }
 
 (** Record a lifecycle-transaction span (the [tseq] field of the
     argument is ignored and reassigned under the store's lock).
     Transactions are never sampled out. *)
 let record_txn t (s : txn_span) =
   Mutex.lock t.mutex;
-  let tseq = t.txn_recorded in
-  t.txn_ring.(tseq mod Array.length t.txn_ring) <- Some { s with tseq };
-  t.txn_recorded <- t.txn_recorded + 1;
+  push t.txns { s with tseq = t.txns.written };
   Mutex.unlock t.mutex
 
 (** The retained spans, oldest first. *)
-let spans t =
-  Mutex.lock t.mutex;
-  let cap = Array.length t.ring in
-  let stored = Stdlib.min t.recorded cap in
-  let first = t.recorded - stored in
-  let out =
-    List.init stored (fun i ->
-        match t.ring.((first + i) mod cap) with
-        | Some s -> s
-        | None -> assert false (* slots below [recorded] are filled *))
-  in
-  Mutex.unlock t.mutex;
-  out
+let spans t = Mutex.protect t.mutex (fun () -> contents t.calls)
 
 (** The retained transaction spans, oldest first. *)
-let txn_spans t =
-  Mutex.lock t.mutex;
-  let cap = Array.length t.txn_ring in
-  let stored = Stdlib.min t.txn_recorded cap in
-  let first = t.txn_recorded - stored in
-  let out =
-    List.init stored (fun i ->
-        match t.txn_ring.((first + i) mod cap) with
-        | Some s -> s
-        | None -> assert false)
-  in
-  Mutex.unlock t.mutex;
-  out
+let txn_spans t = Mutex.protect t.mutex (fun () -> contents t.txns)
 
 let stats t : stats =
-  Mutex.lock t.mutex;
-  let cap = Array.length t.ring in
-  let stored = Stdlib.min t.recorded cap in
-  let seen = Atomic.get t.seen in
-  let txn_cap = Array.length t.txn_ring in
-  let txn_stored = Stdlib.min t.txn_recorded txn_cap in
-  let s =
-    { capacity = cap;
-      seen;
-      recorded = t.recorded;
-      sampled_out = seen - ((seen + t.stride - 1) / t.stride);
-      dropped = t.recorded - stored;
-      stored;
-      sampling = 1. /. float_of_int t.stride;
-      txn_capacity = txn_cap;
-      txn_recorded = t.txn_recorded;
-      txn_dropped = t.txn_recorded - txn_stored;
-      txn_stored }
-  in
-  Mutex.unlock t.mutex;
-  s
+  Mutex.protect t.mutex (fun () ->
+      let seen = Atomic.get t.seen in
+      { capacity = capacity t.calls;
+        seen;
+        recorded = t.calls.written;
+        sampled_out = seen - ((seen + t.stride - 1) / t.stride);
+        dropped = t.calls.written - stored t.calls;
+        stored = stored t.calls;
+        sampling = 1. /. float_of_int t.stride;
+        txn_capacity = capacity t.txns;
+        txn_recorded = t.txns.written;
+        txn_dropped = t.txns.written - stored t.txns;
+        txn_stored = stored t.txns })
 
 let clear t =
-  Mutex.lock t.mutex;
-  Array.fill t.ring 0 (Array.length t.ring) None;
-  t.recorded <- 0;
-  Atomic.set t.seen 0;
-  Array.fill t.txn_ring 0 (Array.length t.txn_ring) None;
-  t.txn_recorded <- 0;
-  Mutex.unlock t.mutex
+  Mutex.protect t.mutex (fun () ->
+      reset t.calls;
+      Atomic.set t.seen 0;
+      reset t.txns)
 
 let pp_span ppf s =
   Fmt.pf ppf

@@ -133,7 +133,7 @@ let test_load_time_reject () =
   Runtime.feed_sync rt (pkt_in ());
   Runtime.shutdown rt;
   Alcotest.(check bool) "never ran" false !ran;
-  (match rt.Runtime.rejected with
+  (match Runtime.rejected rt with
   | [ ("overreacher", reason) ] ->
     Alcotest.(check bool) "reason mentions the capability" true
       (Test_util.contains_substring reason "flow-write")
@@ -156,7 +156,7 @@ let test_load_time_subscription_check () =
       kernel [ (app, checker) ]
   in
   Runtime.shutdown rt;
-  Alcotest.(check int) "rejected" 1 (List.length rt.Runtime.rejected)
+  Alcotest.(check int) "rejected" 1 (List.length (Runtime.rejected rt))
 
 let test_load_time_warn_keeps_app () =
   let topo = Topology.linear 2 in
@@ -171,7 +171,7 @@ let test_load_time_warn_keeps_app () =
       [ (app, Api.deny_all) ]
   in
   Runtime.shutdown rt;
-  Alcotest.(check int) "not rejected" 0 (List.length rt.Runtime.rejected);
+  Alcotest.(check int) "not rejected" 0 (List.length (Runtime.rejected rt));
   (* But the warning is in the audit log. *)
   let warnings =
     List.filter
@@ -197,7 +197,7 @@ let test_load_time_clean_app_passes () =
       kernel [ (app, checker) ]
   in
   Runtime.shutdown rt;
-  Alcotest.(check int) "loaded" 0 (List.length rt.Runtime.rejected)
+  Alcotest.(check int) "loaded" 0 (List.length (Runtime.rejected rt))
 
 (* Observer wiring ----------------------------------------------------------------- *)
 

@@ -295,7 +295,7 @@ let test_traced_runtime_denials_explained () =
   for _ = 1 to 20 do
     Runtime.feed_sync rt (pkt_in 1)
   done;
-  let spans = Runtime.spans rt in
+  let spans = Trace.spans trace in
   Alcotest.(check int) "every install call has a span" 20 (List.length spans);
   let denied =
     List.filter (fun (s : Trace.span) -> s.Trace.decision = Trace.Denied) spans
@@ -320,6 +320,317 @@ let test_traced_runtime_denials_explained () =
   Runtime.shutdown rt;
   List.iter Metrics.unregister_hist
     [ "lat:queue"; "lat:check"; "lat:exec"; "lat:total"; "lat:app:traced" ]
+
+(* One mediated-call path ------------------------------------------------------
+
+   Tracing is a per-call span context on the same [checked_exec] /
+   [checked_txn], so a traced run must serve exactly what an untraced
+   run serves, on every runtime mode, and record one span per sampled
+   call or group. *)
+
+(* MAX_RULE_COUNT reads the ownership the engine records, so later
+   denials depend on every approval recorded before them. *)
+let oracle_manifest =
+  "PERM insert_flow LIMITING MAX_PRIORITY 400 AND MAX_RULE_COUNT 8\n\
+   PERM pkt_in_event\nPERM visible_topology"
+
+let install ~dpid ~priority ~port =
+  Api.Install_flow
+    ( dpid,
+      Flow_mod.add ~priority
+        ~match_:(Match_fields.make ~tp_dst:port ())
+        ~actions:[ Action.Output 1 ] () )
+
+(* What a handler does for one packet-in: single calls and atomic
+   groups, in order. *)
+type op = Single of Api.call | Group of Api.call list
+
+type outcome =
+  | Single_result of Api.result
+  | Group_result of (Api.result list, int * string) result
+
+type run = {
+  outcomes : outcome list;
+  stats : int * int * int * int;
+  faults : Runtime.fault_report;
+  denials : Sandbox.audit_entry list;
+  execs : int;
+  flows : Flow_table.entry list list;
+}
+
+(* [Gc.minor_words] counts the calling domain only, so allocation is
+   compared on the modes whose deputies share it. *)
+let one_domain_modes =
+  [ ("monolithic", Runtime.Monolithic);
+    ("isolated", Runtime.Isolated { ksd_threads = 2 }) ]
+
+let modes =
+  one_domain_modes
+  @ [ ("isolated-domains", Runtime.Isolated_domains { ksd_domains = 2 }) ]
+
+let unregister_lat_hists app =
+  List.iter Metrics.unregister_hist
+    [ "lat:queue"; "lat:check"; "lat:exec"; "lat:total"; "lat:app:" ^ app ]
+
+(* Feed one packet-in per script entry through a fresh deployment whose
+   handler issues that entry's operations, against an engine that
+   records ownership. *)
+let run_script ~mode ?trace script =
+  let kernel = Kernel.create (Dataplane.create (Topology.linear 2)) in
+  let todo = ref script and outcomes = ref [] in
+  let app =
+    App.make
+      ~subscriptions:[ Api.E_packet_in ]
+      ~handle:(fun ctx _ ->
+        match !todo with
+        | [] -> ()
+        | (_, ops) :: rest ->
+          todo := rest;
+          List.iter
+            (fun op ->
+              let o =
+                match op with
+                | Single c -> Single_result (ctx.App.call c)
+                | Group cs -> Group_result (ctx.App.transaction cs)
+              in
+              outcomes := o :: !outcomes)
+            ops)
+      "oracle"
+  in
+  let engine =
+    Engine.create
+      ~ownership:(Ownership.create ())
+      ~app_name:"oracle" ~cookie:1
+      (Perm_parser.manifest_exn oracle_manifest)
+  in
+  let rt =
+    Runtime.create
+      ~config:{ Runtime.default_config with Runtime.trace }
+      ~mode kernel
+      [ (app, Engine.checker engine) ]
+  in
+  List.iter (fun (dpid, _) -> Runtime.feed_sync rt (pkt_in dpid)) script;
+  Runtime.shutdown rt;
+  { outcomes = List.rev !outcomes;
+    stats = Runtime.stats rt;
+    faults = Runtime.fault_report rt;
+    denials =
+      List.filter
+        (fun (e : Sandbox.audit_entry) -> not e.Sandbox.allowed)
+        (Sandbox.audit_log kernel.Kernel.sandbox);
+    execs = Kernel.exec_count kernel;
+    flows =
+      List.map
+        (fun dpid ->
+          Flow_table.entries
+            (Dataplane.switch kernel.Kernel.dataplane dpid).Switch.table)
+        [ 1; 2 ] }
+
+let span_label = function
+  | Single c -> Api.call_kind c
+  | Group cs -> Printf.sprintf "txn(%d calls)" (List.length cs)
+
+let span_class = function
+  | Single_result (Api.Denied _) | Group_result (Error _) -> Trace.Denied
+  | Single_result (Api.Failed _) -> Trace.Failed
+  | Single_result _ | Group_result (Ok _) -> Trace.Allowed
+
+let arb_script =
+  let open QCheck in
+  let call =
+    Gen.(
+      frequency
+        [ ( 3,
+            map3
+              (fun dpid priority port -> install ~dpid ~priority ~port)
+              (int_range 1 2)
+              (oneofl [ 100; 400; 401; 1000 ])
+              (int_range 1 6) );
+          (1, return Api.Read_topology) ])
+  in
+  let op =
+    Gen.(
+      frequency
+        [ (3, map (fun c -> Single c) call);
+          (1, map (fun cs -> Group cs) (list_size (int_range 2 3) call)) ])
+  in
+  let pp_op ppf = function
+    | Single c -> Api.pp_call ppf c
+    | Group cs -> Fmt.(brackets (list ~sep:semi Api.pp_call)) ppf cs
+  in
+  make
+    ~print:
+      (Fmt.to_to_string
+         Fmt.(list ~sep:cut (pair ~sep:(any ": ") int (list ~sep:comma pp_op))))
+    Gen.(
+      list_size (int_range 1 12)
+        (pair (int_range 1 2) (list_size (int_range 1 3) op)))
+
+let folded_path_qsuite =
+  [ QCheck.Test.make ~count:25
+      ~name:"traced runs serve what untraced runs serve, one span per call"
+      arb_script
+      (fun script ->
+        let ops = List.concat_map snd script in
+        List.for_all
+          (fun (name, mode) ->
+            let untraced = run_script ~mode script in
+            let full = Trace.create ()
+            and half = Trace.create ~sampling:0.5 () in
+            let traced = run_script ~mode ~trace:full script in
+            let sampled = run_script ~mode ~trace:half script in
+            unregister_lat_hists "oracle";
+            let spans = Trace.spans full and st = Trace.stats half in
+            if traced <> untraced then
+              QCheck.Test.fail_reportf "%s: sampling 1.0 run diverges" name
+            else if sampled <> untraced then
+              QCheck.Test.fail_reportf "%s: sampling 0.5 run diverges" name
+            else if List.length spans <> List.length ops then
+              QCheck.Test.fail_reportf "%s: %d spans for %d calls and groups"
+                name (List.length spans) (List.length ops)
+            else if
+              not
+                (List.for_all2
+                   (fun (s : Trace.span) (op, o) ->
+                     s.Trace.call = span_label op
+                     && s.Trace.decision = span_class o)
+                   spans
+                   (List.combine ops untraced.outcomes))
+            then
+              QCheck.Test.fail_reportf "%s: a span disagrees with its result"
+                name
+            else if
+              st.Trace.seen <> List.length ops
+              || st.Trace.seen <> st.Trace.recorded + st.Trace.sampled_out
+            then
+              QCheck.Test.fail_reportf
+                "%s: sampling 0.5 offered %d of %d (recorded %d, sampled \
+                 out %d)"
+                name st.Trace.seen (List.length ops) st.Trace.recorded
+                st.Trace.sampled_out
+            else true)
+          modes) ]
+
+(* A kernel fault under tracing: the deputy barrier's [Api.Failed]
+   reply, one counted failure, and one [Failed] span naming the
+   exception. *)
+let test_traced_kernel_fault () =
+  let trace = Trace.create () in
+  let rt =
+    Runtime.create
+      ~config:{ Runtime.default_config with Runtime.trace = Some trace }
+      ~mode:(Runtime.Isolated { ksd_threads = 2 })
+      (Kernel.create (Dataplane.create (Topology.linear 2)))
+      [ (App.make "faulty", Api.allow_all) ]
+  in
+  let ctx = Runtime.instance_ctx rt "faulty" in
+  let r =
+    Fun.protect ~finally:Faults.disarm (fun () ->
+        Faults.configure ~kernel:1.0 ();
+        ctx.App.call (insert ~priority:100))
+  in
+  Runtime.shutdown rt;
+  unregister_lat_hists "faulty";
+  (match r with
+  | Api.Failed _ -> ()
+  | r -> Alcotest.failf "kernel fault replied %a" Api.pp_result r);
+  Alcotest.(check int) "one barrier conversion" 1
+    (Runtime.fault_report rt).Runtime.failures;
+  match Trace.spans trace with
+  | [ s ] ->
+    Alcotest.(check bool) "span is Failed" true
+      (s.Trace.decision = Trace.Failed);
+    Alcotest.(check bool) "explanation starts with the exception" true
+      (String.starts_with ~prefix:"exception:"
+         (Option.value ~default:"" s.Trace.explain))
+  | spans -> Alcotest.failf "%d spans for one faulted call" (List.length spans)
+
+(* A traced group records one [txn(N calls)] span: [Allowed] when it
+   commits, [Denied] naming the offending member when it does not. *)
+let test_traced_transaction_spans () =
+  List.iter
+    (fun (name, mode) ->
+      let trace = Trace.create () in
+      let engine =
+        Engine.create
+          ~ownership:(Ownership.create ())
+          ~app_name:"group" ~cookie:1
+          (Perm_parser.manifest_exn oracle_manifest)
+      in
+      let rt =
+        Runtime.create
+          ~config:{ Runtime.default_config with Runtime.trace = Some trace }
+          ~mode
+          (Kernel.create (Dataplane.create (Topology.linear 2)))
+          [ (App.make "group", Engine.checker engine) ]
+      in
+      let ctx = Runtime.instance_ctx rt "group" in
+      let ok =
+        ctx.App.transaction [ insert ~priority:100; Api.Read_topology ]
+      in
+      let denied =
+        ctx.App.transaction
+          [ insert ~priority:100; insert ~priority:1000; Api.Read_topology ]
+      in
+      Runtime.shutdown rt;
+      unregister_lat_hists "group";
+      Alcotest.(check bool) (name ^ ": first group commits") true
+        (Result.is_ok ok);
+      Alcotest.(check bool) (name ^ ": second group is denied at call 1") true
+        (match denied with Error (1, _) -> true | _ -> false);
+      match Trace.spans trace with
+      | [ s1; s2 ] ->
+        Alcotest.(check string) (name ^ ": passing label") "txn(2 calls)"
+          s1.Trace.call;
+        Alcotest.(check bool) (name ^ ": passing group Allowed") true
+          (s1.Trace.decision = Trace.Allowed);
+        Alcotest.(check string) (name ^ ": failing label") "txn(3 calls)"
+          s2.Trace.call;
+        Alcotest.(check bool) (name ^ ": failing group Denied") true
+          (s2.Trace.decision = Trace.Denied);
+        Alcotest.(check bool) (name ^ ": explanation names the member") true
+          (String.starts_with ~prefix:"call 1 of group: "
+             (Option.value ~default:"" s2.Trace.explain))
+      | spans ->
+        Alcotest.failf "%s: %d spans for two groups" name (List.length spans))
+    modes
+
+(* docs/OBSERVABILITY.md §1: a sampled-out call allocates exactly what
+   an untraced call does.  The warm-up spends the store's first call,
+   which is always sampled. *)
+let minor_words_of_calls ~mode ~trace =
+  let rt =
+    Runtime.create
+      ~config:{ Runtime.default_config with Runtime.trace }
+      ~mode
+      (Kernel.create (Dataplane.create (Topology.linear 2)))
+      [ (App.make "alloc", Api.allow_all) ]
+  in
+  let ctx = Runtime.instance_ctx rt "alloc" in
+  for _ = 1 to 1_000 do
+    ignore (ctx.App.call Api.Read_topology)
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    ignore (ctx.App.call Api.Read_topology)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Runtime.shutdown rt;
+  unregister_lat_hists "alloc";
+  words
+
+let test_sampled_out_allocates_nothing () =
+  List.iter
+    (fun (name, mode) ->
+      let untraced = minor_words_of_calls ~mode ~trace:None in
+      let sampled_out =
+        minor_words_of_calls ~mode
+          ~trace:(Some (Trace.create ~sampling:1e-7 ()))
+      in
+      Alcotest.(check (float 0.))
+        (name ^ ": minor words of 100k calls, sampled out = untraced")
+        untraced sampled_out)
+    one_domain_modes
 
 (* Lifecycle transaction spans ----------------------------------------------- *)
 
@@ -516,6 +827,12 @@ let suite =
       test_json_parser_rejects_garbage;
     Alcotest.test_case "lifecycle txn spans" `Quick test_txn_spans_lifecycle;
     Alcotest.test_case "traced runtime explains denials" `Quick
-      test_traced_runtime_denials_explained ]
+      test_traced_runtime_denials_explained;
+    Alcotest.test_case "traced kernel fault records a Failed span" `Quick
+      test_traced_kernel_fault;
+    Alcotest.test_case "traced groups record one span each" `Quick
+      test_traced_transaction_spans;
+    Alcotest.test_case "sampled-out calls allocate nothing" `Quick
+      test_sampled_out_allocates_nothing ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false)
-      (qsuite @ timeline_qsuite)
+      (qsuite @ timeline_qsuite @ folded_path_qsuite)
