@@ -389,8 +389,9 @@ let smoke () =
      market-lab-style churn throughput.  Each transaction does
      milliseconds of vet/reconcile/compile work against microseconds
      of span recording, so a breach means recording grew a systematic
-     cost, not that the box is noisy. *)
-  let churn_txns = 100 in
+     cost, not that the box is noisy.  200 transactions of about
+     1.2 ms each keep every run near a quarter second of CPU. *)
+  let churn_txns = 200 in
   let churn_pairs =
     measure_churn_overhead ~trials:5 ~txns:churn_txns ~apps:10 ()
   in

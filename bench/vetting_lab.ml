@@ -42,15 +42,7 @@ let family name ~expect (f : unit -> string) =
       (String.concat "; " expect);
   Fmt.pr "%-28s %-9s %6.1f ms@." name label (1000. *. dt)
 
-let describe_manifest (v : Perm.manifest Vetting.verdict) =
-  (match v with
-  | Vetting.Admitted _ -> ()
-  | Vetting.Degraded (_, notes) ->
-    List.iter (fun n -> Fmt.pr "    note: %s@." n) notes
-  | Vetting.Rejected r -> Fmt.pr "    %a@." Vetting.pp_rejection r);
-  Vetting.verdict_label v
-
-let describe_report (v : Reconcile.report Vetting.verdict) =
+let describe (v : _ Vetting.verdict) =
   (match v with
   | Vetting.Admitted _ -> ()
   | Vetting.Degraded (_, notes) ->
@@ -83,35 +75,35 @@ let check_cross_allocation () =
 let run_families ~garbage_seeds ~text_depth =
   failures := [];
   family "depth-bomb (NOT chain)" ~expect:[ "rejected" ] (fun () ->
-      describe_manifest
+      describe
         (Vetting.vet_manifest (Hostile.depth_bomb_src ~depth:text_depth)));
   family "depth-bomb (parens)" ~expect:[ "rejected" ] (fun () ->
-      describe_manifest
+      describe
         (Vetting.vet_manifest (Hostile.paren_bomb_src ~depth:text_depth)));
   family "depth-bomb (raw AST)" ~expect:[ "rejected" ] (fun () ->
-      describe_manifest
+      describe
         (Vetting.vet_manifest_ast
            (Hostile.manifest_of_filter (Hostile.ast_depth_bomb ~depth:100_000))));
   family "cross-product bomb" ~expect:[ "degraded"; "rejected" ] (fun () ->
       Nf.clear_memo ();
-      describe_manifest
+      describe
         (Vetting.vet_manifest_ast
            (Hostile.manifest_of_filter (Hostile.cross_bomb ~atoms:4096))));
   family "clause-width bomb" ~expect:[ "degraded"; "rejected" ] (fun () ->
       Nf.clear_memo ();
-      describe_manifest
+      describe
         (Vetting.vet_manifest_ast
            (Hostile.manifest_of_filter (Hostile.width_bomb ~atoms:2000))));
   family "macro-chain bomb" ~expect:[ "degraded"; "rejected" ] (fun () ->
       let manifest_src, policy_src = Hostile.macro_chain_bomb ~links:48 in
-      describe_report
+      describe
         (Vetting.vet_and_reconcile ~apps:[ ("bomb", manifest_src) ] policy_src));
   for seed = 1 to garbage_seeds do
     family
       (Printf.sprintf "garbage bytes (seed %d)" seed)
       ~expect:[ "rejected" ]
       (fun () ->
-        describe_manifest
+        describe
           (Vetting.vet_manifest (Hostile.garbage ~seed ~len:4096)))
   done;
   check_cross_allocation ();

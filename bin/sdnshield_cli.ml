@@ -260,18 +260,37 @@ let check_cmd =
 
 (* vet ------------------------------------------------------------------------ *)
 
+(* The budget flags [vet] and [verify] share; an absent flag keeps its
+   [Budget.default_limits] value. *)
+let limits_term : Budget.limits Term.t =
+  let d = Budget.default_limits in
+  let limits max_steps max_clauses max_nodes max_depth deadline =
+    { Budget.max_steps = Option.value max_steps ~default:d.Budget.max_steps;
+      max_clauses = Option.value max_clauses ~default:d.Budget.max_clauses;
+      max_nodes = Option.value max_nodes ~default:d.Budget.max_nodes;
+      max_depth = Option.value max_depth ~default:d.Budget.max_depth;
+      deadline =
+        (match deadline with Some _ -> deadline | None -> d.Budget.deadline) }
+  in
+  let opt_int names doc =
+    Arg.(value & opt (some int) None & info names ~docv:"N" ~doc)
+  in
+  let deadline =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "deadline" ] ~docv:"SECONDS" ~doc:"Wall-clock budget.")
+  in
+  Term.(
+    const limits
+    $ opt_int [ "max-steps" ] "Work-tick budget."
+    $ opt_int [ "max-clauses" ] "Clause-allocation budget."
+    $ opt_int [ "max-nodes" ] "Macro-expansion node budget."
+    $ opt_int [ "max-depth" ] "Nesting-depth budget."
+    $ deadline)
+
 let vet_cmd =
-  let run manifest_path policy_path app max_steps max_clauses max_nodes
-      max_depth deadline =
-    let d = Budget.default_limits in
-    let limits =
-      { Budget.max_steps = Option.value max_steps ~default:d.Budget.max_steps;
-        max_clauses = Option.value max_clauses ~default:d.Budget.max_clauses;
-        max_nodes = Option.value max_nodes ~default:d.Budget.max_nodes;
-        max_depth = Option.value max_depth ~default:d.Budget.max_depth;
-        deadline =
-          (match deadline with Some _ -> deadline | None -> d.Budget.deadline) }
-    in
+  let run manifest_path policy_path app limits =
     let manifest_src = read_file manifest_path in
     let print_lint (fs : Lint.finding list) =
       List.iter (fun f -> Fmt.pr "lint: @[<v>%a@]@." Lint.pp_finding f) fs
@@ -295,13 +314,13 @@ let vet_cmd =
     match policy_path with
     | None -> (
       match Vetting.vet_manifest ~limits manifest_src with
-      | Vetting.Admitted { value = m; lint; _ } ->
+      | Vetting.Admitted m ->
         Fmt.pr "%a@." Perm.pp m;
-        print_lint lint;
+        print_lint (Lint.lint_manifest m);
         finish "admitted" [] None
-      | Vetting.Degraded ({ value = m; lint; _ }, notes) ->
+      | Vetting.Degraded (m, notes) ->
         Fmt.pr "%a@." Perm.pp m;
-        print_lint lint;
+        print_lint (Lint.lint_manifest m);
         finish "degraded" notes None
       | Vetting.Rejected r -> finish "rejected" [] (Some r))
     | Some policy_path -> (
@@ -319,11 +338,11 @@ let vet_cmd =
           ~apps:[ (app, manifest_src) ]
           policy_src
       with
-      | Vetting.Admitted { value = report; lint; _ } ->
+      | Vetting.Admitted { report; lint; _ } ->
         print_report report;
         print_lint lint;
         finish "admitted" [] None
-      | Vetting.Degraded ({ value = report; lint; _ }, notes) ->
+      | Vetting.Degraded ({ report; lint; _ }, notes) ->
         print_report report;
         print_lint lint;
         finish "degraded" notes None
@@ -342,29 +361,13 @@ let vet_cmd =
   let app_arg =
     Arg.(value & opt string "app" & info [ "app" ] ~docv:"NAME" ~doc:"App name")
   in
-  let opt_int names doc =
-    Arg.(value & opt (some int) None & info names ~docv:"N" ~doc)
-  in
-  let max_steps = opt_int [ "max-steps" ] "Work-tick budget." in
-  let max_clauses = opt_int [ "max-clauses" ] "Clause-allocation budget." in
-  let max_nodes = opt_int [ "max-nodes" ] "Macro-expansion node budget." in
-  let max_depth = opt_int [ "max-depth" ] "Nesting-depth budget." in
-  let deadline =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECONDS" ~doc:"Wall-clock budget.")
-  in
   Cmd.v
     (Cmd.info "vet"
        ~doc:
          "Vet an untrusted manifest (and optionally a policy) under a \
           resource budget (docs/VETTING.md); exits 0 on \
           admitted/degraded, 1 on rejected")
-    Term.(
-      ret
-        (const run $ manifest $ policy $ app_arg $ max_steps $ max_clauses
-       $ max_nodes $ max_depth $ deadline))
+    Term.(ret (const run $ manifest $ policy $ app_arg $ limits_term))
 
 (* faults-demo ---------------------------------------------------------------- *)
 
@@ -1276,17 +1279,7 @@ let lint_cmd =
 (* verify --------------------------------------------------------------------- *)
 
 let verify_cmd =
-  let run app manifest_path policy_path json deny minimal max_steps max_clauses
-      max_nodes max_depth deadline =
-    let d = Budget.default_limits in
-    let limits =
-      { Budget.max_steps = Option.value max_steps ~default:d.Budget.max_steps;
-        max_clauses = Option.value max_clauses ~default:d.Budget.max_clauses;
-        max_nodes = Option.value max_nodes ~default:d.Budget.max_nodes;
-        max_depth = Option.value max_depth ~default:d.Budget.max_depth;
-        deadline =
-          (match deadline with Some _ -> deadline | None -> d.Budget.deadline) }
-    in
+  let run app manifest_path policy_path json deny minimal limits =
     match
       Vetting.vet_and_reconcile ~limits
         ~apps:[ (app, read_file manifest_path) ]
@@ -1294,28 +1287,22 @@ let verify_cmd =
     with
     | Vetting.Rejected r ->
       `Error (false, Fmt.str "%a" Vetting.pp_rejection r)
-    | Vetting.Admitted { certificate; _ }
-    | Vetting.Degraded ({ certificate; _ }, _) -> (
-      match certificate with
-      | None ->
-        (* vet_and_reconcile always certifies; a missing certificate is
-           a pipeline bug, and --deny must treat it as not certified. *)
-        if deny then `Error (false, "no certificate produced") else `Ok ()
-      | Some cert ->
-        if json then
-          Fmt.pr "%s@." (Telemetry.Json.to_string (Verify.json_of_certificate cert))
-        else Fmt.pr "%a@." Verify.pp_certificate cert;
-        if deny && not (Verify.certified cert) then begin
-          Fmt.epr "verify: %s — failing (--deny)@." (Verify.verdict_label cert);
-          exit 1
-        end
-        else if minimal && Verify.minimality_label cert <> "minimal" then begin
-          Fmt.epr
-            "verify: repair minimality is %s — failing (--minimal)@."
-            (Verify.minimality_label cert);
-          exit 1
-        end
-        else `Ok ())
+    | Vetting.Admitted { certificate = cert; _ }
+    | Vetting.Degraded ({ certificate = cert; _ }, _) ->
+      if json then
+        Fmt.pr "%s@." (Telemetry.Json.to_string (Verify.json_of_certificate cert))
+      else Fmt.pr "%a@." Verify.pp_certificate cert;
+      if deny && not (Verify.certified cert) then begin
+        Fmt.epr "verify: %s — failing (--deny)@." (Verify.verdict_label cert);
+        exit 1
+      end
+      else if minimal && Verify.minimality_label cert <> "minimal" then begin
+        Fmt.epr
+          "verify: repair minimality is %s — failing (--minimal)@."
+          (Verify.minimality_label cert);
+        exit 1
+      end
+      else `Ok ()
   in
   let app_arg =
     Arg.(value & opt string "app" & info [ "app" ] ~docv:"NAME" ~doc:"App name")
@@ -1351,19 +1338,6 @@ let verify_cmd =
              unknown-minimality (budget-degraded) runs both fail.  \
              Composes with $(b,--deny) for full promotion.")
   in
-  let opt_int names doc =
-    Arg.(value & opt (some int) None & info names ~docv:"N" ~doc)
-  in
-  let max_steps = opt_int [ "max-steps" ] "Work-tick budget." in
-  let max_clauses = opt_int [ "max-clauses" ] "Clause-allocation budget." in
-  let max_nodes = opt_int [ "max-nodes" ] "Macro-expansion node budget." in
-  let max_depth = opt_int [ "max-depth" ] "Nesting-depth budget." in
-  let deadline =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECONDS" ~doc:"Wall-clock budget.")
-  in
   Cmd.v
     (Cmd.info "verify"
        ~doc:
@@ -1376,7 +1350,7 @@ let verify_cmd =
     Term.(
       ret
         (const run $ app_arg $ manifest $ policy $ json $ deny $ minimal
-       $ max_steps $ max_clauses $ max_nodes $ max_depth $ deadline))
+       $ limits_term))
 
 let () =
   let info =

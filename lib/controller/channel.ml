@@ -95,19 +95,6 @@ let pop t =
   in
   wait ()
 
-let try_pop t =
-  Mutex.lock t.mutex;
-  let v =
-    if Queue.is_empty t.queue then None
-    else begin
-      let v = Queue.pop t.queue in
-      Condition.signal t.nonfull;
-      Some v
-    end
-  in
-  Mutex.unlock t.mutex;
-  v
-
 let length t =
   Mutex.lock t.mutex;
   let n = Queue.length t.queue in

@@ -34,9 +34,6 @@ val pop : 'a t -> 'a option
 (** Block until an element is available; [None] once the channel is
     closed and drained. *)
 
-val try_pop : 'a t -> 'a option
-(** Non-blocking pop. *)
-
 val length : 'a t -> int
 (** Current queue depth. *)
 

@@ -131,10 +131,6 @@ let time t f =
   record t (now () -. start);
   r
 
-let pp_summary ppf s =
-  Fmt.pf ppf "n=%d median=%.1fus p10=%.1fus p90=%.1fus" s.n (s.median *. 1e6)
-    (s.p10 *. 1e6) (s.p90 *. 1e6)
-
 (* Cache-counter registry --------------------------------------------------- *)
 
 type cache_stats = {
@@ -209,12 +205,6 @@ let gauge_report () : (string * gauge) list =
   in
   Mutex.unlock gauge_mutex;
   List.sort compare (List.map (fun (name, read) -> (name, read ())) sources)
-
-let pp_gauge_report ppf () =
-  List.iter
-    (fun (name, g) ->
-      Fmt.pf ppf "%-24s depth=%d high-water=%d@." name g.depth g.hwm)
-    (gauge_report ())
 
 (* Bounded log-linear latency histograms ------------------------------------ *)
 
@@ -434,8 +424,3 @@ let hist_report () : (string * Histogram.t) list =
   let hs = Hashtbl.fold (fun name h acc -> (name, h) :: acc) hist_registry [] in
   Mutex.unlock hist_mutex;
   List.sort (fun (a, _) (b, _) -> String.compare a b) hs
-
-let pp_hist_report ppf () =
-  List.iter
-    (fun (name, h) -> Fmt.pf ppf "%-24s %a@." name Histogram.pp h)
-    (hist_report ())

@@ -76,8 +76,6 @@ val summarize_list : float list -> summary
 val time : t -> (unit -> 'a) -> 'a
 (** Run the thunk, recording its duration on the monotonic clock. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-
 (** {1 Bounded log-linear histograms} *)
 
 (** Constant-memory latency histograms (HDR-histogram style): each
@@ -149,8 +147,6 @@ val unregister_hist : string -> unit
 val hist_report : unit -> (string * Histogram.t) list
 (** Every registered histogram, sorted by name. *)
 
-val pp_hist_report : Format.formatter -> unit -> unit
-
 (** {1 Cache-counter registry} *)
 
 type cache_stats = {
@@ -186,5 +182,3 @@ val unregister_gauge : string -> unit
 
 val gauge_report : unit -> (string * gauge) list
 (** Snapshot every registered gauge, sorted by name. *)
-
-val pp_gauge_report : Format.formatter -> unit -> unit

@@ -141,8 +141,7 @@ let create ?limits ?(strict_verify = false) ?topo ~policy () : (t, string) resul
   match Vetting.vet_policy ?limits policy with
   | Vetting.Rejected r ->
     Error (Printf.sprintf "policy rejected at %s: %s" r.Vetting.stage r.reason)
-  | Vetting.Admitted a | Vetting.Degraded (a, _) ->
-    let policy = a.Vetting.value in
+  | Vetting.Admitted policy | Vetting.Degraded (policy, _) ->
     Ok
       (let t =
          { policy; sdeps = analyze policy; limits; strict_verify; topo; ownership = Ownership.create ();
@@ -446,7 +445,7 @@ let apply_admit t ~upgrade ~app ~src stages =
           failed "vet"
             (Printf.sprintf "manifest rejected at %s: %s" r.Vetting.stage
                r.reason)
-        | Vetting.Admitted a | Vetting.Degraded (a, _) -> a.Vetting.value)
+        | Vetting.Admitted m | Vetting.Degraded (m, _) -> m)
   in
   let policy', report, delta =
     stage stages "reconcile" (fun () ->
@@ -459,9 +458,9 @@ let apply_admit t ~upgrade ~app ~src stages =
         | _ -> ());
         r)
   in
-  (* Advisory: findings never block admission (the vetting pipeline's
-     contract), but the stage is timed and the counters feed the
-     lint-severity gauges like every other lint run. *)
+  (* The admission's one lint run, over the manifest it publishes.
+     Advisory: findings never block the commit, but the stage is timed
+     and the counters feed the lint-severity gauges. *)
   let _findings =
     stage stages "lint" (fun () ->
         Lint.lint_manifest ?limits:t.limits ~label:("app " ^ app)

@@ -19,16 +19,17 @@
 module M = Shield_controller.Metrics
 
 type rejection = { stage : string; reason : string; spent : Budget.spent }
-type 'a admission = {
-  value : 'a;
-  lint : Lint.finding list;
-  certificate : Verify.certificate option;
-}
 
 type 'a verdict =
-  | Admitted of 'a admission
-  | Degraded of 'a admission * string list
+  | Admitted of 'a
+  | Degraded of 'a * string list
   | Rejected of rejection
+
+type reconciled = {
+  report : Reconcile.report;
+  lint : Lint.finding list;
+  certificate : Verify.certificate;
+}
 
 (* Verdict counters ---------------------------------------------------------- *)
 
@@ -98,15 +99,7 @@ let reset_stats () =
 
 (* The guarded runner -------------------------------------------------------- *)
 
-(* [f] returns the vetted value together with its advisory lint
-   findings.  Lint installs its own nested budget scope, so a manifest
-   whose *analysis* is expensive degrades the lint report (to Info
-   "unverified" findings), never the admission verdict. *)
-let run ?limits
-    (f :
-      Budget.t ->
-      ('a * Lint.finding list * Verify.certificate option, rejection) result) :
-    'a verdict =
+let run ?limits (f : Budget.t -> ('a, rejection) result) : 'a verdict =
   let b = Budget.create ?limits () in
   let outcome =
     Budget.with_scope b (fun () ->
@@ -133,11 +126,10 @@ let run ?limits
   count_verdict
     (match outcome with
     | Error r -> Rejected r
-    | Ok (v, lint, certificate) -> (
-      let adm = { value = v; lint; certificate } in
+    | Ok v -> (
       match Budget.notes b with
-      | [] -> Admitted adm
-      | notes -> Degraded (adm, notes)))
+      | [] -> Admitted v
+      | notes -> Degraded (v, notes)))
 
 (* Pipeline stages ----------------------------------------------------------- *)
 
@@ -251,8 +243,7 @@ let check_policy_references (policy : Policy.t) =
 let vet_manifest_ast ?limits (m : Perm.manifest) : Perm.manifest verdict =
   run ?limits (fun _b ->
       check_manifest m;
-      Budget.set_stage "lint";
-      Ok (m, Lint.lint_manifest m, None))
+      Ok m)
 
 let vet_manifest ?limits (src : string) : Perm.manifest verdict =
   run ?limits (fun b ->
@@ -261,8 +252,7 @@ let vet_manifest ?limits (src : string) : Perm.manifest verdict =
       | Error e -> Error { stage = "parse"; reason = e; spent = Budget.spent b }
       | Ok m ->
         check_manifest m;
-        Budget.set_stage "lint";
-        Ok (m, Lint.lint_manifest m, None))
+        Ok m)
 
 let vet_policy ?limits (src : string) : Policy.t verdict =
   run ?limits (fun b ->
@@ -272,11 +262,10 @@ let vet_policy ?limits (src : string) : Policy.t verdict =
       | Ok policy ->
         check_policy_structure policy;
         check_policy_references policy;
-        Budget.set_stage "lint";
-        Ok (policy, Lint.lint_policy policy, None))
+        Ok policy)
 
 let vet_and_reconcile ?limits ~(apps : (string * string) list)
-    (policy : string) : Reconcile.report verdict =
+    (policy : string) : reconciled verdict =
   run ?limits (fun b ->
       Budget.set_stage "parse";
       let rec parse_apps acc = function
@@ -325,6 +314,9 @@ let vet_and_reconcile ?limits ~(apps : (string * string) list)
                    app
                    (String.concat ", " stubs)))
             report.Reconcile.unresolved_macros;
+          (* Lint installs its own nested scope, so an expensive
+             analysis degrades the findings (to Info "unverified"),
+             never the verdict. *)
           Budget.set_stage "lint";
           let manifest_macros =
             List.concat_map (fun (_, m) -> Perm.macros m) parsed
@@ -345,7 +337,7 @@ let vet_and_reconcile ?limits ~(apps : (string * string) list)
           let certificate =
             Verify.verify_report ~limits:(Budget.limits b) pol report
           in
-          Ok (report, lint, Some certificate)))
+          Ok { report; lint; certificate }))
 
 (* Reporting ----------------------------------------------------------------- *)
 

@@ -34,30 +34,9 @@ type rejection = {
   spent : Budget.spent;  (** Resources consumed up to the cut-off. *)
 }
 
-type 'a admission = {
-  value : 'a;
-  lint : Lint.finding list;
-      (** Advisory shield-lint findings (docs/LINTING.md), computed
-          after the structural stages under lint's own nested budget
-          scope.  Findings never change the verdict: a lint-dirty but
-          well-formed input is still admitted, and lint analysis that
-          exhausts its budget degrades to [Info] "unverified" findings
-          rather than to a [Degraded]/[Rejected] verdict. *)
-  certificate : Verify.certificate option;
-      (** shield-verify certificate over the reconciled result
-          (docs/VERIFY.md) — [Some] only for {!vet_and_reconcile},
-          which is the one pipeline that produces post-repair
-          manifests to certify.  Like lint, the certificate is
-          advisory at admission: a [Refuted] or [Unverified]
-          certificate rides along for the administrator (and the CLI's
-          [verify --deny]) without flipping the verdict, and
-          verification runs under its own nested budget scope (with
-          this admission's limits) so it can never reject the input. *)
-}
-
 type 'a verdict =
-  | Admitted of 'a admission
-  | Degraded of 'a admission * string list
+  | Admitted of 'a
+  | Degraded of 'a * string list
       (** Usable result, but conservative fallbacks were taken; the
           notes (oldest first) say which. *)
   | Rejected of rejection
@@ -84,21 +63,40 @@ val vet_policy : ?limits:Budget.limits -> string -> Policy.t verdict
     verdict (reconciliation will report them as
     {!Reconcile.action.Policy_error}).  Never raises. *)
 
+type reconciled = {
+  report : Reconcile.report;
+  lint : Lint.finding list;
+      (** Advisory shield-lint findings (docs/LINTING.md): the policy
+          findings, with the app manifests' stub macros counted as
+          live bindings, then each app's manifest findings (locations
+          prefixed ["app <name>"]).  Lint runs under its own nested
+          budget scope, so findings never change the verdict: an
+          analysis that exhausts its budget degrades to [Info]
+          "unverified" findings, not to a [Degraded]/[Rejected]
+          verdict. *)
+  certificate : Verify.certificate;
+      (** shield-verify certificate over the reconciled manifests
+          (docs/VERIFY.md).  Advisory like lint: a [Refuted] or
+          [Unverified] certificate rides along for the administrator
+          (and the CLI's [verify --deny]) without flipping the
+          verdict.  Verification runs under its own nested scope with
+          this admission's limits, so it can never reject the
+          input. *)
+}
+
 val vet_and_reconcile :
   ?limits:Budget.limits ->
   apps:(string * string) list ->
   string ->
-  Reconcile.report verdict
-(** [vet_and_reconcile ~apps policy_src] — the full admission pipeline:
-    vet each app's manifest source and the policy source, then run
-    {!Reconcile.run} under the same budget.
+  reconciled verdict
+(** [vet_and_reconcile ~apps policy_src] — the full offline pipeline
+    behind the CLI's [vet --policy] and [verify]: vet each app's
+    manifest source and the policy source, run {!Reconcile.run} under
+    the same budget, then lint and certify the result.
     [Degraded] when any stage fell back conservatively or any policy
     statement was skipped as a [Policy_error]; violations that the
     engine repaired are part of the admitted report, not a
-    degradation.  The [lint] field aggregates the policy findings
-    (with the app manifests' stub macros counted as live bindings)
-    and each app's manifest findings (locations prefixed
-    ["app <name>"]).  Never raises. *)
+    degradation.  Never raises. *)
 
 (** {1 Metrics} *)
 

@@ -113,10 +113,6 @@ let flow_stats t pattern : Stats.flow_stat list =
         duration_sec = t.clock - e.install_time })
     (query t pattern)
 
-(** Count of entries installed with [cookie], for the table-size filter. *)
-let count_by_cookie t cookie =
-  List.length (List.filter (fun e -> e.cookie = cookie) t.entries)
-
 (** Expire idle/hard-timed-out entries relative to the logical clock.
     Idle expiry is approximated: an entry with packet_count = 0 counts as
     idle since installation. *)

@@ -341,14 +341,30 @@ let test_sarif_roundtrip () =
       | _ -> Alcotest.fail "no results array")
     | _ -> Alcotest.fail "expected one run")
 
-(* Vetting integration --------------------------------------------------------- *)
+(* Admission integration ------------------------------------------------------- *)
 
-let test_vetting_carries_lint () =
-  match Vetting.vet_manifest (read_example "dirty.manifest") with
-  | Vetting.Admitted { Vetting.lint; _ } ->
-    Alcotest.(check bool) "dirty manifest admitted with findings" true
-      (Lint.count Lint.Error lint >= 1)
-  | v -> Alcotest.failf "expected admitted, got %s" (Vetting.verdict_label v)
+(* A market admission lints once, in the transaction's lint stage:
+   vetting does not lint the raw manifest as well, so each rule the
+   dirty manifest fires is counted exactly once. *)
+let test_admission_lints_once () =
+  let t =
+    match Epoch.create ~policy:"" () with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "deployment rejected: %s" e
+  in
+  Lint.reset_counters ();
+  (match Epoch.apply t (Market.install "app" (read_example "dirty.manifest")) with
+  | Market.Committed _ -> ()
+  | Market.Rolled_back { stage; reason; _ } ->
+    Alcotest.failf "install rolled back at %s (%s)" stage reason);
+  Epoch.close t;
+  Alcotest.(check (list (pair string int)))
+    "one count per finding"
+    [ ("lint-error:unsatisfiable-filter", 1);
+      ("lint-warn:redundant-refinement", 1);
+      ("lint-warn:shadowed-clause", 1);
+      ("lint-warn:vacuous-filter", 1) ]
+    (Lint.stats ())
 
 let test_vet_and_reconcile_counts_stubs_live () =
   (* The policy's stub macro is referenced by the app manifest, so the
@@ -428,7 +444,8 @@ let suite =
     Alcotest.test_case "counters reach telemetry" `Quick
       test_counters_reach_telemetry;
     Alcotest.test_case "SARIF round-trip" `Quick test_sarif_roundtrip;
-    Alcotest.test_case "vetting carries lint" `Quick test_vetting_carries_lint;
+    Alcotest.test_case "one market admission lints once" `Quick
+      test_admission_lints_once;
     Alcotest.test_case "pipeline sees app stubs as live" `Quick
       test_vet_and_reconcile_counts_stubs_live ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qsuite

@@ -101,20 +101,6 @@ let test_table_counters_and_stats () =
     Alcotest.(check bool) "bytes counted" true (fs.Stats.byte_count > 0L)
   | l -> Alcotest.failf "expected 1 stat, got %d" (List.length l)
 
-let test_table_count_by_cookie () =
-  let t = Flow_table.create () in
-  let add cookie tp =
-    ignore
-      (Flow_table.apply t
-         (Flow_mod.add ~cookie ~match_:(Match_fields.make ~tp_dst:tp ()) ~actions:[] ()))
-  in
-  add 1 80;
-  add 1 81;
-  add 2 82;
-  Alcotest.(check int) "cookie 1" 2 (Flow_table.count_by_cookie t 1);
-  Alcotest.(check int) "cookie 2" 1 (Flow_table.count_by_cookie t 2);
-  Alcotest.(check int) "cookie 3" 0 (Flow_table.count_by_cookie t 3)
-
 let test_table_hard_timeout () =
   let t = Flow_table.create () in
   ignore
@@ -331,7 +317,6 @@ let suite =
     Alcotest.test_case "table modify" `Quick test_table_modify;
     Alcotest.test_case "table delete subsumed" `Quick test_table_delete_subsumed;
     Alcotest.test_case "table counters/stats" `Quick test_table_counters_and_stats;
-    Alcotest.test_case "table count by cookie" `Quick test_table_count_by_cookie;
     Alcotest.test_case "table hard timeout" `Quick test_table_hard_timeout;
     Alcotest.test_case "topology linear" `Quick test_topology_linear;
     Alcotest.test_case "topology tree" `Quick test_topology_tree;

@@ -280,15 +280,12 @@ let test_vetting_carries_certificate () =
       ~apps:[ ("app", read_example "dirty.manifest") ]
       (read_example "dirty.policy")
   with
-  | Vetting.Admitted { Vetting.certificate; _ }
-  | Vetting.Degraded ({ Vetting.certificate; _ }, _) -> (
-    match certificate with
-    | None -> Alcotest.fail "vet_and_reconcile produced no certificate"
-    | Some cert ->
-      Alcotest.(check bool)
-        (Fmt.str "post-repair admission certifies (got %s)"
-           (Verify.verdict_label cert))
-        true (Verify.certified cert))
+  | Vetting.Admitted { Vetting.certificate = cert; _ }
+  | Vetting.Degraded ({ Vetting.certificate = cert; _ }, _) ->
+    Alcotest.(check bool)
+      (Fmt.str "post-repair admission certifies (got %s)"
+         (Verify.verdict_label cert))
+      true (Verify.certified cert)
   | Vetting.Rejected r ->
     Alcotest.failf "rejected: %s" (Fmt.str "%a" Vetting.pp_rejection r)
 

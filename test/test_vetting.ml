@@ -29,10 +29,10 @@ let rejection_of = function
 
 let test_clean_admitted () =
   match Vetting.vet_manifest clean_manifest_src with
-  | Vetting.Admitted { Vetting.value = m; lint; _ } ->
+  | Vetting.Admitted m ->
     Alcotest.(check int) "two permissions" 2 (List.length m);
     Alcotest.(check int) "clean manifest has no lint findings" 0
-      (List.length lint)
+      (List.length (Lint.lint_manifest m))
   | v -> Alcotest.failf "expected admitted, got %s" (label v)
 
 let test_depth_bomb_rejected () =
@@ -131,7 +131,7 @@ let test_macro_cycle_fail_closed () =
 let test_macro_bomb_degrades () =
   let manifest_src, policy_src = Hostile.macro_chain_bomb ~links:48 in
   match Vetting.vet_and_reconcile ~apps:[ ("bomb", manifest_src) ] policy_src with
-  | Vetting.Degraded ({ Vetting.value = report; _ }, notes) ->
+  | Vetting.Degraded ({ Vetting.report; _ }, notes) ->
     Alcotest.(check bool) "notes the node cap" true
       (List.exists (contains ~affix:"node cap") notes);
     Alcotest.(check bool) "stubs reported unresolved" true
