@@ -59,10 +59,7 @@ let rst_injector ?(name = "rst_injector") () : rst_injector =
     injections_attempted; injections_denied }
 
 (** Did an RST from [app] actually reach a host? *)
-let rst_delivered kernel ~app =
-  List.exists
-    (fun (who, (d : Dataplane.delivery)) -> who = app && Packet.is_rst d.packet)
-    (Kernel.deliveries kernel)
+let rst_delivered kernel ~app = snd (Kernel.delivered kernel ~app) > 0
 
 (* 2. Information leakage ----------------------------------------------------- *)
 

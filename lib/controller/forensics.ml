@@ -3,8 +3,9 @@
    §VII (Scenario 2): even where permissions cannot block an action
    outright — a routing app must be able to insert rules — "SDNShield
    can provide activity logging, which enables forensic analysis after
-   the attack happens."  The sandbox audit log and the kernel delivery
-   log are that activity record; this module is the analysis layer:
+   the attack happens."  The sandbox audit log and the kernel's
+   per-app delivery counts are that activity record; this module is
+   the analysis layer:
 
    - per-app activity summaries (calls, denials, syscalls, deliveries);
    - suspicion heuristics keyed to the four attack classes of §II;
@@ -60,9 +61,7 @@ let summarize_app ~(sandbox : Sandbox.t) ~(kernel : Kernel.t) app : app_summary
       (Sandbox.audit_log sandbox)
   in
   let conns = Sandbox.connections_by sandbox ~app in
-  let deliveries =
-    List.filter (fun (who, _) -> who = app) (Kernel.deliveries kernel)
-  in
+  let packets_delivered, rst_packets_delivered = Kernel.delivered kernel ~app in
   { app;
     actions = List.length audit;
     denials = List.length (List.filter (fun (e : Sandbox.audit_entry) -> not e.Sandbox.allowed) audit);
@@ -73,13 +72,8 @@ let summarize_app ~(sandbox : Sandbox.t) ~(kernel : Kernel.t) app : app_summary
         (List.map
            (fun (r : Sandbox.net_record) -> Types.ipv4_to_string r.Sandbox.dst)
            conns);
-    packets_delivered = List.length deliveries;
-    rst_packets_delivered =
-      List.length
-        (List.filter
-           (fun (_, (d : Shield_net.Dataplane.delivery)) ->
-             Packet.is_rst d.Shield_net.Dataplane.packet)
-           deliveries) }
+    packets_delivered;
+    rst_packets_delivered }
 
 (** Heuristic indicators for the §II attack classes, evaluated over the
     activity record.  [allowed_destinations] is the administrator's

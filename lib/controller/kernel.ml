@@ -6,6 +6,8 @@
 open Shield_openflow
 open Shield_net
 
+type deliveries = { mutable packets : int; mutable rsts : int }
+
 type t = {
   dataplane : Dataplane.t;
   sandbox : Sandbox.t;
@@ -17,10 +19,10 @@ type t = {
           CBench-style evaluation methodology treats the generator as
           the only packet-in source. *)
   mutable pending : Events.t list;  (** Reverse order. *)
-  mutable delivery_log : (string * Dataplane.delivery) list;
-      (** Packets delivered to hosts by app packet-outs, tagged with the
-          issuing app — the data-plane observable the attack tests
-          assert on. *)
+  delivered : (string, deliveries) Hashtbl.t;
+      (** Per issuing app, the packets its packet-outs delivered to
+          hosts — the data-plane observable the attack tests and
+          forensics read. *)
   mutable execs : int;
       (** Approved calls executed — the enforcement hot path's volume,
           reported next to the checker's counters. *)
@@ -28,12 +30,34 @@ type t = {
 
 let create ?(sandbox = Sandbox.create ()) ?(reflect_packet_out = false)
     dataplane =
-  { dataplane; sandbox; reflect_packet_out; pending = []; delivery_log = [];
-    execs = 0 }
+  { dataplane; sandbox; reflect_packet_out; pending = [];
+    delivered = Hashtbl.create 8; execs = 0 }
 
 let exec_count t = t.execs
 
-let deliveries t = List.rev t.delivery_log
+(** Packets that [app]'s packet-outs delivered to hosts, and how many of
+    them were TCP RSTs. *)
+let delivered t ~app =
+  match Hashtbl.find_opt t.delivered app with
+  | Some d -> (d.packets, d.rsts)
+  | None -> (0, 0)
+
+let count_deliveries t ~app (r : Dataplane.result) =
+  if r.delivered <> [] then begin
+    let d =
+      match Hashtbl.find_opt t.delivered app with
+      | Some d -> d
+      | None ->
+        let d = { packets = 0; rsts = 0 } in
+        Hashtbl.replace t.delivered app d;
+        d
+    in
+    List.iter
+      (fun (dl : Dataplane.delivery) ->
+        d.packets <- d.packets + 1;
+        if Packet.is_rst dl.packet then d.rsts <- d.rsts + 1)
+      r.delivered
+  end
 
 let topo t = t.dataplane.Dataplane.topo
 
@@ -101,8 +125,7 @@ let exec t ~app ~cookie (call : Api.call) : Api.result =
     | None -> Api.Failed (Printf.sprintf "unknown switch %d" dpid)
     | Some _ ->
       let r = Dataplane.packet_out t.dataplane ~dpid ~port packet in
-      t.delivery_log <-
-        List.map (fun d -> (app, d)) r.Dataplane.delivered @ t.delivery_log;
+      count_deliveries t ~app r;
       if t.reflect_packet_out then List.iter (queue_event t) (punts_to_events r);
       Api.Done)
   | Api.Receive_event _ | Api.Read_payload_access ->

@@ -65,18 +65,15 @@ let rec walk t ~dpid ~in_port ~hops ~path pkt : result =
     let path = path @ [ dpid ] in
     List.fold_left
       (fun acc out ->
-        merge acc (follow_output t ~dpid ~hops ~path out))
+        merge acc (follow_output t ~dpid ~in_port ~hops ~path out))
       empty_result outputs
   end
 
-and follow_output t ~dpid ~hops ~path = function
+(* [in_port] is the port the packet entered [dpid] on; a punt carries it. *)
+and follow_output t ~dpid ~in_port ~hops ~path = function
   | Switch.Dropped -> { empty_result with dropped = 1 }
   | Switch.To_controller packet ->
-    (* in_port of the punt is the port the packet came in on; the walk
-       records it as the last element the caller passed.  For simplicity
-       we re-derive it: a To_controller at [dpid] keeps the ingress port
-       embedded in the punt we built below in [emit]. *)
-    { empty_result with punted = [ { dpid; in_port = 0; packet } ] }
+    { empty_result with punted = [ { dpid; in_port; packet } ] }
   | Switch.Forward (port, packet) -> (
     let ep = { Topology.dpid; port } in
     match Topology.host_at t.topo ep with
@@ -90,31 +87,22 @@ and follow_output t ~dpid ~hops ~path = function
         (* Dangling port: packet leaves the simulated network. *)
         { empty_result with dropped = 1 }))
 
-(** Correct punts to carry their real ingress port: wrap [walk] so the
-    first-level punt (at the ingress switch) records [in_port]. *)
-let walk_fixed t ~dpid ~in_port ~hops ~path pkt =
-  let r = walk t ~dpid ~in_port ~hops ~path pkt in
-  { r with
-    punted =
-      List.map
-        (fun (p : punt) ->
-          if p.dpid = dpid && p.in_port = 0 then { p with in_port } else p)
-        r.punted }
-
 (** Inject [pkt] at switch [dpid] port [in_port]. *)
-let inject_at t ~dpid ~in_port pkt =
-  walk_fixed t ~dpid ~in_port ~hops:0 ~path:[] pkt
+let inject_at t ~dpid ~in_port pkt = walk t ~dpid ~in_port ~hops:0 ~path:[] pkt
 
 (** Inject [pkt] as sent by [host]. *)
 let inject_from_host t (host : Topology.host) pkt =
   inject_at t ~dpid:host.attachment.dpid ~in_port:host.attachment.port pkt
 
-(** Emit a controller packet-out at [dpid]/[port] and follow it. *)
+(** Emit a controller packet-out at [dpid]/[port] and follow it.  A
+    packet-out only forwards, so no punt takes the [in_port] given here;
+    punts downstream carry the port they arrived on. *)
 let packet_out t ~dpid ~port pkt : result =
   let sw = switch t dpid in
   let outputs = Switch.packet_out sw ~port pkt in
   List.fold_left
-    (fun acc out -> merge acc (follow_output t ~dpid ~hops:0 ~path:[ dpid ] out))
+    (fun acc out ->
+      merge acc (follow_output t ~dpid ~in_port:0 ~hops:0 ~path:[ dpid ] out))
     empty_result outputs
 
 (* Statistics ------------------------------------------------------------- *)

@@ -158,7 +158,9 @@ let test_kernel_packet_out_punts_cascade () =
     (Kernel.exec k ~app:"a" ~cookie:1
        (Api.Send_packet_out { dpid = 1; port = 2; packet = p; from_pkt_in = false }));
   match Kernel.take_pending k with
-  | [ Events.Packet_in pi ] -> Alcotest.(check int) "at s2" 2 pi.Message.dpid
+  | [ Events.Packet_in pi ] ->
+    Alcotest.(check int) "at s2" 2 pi.Message.dpid;
+    Alcotest.(check int) "on s2's port facing s1" 1 pi.Message.in_port
   | evs -> Alcotest.failf "expected cascaded packet-in, got %d events" (List.length evs)
 
 let test_kernel_syscall_via_sandbox () =

@@ -112,6 +112,177 @@ let test_table_hard_timeout () =
   Alcotest.(check int) "expired" 1 (List.length (Flow_table.expire t));
   Alcotest.(check int) "gone" 0 (Flow_table.size t)
 
+(* An Add that replaces an entry, and a lookup, allocate no more in a
+   1024-entry table than in an 8-entry one.  Exact [Gc.minor_words]
+   counts on this domain; the least of a few tries, so that a stray
+   thread of an earlier test cannot add to the count. *)
+let minor_words f =
+  let least = ref infinity in
+  for _ = 1 to 5 do
+    let w0 = Gc.minor_words () in
+    f ();
+    least := Float.min !least (Gc.minor_words () -. w0)
+  done;
+  !least
+
+let test_table_size_independent () =
+  let cost n =
+    let t = Flow_table.create () in
+    let fm mac port =
+      Flow_mod.add ~priority:100 ~match_:(Match_fields.make ~dl_dst:mac ())
+        ~actions:[ Action.Output port ] ()
+    in
+    for mac = 1 to n do
+      ignore (Flow_table.apply t (fm mac 1))
+    done;
+    let replace = fm (n / 2) 2 and p = pkt ~dst:(n / 2) () in
+    ( minor_words (fun () -> ignore (Flow_table.apply t replace)),
+      minor_words (fun () -> ignore (Flow_table.lookup t ~in_port:1 p)) )
+  in
+  let add_small, lookup_small = cost 8 and add_big, lookup_big = cost 1024 in
+  let slack = 8. in
+  if add_big > add_small +. slack then
+    Alcotest.failf "replacing Add: %.0f words at 1024 entries, %.0f at 8"
+      add_big add_small;
+  if lookup_big > lookup_small +. slack then
+    Alcotest.failf "lookup: %.0f words at 1024 entries, %.0f at 8" lookup_big
+      lookup_small
+
+(* Oracle: Flow_table against the list reference (Flow_table_ref) ---------- *)
+
+type table_op =
+  | Apply of Flow_mod.t
+  | Lookup of port_no * Packet.t
+  | Tick
+  | Expire
+  | Flow_stats of Match_fields.t option
+
+(* Small value domains, so that matches collide, overlap and repeat. *)
+let gen_packet =
+  let open QCheck.Gen in
+  let addr = oneofl [ "10.0.0.1"; "10.0.0.2"; "10.0.1.7"; "192.168.0.1" ] in
+  let* dl_src = int_range 1 3 and* dl_dst = int_range 1 3 in
+  let* dl_type = oneofl [ Eth_ip; Eth_other 0x0800; Eth_arp ] in
+  let* dl_vlan = oneofl [ None; Some 7 ] in
+  let* ip =
+    opt
+      (let* nw_src = addr and* nw_dst = addr in
+       let* nw_proto = oneofl [ Proto_tcp; Proto_other 6; Proto_udp ] in
+       return
+         { Packet.nw_src = ip nw_src; nw_dst = ip nw_dst; nw_proto; ttl = 64 })
+  in
+  let* tp =
+    opt
+      (let* tp_src = oneofl [ 80; 4321 ] and* tp_dst = oneofl [ 80; 443 ] in
+       return { Packet.tp_src; tp_dst; flags = Packet.no_flags })
+  in
+  return { Packet.dl_src; dl_dst; dl_type; dl_vlan; ip; tp; payload = "" }
+
+let gen_match =
+  let open QCheck.Gen in
+  let field g = frequency [ (2, return None); (1, map Option.some g) ] in
+  (* Addresses keep their bits outside the mask: 10.0.1.7/255.255.255.0
+     matches the same packets as 10.0.1.0/255.255.255.0 but is not
+     [Match_fields.equal] to it. *)
+  let ip_match =
+    let* addr = oneofl [ "10.0.0.1"; "10.0.1.7"; "10.0.1.0"; "192.168.0.1" ] in
+    let* mask =
+      oneofl [ 0xFFFFFFFFl; 0xFFFFFF00l; 0xFFFF0000l; 0xFF000000l; 0l ]
+    in
+    return { Match_fields.addr = ip addr; mask }
+  in
+  let masked =
+    let* in_port = field (int_range 1 3) in
+    let* dl_src = field (int_range 1 3) and* dl_dst = field (int_range 1 3) in
+    let* dl_type = field (oneofl [ Eth_ip; Eth_other 0x0800; Eth_arp ]) in
+    let* dl_vlan = field (return 7) in
+    let* nw_src = field ip_match and* nw_dst = field ip_match in
+    let* nw_proto = field (oneofl [ Proto_tcp; Proto_other 6; Proto_udp ]) in
+    let* tp_src = field (oneofl [ 80; 4321 ]) in
+    let* tp_dst = field (oneofl [ 80; 443 ]) in
+    return
+      (Match_fields.make ?in_port ?dl_src ?dl_dst ?dl_type ?dl_vlan ?nw_src
+         ?nw_dst ?nw_proto ?tp_src ?tp_dst ())
+  in
+  let exact =
+    let* in_port = int_range 1 3 and* p = gen_packet in
+    return (Match_fields.of_packet ~in_port p)
+  in
+  frequency [ (1, return Match_fields.wildcard_all); (2, exact); (5, masked) ]
+
+let gen_table_op =
+  let open QCheck.Gen in
+  let timeout = frequency [ (3, return 0); (1, int_range 1 3) ] in
+  let flow_mod =
+    let* command =
+      frequency
+        [ (5, return Flow_mod.Add); (1, return Flow_mod.Modify);
+          (1, return Flow_mod.Delete) ]
+    in
+    let* match_ = gen_match and* priority = oneofl [ 0; 5; 5; 100 ] in
+    let* actions =
+      oneofl [ []; [ Action.Output 1 ]; [ Action.Output 2 ]; [ Action.Flood ] ]
+    in
+    let* cookie = int_range 0 3 in
+    let* idle_timeout = timeout and* hard_timeout = timeout in
+    return
+      { Flow_mod.command; match_; priority; actions; idle_timeout;
+        hard_timeout; cookie }
+  in
+  frequency
+    [ (6, map (fun fm -> Apply fm) flow_mod);
+      (5, map2 (fun port p -> Lookup (port, p)) (int_range 1 3) gen_packet);
+      (1, return Tick); (1, return Expire);
+      (1, map (fun m -> Flow_stats m) (opt gen_match)) ]
+
+let pp_table_op ppf = function
+  | Apply fm -> Flow_mod.pp ppf fm
+  | Lookup (port, p) -> Fmt.pf ppf "lookup p%d %a" port Packet.pp p
+  | Tick -> Fmt.string ppf "tick"
+  | Expire -> Fmt.string ppf "expire"
+  | Flow_stats m ->
+    Fmt.pf ppf "flow_stats %a" Fmt.(option ~none:(any "*") Match_fields.pp) m
+
+let of_ref (e : Flow_table_ref.entry) : Flow_table.entry =
+  { match_ = e.match_; priority = e.priority; actions = e.actions;
+    cookie = e.cookie; idle_timeout = e.idle_timeout;
+    hard_timeout = e.hard_timeout; packet_count = e.packet_count;
+    byte_count = e.byte_count; install_time = e.install_time }
+
+(* Run [ops] on both tables; every result, [entries] and [size] must
+   agree after every step. *)
+let agrees_with_reference ops =
+  let t = Flow_table.create () and r = Flow_table_ref.create () in
+  List.for_all
+    (fun op ->
+      let same_result =
+        match op with
+        | Apply fm ->
+          Flow_table.apply t fm = List.map of_ref (Flow_table_ref.apply r fm)
+        | Lookup (in_port, p) ->
+          Flow_table.lookup t ~in_port p
+          = Option.map of_ref (Flow_table_ref.lookup r ~in_port p)
+        | Tick ->
+          Flow_table.tick t;
+          Flow_table_ref.tick r;
+          true
+        | Expire ->
+          Flow_table.expire t = List.map of_ref (Flow_table_ref.expire r)
+        | Flow_stats m ->
+          Flow_table.flow_stats t m = Flow_table_ref.flow_stats r m
+      in
+      same_result
+      && Flow_table.entries t = List.map of_ref (Flow_table_ref.entries r)
+      && Flow_table.size t = Flow_table_ref.size r)
+    ops
+
+let qsuite =
+  [ QCheck.Test.make ~count:1000 ~name:"table = list reference"
+      (QCheck.make
+         ~print:(Fmt.to_to_string Fmt.(vbox (list pp_table_op)))
+         QCheck.Gen.(list_size (return 60) gen_table_op))
+      agrees_with_reference ]
+
 (* Topology ------------------------------------------------------------------ *)
 
 let test_topology_linear () =
@@ -239,7 +410,18 @@ let test_dataplane_miss_punts_at_ingress () =
   Alcotest.(check int) "one punt" 1 (List.length r.Dataplane.punted);
   let punt = List.hd r.Dataplane.punted in
   Alcotest.(check int) "at s1" 1 punt.Dataplane.dpid;
-  Alcotest.(check int) "ingress port" 3 punt.Dataplane.in_port
+  Alcotest.(check int) "ingress port" 3 punt.Dataplane.in_port;
+  (* Two hops: s1 forwards to s2, which misses and punts the packet with
+     the port it arrived on (s2's port facing s1). *)
+  ignore
+    (Dataplane.apply_flow_mod dp 1
+       (Flow_mod.add ~match_:Match_fields.wildcard_all
+          ~actions:[ Action.Output 2 ] ()));
+  match (Dataplane.inject_at dp ~dpid:1 ~in_port:3 p).Dataplane.punted with
+  | [ punt ] ->
+    Alcotest.(check int) "at s2" 2 punt.Dataplane.dpid;
+    Alcotest.(check int) "s2 ingress port" 1 punt.Dataplane.in_port
+  | l -> Alcotest.failf "expected one punt, got %d" (List.length l)
 
 let install_path dp topo ~(dst : Topology.host) =
   (* Minimal routing: for every switch, forward dst's IP towards it. *)
@@ -318,6 +500,7 @@ let suite =
     Alcotest.test_case "table delete subsumed" `Quick test_table_delete_subsumed;
     Alcotest.test_case "table counters/stats" `Quick test_table_counters_and_stats;
     Alcotest.test_case "table hard timeout" `Quick test_table_hard_timeout;
+    Alcotest.test_case "table size-independent" `Quick test_table_size_independent;
     Alcotest.test_case "topology linear" `Quick test_topology_linear;
     Alcotest.test_case "topology tree" `Quick test_topology_tree;
     Alcotest.test_case "topology disconnect" `Quick test_topology_disconnect;
@@ -334,3 +517,4 @@ let suite =
     Alcotest.test_case "dataplane packet-out flood" `Quick test_dataplane_packet_out_flood;
     Alcotest.test_case "dataplane stats fanout" `Quick test_dataplane_stats_fanout;
     Alcotest.test_case "dataplane tick expiry" `Quick test_dataplane_tick_expiry ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) qsuite
