@@ -2,9 +2,9 @@
    instead of deadlocking.
 
    With deputy-kill, checker-raise and kernel-raise faults armed
-   (Shield_controller.Faults), drive 10k+ API calls through both the
-   threaded and the domain-parallel KSD pool and check the liveness
-   invariants of docs/RUNTIME.md:
+   (Shield_controller.Faults), drive 10k+ API calls through KSD pools
+   of four and of two deputies and check the liveness invariants of
+   docs/RUNTIME.md:
 
    - every handled event's API call receives a reply
      (Done / Denied / Failed — including "deadline"), i.e. no app
@@ -26,8 +26,6 @@ let mode_name = function
   | Runtime.Monolithic -> "monolithic"
   | Runtime.Isolated { ksd_threads } ->
     Printf.sprintf "isolated (%d KSD threads)" ksd_threads
-  | Runtime.Isolated_domains { ksd_domains } ->
-    Printf.sprintf "isolated-domains (%d KSD domains)" ksd_domains
 
 type tally = {
   handled : int Atomic.t;  (** Handler invocations started. *)
@@ -149,7 +147,7 @@ let run_mode ~mode ~apps ~events : string list * Bench_util.Json.t =
         ("deputy_faults", J.Int (Faults.injected Faults.Deputy)) ] )
 
 let modes = [ Runtime.Isolated { ksd_threads = 4 };
-              Runtime.Isolated_domains { ksd_domains = 2 } ]
+              Runtime.Isolated { ksd_threads = 2 } ]
 
 (** Watchdog: a hang is the very bug this harness exists to catch, so
     turn it into a loud exit instead of a stuck run.  The thread dies

@@ -11,8 +11,7 @@
    Two variants are reported:
    - "bare": our simulator kernel as-is.  It processes a packet-in in
      ~1-5 us — 5-10x lighter than OpenDaylight — so the fixed
-     isolation cost (thread handoffs, which OCaml's runtime lock
-     serializes where the paper's JVM parallelizes them) looks
+     isolation cost (the app-thread and deputy handoffs) looks
      relatively enormous.
    - "calibrated": each packet-in additionally costs ~30 us of app
      processing, the per-event weight of an OpenDaylight-class
@@ -25,8 +24,8 @@ let switch_counts = [ 4; 16; 64 ]
 let total_events = 20_000
 let odl_class_work_us = 30
 
-let run_one ?shield_mode ~work_us ~shield n =
-  let h = Scenarios.l2_scenario ?shield_mode ~work_us ~shield ~switches:n () in
+let run_one ~work_us ~shield n =
+  let h = Scenarios.l2_scenario ~work_us ~shield ~switches:n () in
   let gen = Cbench.create ~switches:n () in
   let rate = Cbench.throughput_run gen h.Scenarios.runtime ~total:total_events in
   h.Scenarios.shutdown ();
@@ -38,26 +37,14 @@ let variant_table ~work_us label =
     List.map
       (fun n ->
         let base = run_one ~work_us ~shield:false n in
-        let threads = run_one ~work_us ~shield:true n in
-        let domains =
-          run_one
-            ~shield_mode:
-              (Shield_controller.Runtime.Isolated_domains { ksd_domains = 2 })
-            ~work_us ~shield:true n
-        in
-        let pct v = Printf.sprintf "%.1f%%" ((base -. v) /. base *. 100.) in
+        let shield = run_one ~work_us ~shield:true n in
         [ string_of_int n;
           Printf.sprintf "%.0f ev/s" base;
-          Printf.sprintf "%.0f ev/s" threads;
-          pct threads;
-          Printf.sprintf "%.0f ev/s" domains;
-          pct domains ])
+          Printf.sprintf "%.0f ev/s" shield;
+          Printf.sprintf "%.1f%%" ((base -. shield) /. base *. 100.) ])
       switch_counts
   in
-  Bench_util.table
-    [ "switches"; "original"; "SDNShield (threads)"; "degr.";
-      "SDNShield (parallel KSDs)"; "degr." ]
-    rows
+  Bench_util.table [ "switches"; "original"; "SDNShield"; "degr." ] rows
 
 let run () =
   Bench_util.hr
@@ -74,5 +61,5 @@ let run () =
   Fmt.pr
     "comparable setting; the bare variant shows the raw isolation cost@.";
   Fmt.pr
-    "(OCaml systhreads serialize on the runtime lock, so thread handoffs@.";
-  Fmt.pr "are pure overhead here where the paper's JVM ran them in parallel).@."
+    "(the app-thread and deputy handoffs, against a kernel 5-10x lighter@.";
+  Fmt.pr "than OpenDaylight's).@."

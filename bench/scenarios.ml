@@ -71,10 +71,8 @@ let with_work ~work_us (app : App.t) : App.t =
           spin_us work_us;
           app.App.handle ctx ev) }
 
-(** The L2 learning-switch scenario over [switches] switches.
-    [shield_mode] picks the isolation architecture when [shield]. *)
-let l2_scenario ?(work_us = 0) ?(shield_mode = Runtime.Isolated { ksd_threads = 2 })
-    ~shield ~switches () : handle =
+(** The L2 learning-switch scenario over [switches] switches. *)
+let l2_scenario ?(work_us = 0) ~shield ~switches () : handle =
   let topo = Topology.linear switches in
   let dp = Dataplane.create topo in
   let kernel = Kernel.create dp in
@@ -83,7 +81,7 @@ let l2_scenario ?(work_us = 0) ?(shield_mode = Runtime.Isolated { ksd_threads = 
   let mode, checker =
     if shield then
       let ownership = Ownership.create () in
-      ( shield_mode,
+      ( Runtime.Isolated { ksd_threads = 2 },
         shield_checker ~ownership ~topo "l2switch" 1 L2_switch.manifest_src )
     else (Runtime.Monolithic, Api.allow_all)
   in

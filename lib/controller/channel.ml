@@ -11,7 +11,34 @@
    (backpressure — a flooding producer saturates its own queue instead
    of the heap), [Reject] raises [Full] so the caller can turn the
    overflow into an application-level error.  The high-water mark is
-   tracked so runtimes can report worst-case queue depths. *)
+   tracked so runtimes can report worst-case queue depths.
+
+   Spin-then-park (docs/RUNTIME.md §6).  A waiter whose counterpart
+   runs on another domain may pass [~spin:true] to {!pop} or
+   {!Ivar.read}, and {!Ivar.read_timeout} always spins: the waiter
+   first spins on an [Atomic] hint for at most [spin_ns], and only
+   then parks on the condition as before.  A
+   Mutex+Condition wake costs 15–20 µs on a 2-vCPU VM, an atomic
+   handoff between two running domains about 0.2 µs, so a waiter still
+   running when its item lands skips the wake.  Waits between threads
+   of one domain must not spin: a spinning systhread holds its domain
+   lock and stalls the very thread it waits for.  The hint is only
+   read outside the mutex; every state change is still made under it,
+   so a stale hint costs one park, never a lost or duplicated item. *)
+
+(* The spin bound, wall-clock; docs/RUNTIME.md §6 has the sweep that
+   chose it. *)
+let spin_ns = 10_000
+
+let clock_ns () = Int64.to_int (Monotonic_clock.now ())
+
+(* Spin while [hint] still holds [idle], for at most [spin_ns].
+   Allocation-free: the clock is an unboxed noalloc external. *)
+let spin_while hint idle =
+  let deadline = clock_ns () + spin_ns in
+  while Atomic.get hint == idle && clock_ns () < deadline do
+    Domain.cpu_relax ()
+  done
 
 type policy =
   | Block  (** Full channel: park the pusher until space frees up. *)
@@ -26,6 +53,10 @@ type 'a t = {
   policy : policy;
   mutable high_water : int;
   mutable closed : bool;
+  depth : int Atomic.t;  (** Queue length, written under [mutex]. *)
+  spinner : bool Atomic.t;
+      (** A popper is spinning.  Taken by compare-and-set, so at most
+          one popper spins; cleared only under [mutex]. *)
 }
 
 let create ?capacity ?(policy = Block) () =
@@ -34,7 +65,8 @@ let create ?capacity ?(policy = Block) () =
   | _ -> ());
   { queue = Queue.create (); mutex = Mutex.create ();
     nonempty = Condition.create (); nonfull = Condition.create ();
-    capacity; policy; high_water = 0; closed = false }
+    capacity; policy; high_water = 0; closed = false; depth = Atomic.make 0;
+    spinner = Atomic.make false }
 
 exception Closed
 exception Full
@@ -66,40 +98,52 @@ let push t v =
     else begin
       Queue.push v t.queue;
       let n = Queue.length t.queue in
+      Atomic.set t.depth n;
       if n > t.high_water then t.high_water <- n;
-      Condition.signal t.nonempty;
+      (* A spinner takes the first queued item itself: it clears its
+         flag and looks at the queue under this mutex before it could
+         park.  Items beyond what it can take still signal. *)
+      if n > (if Atomic.get t.spinner then 1 else 0) then
+        Condition.signal t.nonempty;
       Mutex.unlock t.mutex
     end
   in
   wait ()
 
-(** Block until an element is available; [None] once the channel is
-    closed and drained. *)
-let pop t =
-  Mutex.lock t.mutex;
-  let rec wait () =
-    if not (Queue.is_empty t.queue) then begin
-      let v = Queue.pop t.queue in
-      Condition.signal t.nonfull;
-      Mutex.unlock t.mutex;
-      Some v
-    end
-    else if t.closed then begin
-      Mutex.unlock t.mutex;
-      None
-    end
-    else begin
-      Condition.wait t.nonempty t.mutex;
-      wait ()
-    end
-  in
-  wait ()
+(* The popper's wait, [mutex] held.  It allocates nothing before an
+   item arrives, so a deputy that has filled its last reply allocates
+   nothing more until its next request: a [Gc.minor] bracket around a
+   run of calls counts each call's words exactly once. *)
+let rec pop_locked t =
+  if not (Queue.is_empty t.queue) then begin
+    let v = Queue.pop t.queue in
+    Atomic.set t.depth (Queue.length t.queue);
+    Condition.signal t.nonfull;
+    Mutex.unlock t.mutex;
+    Some v
+  end
+  else if t.closed then begin
+    Mutex.unlock t.mutex;
+    None
+  end
+  else begin
+    Condition.wait t.nonempty t.mutex;
+    pop_locked t
+  end
 
-let length t =
-  Mutex.lock t.mutex;
-  let n = Queue.length t.queue in
-  Mutex.unlock t.mutex;
-  n
+(** Block until an element is available; [None] once the channel is
+    closed and drained.  With [~spin:true] the popper first spins for
+    up to [spin_ns], unless another popper is already spinning. *)
+let pop ?(spin = false) t =
+  if spin && Atomic.compare_and_set t.spinner false true then begin
+    spin_while t.depth 0;
+    Mutex.lock t.mutex;
+    Atomic.set t.spinner false
+  end
+  else Mutex.lock t.mutex;
+  pop_locked t
+
+let length t = Atomic.get t.depth
 
 (** Worst queue depth observed since creation. *)
 let high_water t =
@@ -119,32 +163,36 @@ let close t =
   Condition.broadcast t.nonfull;
   Mutex.unlock t.mutex
 
-(* Single-assignment synchronization cell (reply slot for API calls). *)
+(* Single-assignment synchronization cell (reply slot for API calls).
+   [value] is written once, under [mutex]; a spinning reader watches it
+   without the lock and then reads it under the lock. *)
 module Ivar = struct
   type 'a t = {
-    mutable value : 'a option;
+    value : 'a option Atomic.t;
     mutex : Mutex.t;
     filled : Condition.t;
   }
 
   let create () =
-    { value = None; mutex = Mutex.create (); filled = Condition.create () }
+    { value = Atomic.make None; mutex = Mutex.create ();
+      filled = Condition.create () }
 
   let fill t v =
     Mutex.lock t.mutex;
-    (match t.value with
+    (match Atomic.get t.value with
     | Some _ ->
       Mutex.unlock t.mutex;
       invalid_arg "Ivar.fill: already filled"
     | None ->
-      t.value <- Some v;
+      Atomic.set t.value (Some v);
       Condition.broadcast t.filled;
       Mutex.unlock t.mutex)
 
-  let read t =
+  let read ?(spin = false) t =
+    if spin then spin_while t.value None;
     Mutex.lock t.mutex;
     let rec wait () =
-      match t.value with
+      match Atomic.get t.value with
       | Some v ->
         Mutex.unlock t.mutex;
         v
@@ -155,17 +203,18 @@ module Ivar = struct
     wait ()
 
   (** [read_timeout t d] — the value, or [None] if none arrives within
-      [d] seconds.  Stdlib conditions have no timed wait, so the slow
-      path polls with exponential backoff (50µs doubling to 5ms): a
-      promptly filled ivar is picked up within microseconds, and an
-      abandoned one costs a handful of wakeups before the deadline
-      verdict.  The deadline is a floor — a value arriving just after
-      expiry may still be returned, never the reverse. *)
+      [d] seconds.  Only for a value filled from another domain: the
+      reader always spins first.  Stdlib conditions have no timed wait,
+      so the slow path polls with exponential backoff (50µs doubling to
+      5ms): an abandoned ivar costs a handful of wakeups before the
+      deadline verdict.  The deadline is a floor — a value arriving just
+      after expiry may still be returned, never the reverse. *)
   let read_timeout t d =
     let deadline = Unix.gettimeofday () +. d in
+    spin_while t.value None;
     let rec wait delay =
       Mutex.lock t.mutex;
-      match t.value with
+      match Atomic.get t.value with
       | Some v ->
         Mutex.unlock t.mutex;
         Some v

@@ -248,6 +248,8 @@ let submit_async t req =
     complete t id req refused ivar ~timing:None);
   ivar
 
+(* The worker is a thread of the caller's domain, so this wait parks
+   without spinning (docs/RUNTIME.md §6). *)
 let submit t req = Channel.Ivar.read (submit_async t req)
 
 let history t =

@@ -231,15 +231,19 @@ module Histogram = struct
     counts : int array;  (** [buckets] in-range cells. *)
     mutable underflow : int;  (** Samples below 1 µs. *)
     mutable overflow : int;  (** Samples at or above 2^24 µs. *)
-    mutable sum : float;
-    mutable vmin : float;
-    mutable vmax : float;
+    moments : float array;
+        (** [| sum; min; max |]: a flat float array, so recording a
+            sample allocates nothing. *)
     hmutex : Mutex.t;
   }
 
+  let sum t = t.moments.(0)
+  let vmin t = t.moments.(1)
+  let vmax t = t.moments.(2)
+
   let create () =
-    { counts = Array.make buckets 0; underflow = 0; overflow = 0; sum = 0.;
-      vmin = infinity; vmax = neg_infinity; hmutex = Mutex.create () }
+    { counts = Array.make buckets 0; underflow = 0; overflow = 0;
+      moments = [| 0.; infinity; neg_infinity |]; hmutex = Mutex.create () }
 
   (** Bucket index of a duration [v] in seconds: [-1] = underflow,
       [buckets] = overflow, else the in-range cell.  Non-finite and
@@ -249,11 +253,18 @@ module Histogram = struct
     let u = v *. 1e6 in
     if not (Float.is_finite u) || u < 1. then -1
     else begin
-      let m, e = Float.frexp u in
-      (* u >= 1, so e >= 1; u = m * 2^e with m in [0.5, 1). *)
-      let oct = e - 1 in
+      (* u >= 1 is normal: u = 1.f * 2^oct, read off its bits without
+         [Float.frexp]'s allocation.  The octave is the unbiased
+         exponent, the sub-bucket the top [sub_bits] of the fraction. *)
+      let bits = Int64.bits_of_float u in
+      let oct =
+        (Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff) - 1023
+      in
       if oct >= octaves then buckets
-      else (oct * sub) + int_of_float ((m -. 0.5) *. float_of_int (2 * sub))
+      else
+        (oct * sub)
+        + (Int64.to_int (Int64.shift_right_logical bits (52 - sub_bits))
+          land (sub - 1))
     end
 
   (** Closed-open bounds [(lo, hi)] of in-range bucket [i], seconds. *)
@@ -274,9 +285,9 @@ module Histogram = struct
     | -1 -> t.underflow <- t.underflow + 1
     | i when i >= buckets -> t.overflow <- t.overflow + 1
     | i -> t.counts.(i) <- t.counts.(i) + 1);
-    t.sum <- t.sum +. v;
-    if v < t.vmin then t.vmin <- v;
-    if v > t.vmax then t.vmax <- v;
+    t.moments.(0) <- sum t +. v;
+    if v < vmin t then t.moments.(1) <- v;
+    if v > vmax t then t.moments.(2) <- v;
     Mutex.unlock t.hmutex
 
   let count t =
@@ -297,9 +308,9 @@ module Histogram = struct
       Array.iteri (fun i c -> m.counts.(i) <- m.counts.(i) + c) src.counts;
       m.underflow <- m.underflow + src.underflow;
       m.overflow <- m.overflow + src.overflow;
-      m.sum <- m.sum +. src.sum;
-      if src.vmin < m.vmin then m.vmin <- src.vmin;
-      if src.vmax > m.vmax then m.vmax <- src.vmax;
+      m.moments.(0) <- sum m +. sum src;
+      if vmin src < vmin m then m.moments.(1) <- vmin src;
+      if vmax src > vmax m then m.moments.(2) <- vmax src;
       Mutex.unlock src.hmutex
     in
     add a;
@@ -324,17 +335,17 @@ module Histogram = struct
         let rank =
           Stdlib.max 1 (int_of_float (ceil (p /. 100. *. float_of_int n)))
         in
-        if rank <= t.underflow then t.vmin
+        if rank <= t.underflow then vmin t
         else begin
           let rec walk i acc =
-            if i >= buckets then t.vmax
+            if i >= buckets then vmax t
             else
               let acc = acc + t.counts.(i) in
               if acc >= rank then
                 (* Clamp into the observed range: a bucket midpoint can
                    overshoot the true max when the top sample sits low
                    in its bucket. *)
-                Float.max t.vmin (Float.min t.vmax (bucket_mid i))
+                Float.max (vmin t) (Float.min (vmax t) (bucket_mid i))
               else walk (i + 1) acc
           in
           walk 0 t.underflow
@@ -368,9 +379,9 @@ module Histogram = struct
     let in_range = Array.fold_left ( + ) 0 t.counts in
     let n = t.underflow + t.overflow + in_range in
     let e =
-      { n; sum = t.sum;
-        min = (if n = 0 then nan else t.vmin);
-        max = (if n = 0 then nan else t.vmax);
+      { n; sum = sum t;
+        min = (if n = 0 then nan else vmin t);
+        max = (if n = 0 then nan else vmax t);
         underflow = t.underflow; overflow = t.overflow; cells = !cells }
     in
     Mutex.unlock t.hmutex;

@@ -7,8 +7,15 @@
    - [Isolated]: SDNShield's thread-container architecture (§VI-A).
      Each app runs in its own unprivileged thread with a private event
      queue; every API call travels over a request channel to a pool of
-     privileged Kernel Service Deputy (KSD) threads which consult the
-     permission checker and execute the call on the app's behalf.
+     privileged Kernel Service Deputies (KSDs) which consult the
+     permission checker and execute the call on the app's behalf.  Each
+     deputy runs on its own domain, so checking and kernel execution
+     overlap with app-thread processing ("multiple instances of KSDs can
+     run in parallel"); app threads stay systhreads of the creating
+     domain, since apps can outnumber cores.  The two cross-domain waits
+     of a call, a deputy popping the request channel and an app thread
+     reading its reply, spin briefly before they park (docs/RUNTIME.md
+     §6).
 
    Reference-monitor duties at the dispatch boundary:
    - event delivery is gated by a [Receive_event] permission check;
@@ -17,16 +24,7 @@
 
 open Shield_openflow
 
-type mode =
-  | Monolithic
-  | Isolated of { ksd_threads : int }
-  | Isolated_domains of { ksd_domains : int }
-      (** Like [Isolated], but the KSD pool runs on separate domains
-          (true parallelism on OCaml 5): permission checking and kernel
-          execution overlap with app-thread processing, reproducing the
-          paper's "multiple instances of KSDs can run in parallel"
-          scalability claim.  App threads remain systhreads (apps can
-          outnumber cores). *)
+type mode = Monolithic | Isolated of { ksd_threads : int }
 
 (* Failure model (docs/RUNTIME.md): every request gets a reply, no lock
    survives an exception, and a fault in one app's call path never
@@ -104,6 +102,8 @@ type instance = {
   ev_chan : ev_item Channel.t;
   mutable thread : Thread.t option;
   mutable ctx : App.ctx option;
+  lat_app : Metrics.Histogram.t option;
+      (** [lat:app:<name>], resolved once when the runtime traces. *)
 }
 
 and ev_item = Deliver of Events.t * Channel.Latch.t option
@@ -122,6 +122,16 @@ type request =
       * (Api.result list, int * string) result Channel.Ivar.t
       * span_ctx
 
+(* A tracing runtime's span store and its [lat:*] histograms, resolved
+   once so a sampled call does no registry lookup. *)
+type lat = {
+  store : Trace.t;
+  queue : Metrics.Histogram.t;
+  check : Metrics.Histogram.t;
+  exec : Metrics.Histogram.t;
+  total : Metrics.Histogram.t;
+}
+
 type t = {
   kernel : Kernel.t;
   kmutex : Mutex.t;
@@ -129,12 +139,12 @@ type t = {
   config : config;
   mutable instances : instance list;
   reqs : request Channel.t;
-  mutable deputies : (unit -> unit) list;
-      (** Joins of the KSD pool, deputy threads or domains alike. *)
+  mutable deputies : unit Domain.t list;  (** The KSD pool. *)
   inflight_mutex : Mutex.t;
   inflight_zero : Condition.t;
   mutable inflight : int;
   counters : counters;
+  lat : lat option;  (** [Some] iff [config.trace] is. *)
   mutable rejected : (string * string) list;
       (** Apps refused at load time, with the reason. *)
 }
@@ -222,9 +232,8 @@ let decision_class = function
    [t1] and [t2] are the stamps at check start, check end and exec
    end; a queued call's wait runs from its enqueue to [t0]. *)
 let record_span t inst sc ~deputy ~call ~t0 ~t1 ~t2 decision explain =
-  match t.config.trace with
-  | None -> ()
-  | Some tr ->
+  match (t.lat, inst.lat_app) with
+  | Some l, Some app_hist ->
     let start, queue_wait =
       match sc with
       | Queued enq -> (enq, t0 -. enq)
@@ -232,15 +241,15 @@ let record_span t inst sc ~deputy ~call ~t0 ~t1 ~t2 decision explain =
     in
     let check_dur = t1 -. t0 and exec_dur = t2 -. t1 in
     let total = queue_wait +. check_dur +. exec_dur in
-    let app = inst.app.App.name in
-    Metrics.Histogram.record (Metrics.hist "lat:queue") queue_wait;
-    Metrics.Histogram.record (Metrics.hist "lat:check") check_dur;
-    Metrics.Histogram.record (Metrics.hist "lat:exec") exec_dur;
-    Metrics.Histogram.record (Metrics.hist "lat:total") total;
-    Metrics.Histogram.record (Metrics.hist ("lat:app:" ^ app)) total;
-    Trace.record tr
-      { Trace.seq = 0; app; call; deputy; start; queue_wait; check_dur;
-        exec_dur; total; decision; explain }
+    Metrics.Histogram.record l.queue queue_wait;
+    Metrics.Histogram.record l.check check_dur;
+    Metrics.Histogram.record l.exec exec_dur;
+    Metrics.Histogram.record l.total total;
+    Metrics.Histogram.record app_hist total;
+    Trace.record l.store
+      { Trace.seq = 0; app = inst.app.App.name; call; deputy; start;
+        queue_wait; check_dur; exec_dur; total; decision; explain }
+  | _ -> ()
 
 (* A group records one span, its whole duration as the check. *)
 let record_group t inst sc ~deputy ~t0 calls decision explain =
@@ -333,10 +342,11 @@ let checked_txn t inst ~deputy sc calls =
 (* Wait for a KSD reply.  Without a configured deadline this blocks
    until the deputy barrier fills the ivar; with one, an app thread can
    never hang on a request a dying deputy dropped — it surfaces
-   [on_deadline] (an [Api.Failed "deadline"]-shaped reply) instead. *)
+   [on_deadline] (an [Api.Failed "deadline"]-shaped reply) instead.
+   The deputy runs on another domain, so the wait spins first. *)
 let await_reply t ivar ~on_deadline =
   match t.config.call_deadline with
-  | None -> Channel.Ivar.read ivar
+  | None -> Channel.Ivar.read ~spin:true ivar
   | Some d -> (
     match Channel.Ivar.read_timeout ivar d with
     | Some r -> r
@@ -380,7 +390,7 @@ let make_ctx t inst : App.ctx =
       transaction =
         (fun calls ->
           checked_txn t inst ~deputy:(-1) (sample t ~inline:true) calls) }
-  | Isolated _ | Isolated_domains _ ->
+  | Isolated _ ->
     { App.app_name;
       call =
         (fun call ->
@@ -469,7 +479,7 @@ let dispatch_one ?pre t inst ev latch =
     | Monolithic ->
       handle_in_instance t inst ev;
       (match latch with Some l -> Channel.Latch.count_down l | None -> ())
-    | Isolated _ | Isolated_domains _ -> (
+    | Isolated _ -> (
       (* The increment precedes the push, so a failed push must undo it
          or [drain] waits forever on a delivery that never happened.
          [Closed] is the shutdown race (events injected after [close]);
@@ -643,6 +653,8 @@ let rec drain t =
 
 (* Threads ----------------------------------------------------------------- *)
 
+(* The event queue's producer is the dispatcher, a thread of this
+   domain, so this wait never spins. *)
 let app_thread t inst () =
   let rec loop () =
     match Channel.pop inst.ev_chan with
@@ -697,7 +709,7 @@ let serve_request t ~deputy = function
 
 let ksd_thread t deputy () =
   let rec loop () =
-    match Channel.pop t.reqs with
+    match Channel.pop ~spin:true t.reqs with
     | None -> ()
     | Some req ->
       Faults.point Faults.Deputy;
@@ -791,6 +803,13 @@ let create ?(load_check = Skip_load_check) ?(config = default_config) ~mode
           ksd_failures = Atomic.make 0; ksd_restarts = Atomic.make 0;
           deadline_expiries = Atomic.make 0;
           backpressure_rejections = Atomic.make 0 };
+      lat =
+        Option.map
+          (fun store ->
+            { store; queue = Metrics.hist "lat:queue";
+              check = Metrics.hist "lat:check"; exec = Metrics.hist "lat:exec";
+              total = Metrics.hist "lat:total" })
+          config.trace;
       rejected = [] }
   in
   let apps =
@@ -820,25 +839,28 @@ let create ?(load_check = Skip_load_check) ?(config = default_config) ~mode
           ev_chan =
             Channel.create ?capacity:config.ev_capacity
               ~policy:config.ev_policy ();
-          thread = None; ctx = None })
+          thread = None; ctx = None;
+          lat_app =
+            Option.map
+              (fun _ -> Metrics.hist ("lat:app:" ^ app.App.name))
+              config.trace })
       apps
   in
   t.instances <- instances;
   List.iter (fun inst -> inst.ctx <- Some (make_ctx t inst)) instances;
-  (* The two isolated modes differ only in what hosts a deputy. *)
-  let spawn_deputy serve =
-    match mode with
-    | Isolated_domains _ ->
-      let d = Domain.spawn serve in
-      fun () -> Domain.join d
-    | Monolithic | Isolated _ ->
-      let th = Thread.create serve () in
-      fun () -> Thread.join th
-  in
   (match mode with
   | Monolithic -> ()
-  | Isolated { ksd_threads = n } | Isolated_domains { ksd_domains = n } ->
-    t.deputies <- List.init (max 1 n) (fun i -> spawn_deputy (ksd_thread t i));
+  | Isolated { ksd_threads = n } ->
+    (* OCaml caps live domains (128 in 5.1).  A spawn that fails stops
+       the deputies already running before the failure propagates. *)
+    for i = 0 to max 1 n - 1 do
+      match Domain.spawn (ksd_thread t i) with
+      | d -> t.deputies <- d :: t.deputies
+      | exception exn ->
+        Channel.close t.reqs;
+        List.iter Domain.join t.deputies;
+        raise exn
+    done;
     List.iter
       (fun inst -> inst.thread <- Some (Thread.create (app_thread t inst) ()))
       instances;
@@ -851,7 +873,7 @@ let create ?(load_check = Skip_load_check) ?(config = default_config) ~mode
 let shutdown t =
   (match t.mode with
   | Monolithic -> ()
-  | Isolated _ | Isolated_domains _ ->
+  | Isolated _ ->
     (* Event queues first (closing wakes pushers blocked on a full
        queue as well as the app threads); the request channel only once
        the app threads — the request producers — are joined, so no
@@ -861,7 +883,7 @@ let shutdown t =
       (fun inst -> match inst.thread with Some th -> Thread.join th | None -> ())
       t.instances;
     Channel.close t.reqs;
-    List.iter (fun join -> join ()) t.deputies;
+    List.iter Domain.join t.deputies;
     List.iter Metrics.unregister_gauge (gauge_names t))
 
 let pp_fault_report ppf r =

@@ -5,10 +5,12 @@
     - [Isolated]: SDNShield's thread-container architecture (§VI-A) —
       each app in its own unprivileged thread with a private event
       queue; every API call travels over a request channel to a pool of
-      privileged Kernel Service Deputy (KSD) threads.
-    - [Isolated_domains]: the KSD pool on separate domains (true
-      parallelism on OCaml 5) — the paper's "multiple instances of KSDs
-      can run in parallel" scalability claim.
+      privileged Kernel Service Deputies (KSDs).  Each deputy runs on
+      its own domain (the paper's "multiple instances of KSDs can run
+      in parallel"); app threads are systhreads of the creating domain.
+      A deputy popping the request channel and an app thread awaiting
+      its reply spin for up to {!Channel.spin_ns} before they park, so
+      a prompt handoff skips the OS wake (docs/RUNTIME.md §6).
 
     Reference-monitor duties at the dispatch boundary: event delivery
     is gated by [Receive_event] checks, packet-in payloads are stripped
@@ -19,7 +21,8 @@
 type mode =
   | Monolithic
   | Isolated of { ksd_threads : int }
-  | Isolated_domains of { ksd_domains : int }
+      (** [ksd_threads] deputies (at least one), each on its own
+          domain. *)
 
 (** Fault-tolerance knobs (docs/RUNTIME.md).  The defaults reproduce
     the original semantics — unbounded queues, no deadline — plus
@@ -85,7 +88,11 @@ val create :
     {!default_config}), and run every surviving app's [init] through
     its mediated context.  Isolated runtimes register per-queue depth
     gauges in {!Metrics} (["queue:ksd-reqs"], ["queue:ev:<app>"]),
-    unregistered again at {!shutdown}. *)
+    unregistered again at {!shutdown}.
+
+    @raise Failure when a deputy's domain cannot be spawned (OCaml
+    5.1 hosts at most 128 domains); the deputies already spawned are
+    stopped and joined first. *)
 
 val shutdown : t -> unit
 (** Stop app threads and the KSD pool (idempotent for [Monolithic]).

@@ -89,14 +89,14 @@ let leaf_pass idx = (-idx - 1) land 1 = 1
 let leaf_clause idx = ((-idx - 1) lsr 1) - 1
 let absent = min_int (* root sentinel: token not granted *)
 
-(* How the source filter's top level shapes the explanation, mirroring
-   [Filter_eval.explain]'s four cases. *)
+(* A token's explanations, rendered once at compile time; the filter's
+   top level picks one of [Filter_eval.explain]'s four cases.  The
+   clause-indexed arrays are read at the deciding leaf's clause. *)
 type shape =
-  | Sh_true
-  | Sh_false
-  | Sh_or of string array  (* top-level disjuncts, rendered *)
-  | Sh_and of string array
-  | Sh_single of string
+  | Sh_const of Api.check_info  (* TRUE or FALSE: one account *)
+  | Sh_or of { passed : Api.check_info array; none : Api.check_info }
+  | Sh_and of { all : Api.check_info; failed : Api.check_info array }
+  | Sh_single of { passed : Api.check_info; failed : Api.check_info }
 
 let dpid_absent = min_int
 
@@ -106,12 +106,13 @@ type t = {
   on_false : int array;
   roots : int array;  (* Token.index -> node/leaf, or [absent] *)
   shapes : shape array;
+  not_granted : Api.check_info array;  (* per token *)
   env : Filter_eval.env;
   deny_missing : Api.decision array;  (* preallocated per token *)
   deny_reject : Api.decision array;
   built : build_stats;
-  mutable checks : int;
-  mutable denials : int;
+  checks : int Atomic.t;  (* bumped lock-free by concurrent checkers *)
+  denials : int Atomic.t;
 }
 
 and build_stats = { nodes : int; shared : int; collapsed : int; tokens : int }
@@ -442,16 +443,26 @@ let chain c pres ~(shape : [ `And | `Or ]) ~final =
   in
   go 0 []
 
+(* [token <tok>: <why>], as one prebuilt explanation. *)
+let info tok fmt =
+  Printf.ksprintf
+    (fun why -> { Api.explain = Some ("token " ^ tok ^ ": " ^ why) })
+    fmt
+
 (* Compile one filter, tagging leaves with the deciding top-level
    clause so the explanation falls out of the decision walk.  Clause
    order and numbering match [Filter_eval.explain]: an OR filter
    reaches leaf (true, i) iff clause i is the first passing disjunct;
    an AND filter reaches leaf (false, i) iff clause i is the first
    failing conjunct. *)
-let compile_filter b (expr : Filter.expr) : int * shape =
+let compile_filter b tok (expr : Filter.expr) : int * shape =
   match expr with
-  | Filter.True -> (enc_leaf ~pass:true ~clause:(-1), Sh_true)
-  | Filter.False -> (enc_leaf ~pass:false ~clause:(-1), Sh_false)
+  | Filter.True ->
+    ( enc_leaf ~pass:true ~clause:(-1),
+      Sh_const (info tok "filter is TRUE (unconditional grant)") )
+  | Filter.False ->
+    ( enc_leaf ~pass:false ~clause:(-1),
+      Sh_const (info tok "filter is FALSE (granted nowhere)") )
   | Filter.Or _ ->
     let cs = disjuncts expr in
     let pres = Array.of_list (List.map lower cs) in
@@ -467,7 +478,17 @@ let compile_filter b (expr : Filter.expr) : int * shape =
         in
         go 0 (Array.to_list pres)
     in
-    (root, Sh_or (Array.of_list (List.map Filter.to_string cs)))
+    let n = List.length cs in
+    ( root,
+      Sh_or
+        { passed =
+            Array.of_list
+              (List.mapi
+                 (fun i c ->
+                   info tok "clause %d/%d passed: %s" (i + 1) n
+                     (Filter.to_string c))
+                 cs);
+          none = info tok "none of %d clauses passed" n } )
   | Filter.And _ ->
     let cs = conjuncts expr in
     let pres = Array.of_list (List.map lower cs) in
@@ -483,7 +504,17 @@ let compile_filter b (expr : Filter.expr) : int * shape =
         in
         go 0 (Array.to_list pres)
     in
-    (root, Sh_and (Array.of_list (List.map Filter.to_string cs)))
+    let n = List.length cs in
+    ( root,
+      Sh_and
+        { all = info tok "all %d clauses passed" n;
+          failed =
+            Array.of_list
+              (List.mapi
+                 (fun i c ->
+                   info tok "clause %d/%d failed: %s" (i + 1) n
+                     (Filter.to_string c))
+                 cs) } )
   | e ->
     let p = lower e in
     let t = enc_leaf ~pass:true ~clause:(-1)
@@ -492,15 +523,21 @@ let compile_filter b (expr : Filter.expr) : int * shape =
       try buildc (cbuilder b [| p |]) p [] ~t:(fun _ -> t) ~f:(fun _ -> f)
       with Too_wide -> build b p ~t ~f
     in
-    (root, Sh_single (Filter.to_string e))
+    let s = Filter.to_string e in
+    ( root,
+      Sh_single
+        { passed = info tok "filter passed: %s" s;
+          failed = info tok "filter failed: %s" s } )
 
 let of_manifest ?(env = Filter_eval.pure_env) (manifest : Perm.manifest) : t =
   let b = new_builder () in
   let roots = Array.make Token.count absent in
-  let shapes = Array.make Token.count Sh_false in
+  let shapes = Array.make Token.count (Sh_const Api.no_check_info) in
   List.iter
     (fun (p : Perm.t) ->
-      let root, shape = compile_filter b p.Perm.filter in
+      let root, shape =
+        compile_filter b (Token.to_string p.Perm.token) p.Perm.filter
+      in
       roots.(Token.index p.Perm.token) <- root;
       shapes.(Token.index p.Perm.token) <- shape)
     manifest;
@@ -510,6 +547,10 @@ let of_manifest ?(env = Filter_eval.pure_env) (manifest : Perm.manifest) : t =
     on_false = Array.sub b.b_false 0 b.n;
     roots;
     shapes;
+    not_granted =
+      Array.map
+        (fun t -> info (Token.to_string t) "not granted by the manifest")
+        tok;
     env;
     deny_missing =
       Array.map
@@ -524,8 +565,8 @@ let of_manifest ?(env = Filter_eval.pure_env) (manifest : Perm.manifest) : t =
         shared = b.shared;
         collapsed = b.collapsed;
         tokens = List.length manifest };
-    checks = 0;
-    denials = 0 }
+    checks = Atomic.make 0;
+    denials = Atomic.make 0 }
 
 (* Evaluation ------------------------------------------------------------------
 
@@ -781,18 +822,18 @@ let granted t token = t.roots.(Token.index token) <> absent
    actually needs attributes: never for ungoverned or ungranted
    calls. *)
 let check t (call : Api.call) : Api.decision =
-  t.checks <- t.checks + 1;
+  Atomic.incr t.checks;
   let ti = Dispatch.token_index_of_call call in
   if ti < 0 then Api.Allow
   else
     let root = Array.unsafe_get t.roots ti in
     if root = absent then begin
-      t.denials <- t.denials + 1;
+      Atomic.incr t.denials;
       Array.unsafe_get t.deny_missing ti
     end
     else if leaf_pass (walk t (ctx_of_call call) root) then Api.Allow
     else begin
-      t.denials <- t.denials + 1;
+      Atomic.incr t.denials;
       Array.unsafe_get t.deny_reject ti
     end
 
@@ -800,7 +841,7 @@ let check_batch t (calls : Api.call array) : Api.decision array =
   let n = Array.length calls in
   if n = 0 then [||]
   else begin
-    t.checks <- t.checks + n;
+    ignore (Atomic.fetch_and_add t.checks n);
     let out = Array.make n Api.Allow in
     let denials = ref 0 in
     (* [check] inlined with the per-call bookkeeping hoisted: denials
@@ -830,55 +871,40 @@ let check_batch t (calls : Api.call array) : Api.decision array =
           end
         end
     done;
-    t.denials <- t.denials + !denials;
+    ignore (Atomic.fetch_and_add t.denials !denials);
     out
   end
 
+let ungoverned = { Api.explain = Some "no permission token governs this call" }
+
 let check_explained t (call : Api.call) : Api.decision * Api.check_info =
-  t.checks <- t.checks + 1;
-  let info explain = { Api.explain = Some explain } in
-  match Dispatch.token_of_call call with
-  | None -> (Api.Allow, info "no permission token governs this call")
-  | Some token -> (
-    let ti = Token.index token in
-    let tok = Token.to_string token in
+  Atomic.incr t.checks;
+  let ti = Dispatch.token_index_of_call call in
+  if ti < 0 then (Api.Allow, ungoverned)
+  else
     let root = t.roots.(ti) in
     if root = absent then begin
-      t.denials <- t.denials + 1;
-      ( t.deny_missing.(ti),
-        info (Printf.sprintf "token %s: not granted by the manifest" tok) )
+      Atomic.incr t.denials;
+      (t.deny_missing.(ti), t.not_granted.(ti))
     end
     else begin
       let leaf = walk t (ctx_of_call call) root in
       let pass = leaf_pass leaf in
-      let why =
+      let explain =
         match t.shapes.(ti) with
-        | Sh_true -> "filter is TRUE (unconditional grant)"
-        | Sh_false -> "filter is FALSE (granted nowhere)"
-        | Sh_or cs ->
-          let n = Array.length cs in
-          if pass then
-            Printf.sprintf "clause %d/%d passed: %s" (leaf_clause leaf + 1) n
-              cs.(leaf_clause leaf)
-          else Printf.sprintf "none of %d clauses passed" n
-        | Sh_and cs ->
-          let n = Array.length cs in
-          if pass then Printf.sprintf "all %d clauses passed" n
-          else
-            Printf.sprintf "clause %d/%d failed: %s" (leaf_clause leaf + 1) n
-              cs.(leaf_clause leaf)
-        | Sh_single s ->
-          Printf.sprintf "filter %s: %s"
-            (if pass then "passed" else "failed")
-            s
+        | Sh_const i -> i
+        | Sh_or { passed; none } ->
+          if pass then passed.(leaf_clause leaf) else none
+        | Sh_and { all; failed } ->
+          if pass then all else failed.(leaf_clause leaf)
+        | Sh_single { passed; failed } -> if pass then passed else failed
       in
-      let explain = info (Printf.sprintf "token %s: %s" tok why) in
       if pass then (Api.Allow, explain)
       else begin
-        t.denials <- t.denials + 1;
+        Atomic.incr t.denials;
         (t.deny_reject.(ti), explain)
       end
-    end)
+    end
 
 let build_stats t = t.built
-let stats t = (t.checks, t.denials)
+let stats t = (Atomic.get t.checks, Atomic.get t.denials)

@@ -37,8 +37,8 @@
     {!check} shares no mutable evaluation state between calls (each
     governed call gets one small immutable context record), so any
     number of threads may check against one automaton concurrently;
-    the [stats] counters are plain increments and best-effort under
-    races.
+    the [stats] counters are atomic, so they stay exact when domains
+    check in parallel.
 
     Decisions are bit-for-bit those of {!Filter_eval.eval} under the
     same environment (property-tested in [test/test_automaton.ml]).
@@ -92,8 +92,9 @@ val check_explained :
     top-level clause.  The automaton does not re-interpret the source
     filter to explain itself: every DAG leaf records which top-level
     clause it decides, so the walk that produced the verdict also
-    names the clause.  The rendered account matches
-    {!Filter_eval.explain}'s wording (property-tested). *)
+    names the clause.  Every account is rendered once per token at
+    compile time, so explaining a call formats nothing.  The rendered
+    account matches {!Filter_eval.explain}'s wording (property-tested). *)
 
 val granted : t -> Token.t -> bool
 (** Is a root compiled for [token]? *)

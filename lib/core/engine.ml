@@ -28,9 +28,9 @@ type t = {
       (** The manifest compiled once, at load time, into a decision
           DAG over [env]: every token decision goes through it. *)
   mutex : Mutex.t;  (** Guards stateful check/record sequences. *)
-  mutable confined : int;
+  confined : int Atomic.t;
       (** Calls denied by virtual-topology confinement, which the
-          automaton never sees. *)
+          automaton never sees; bumped on lock-free check paths. *)
 }
 
 (* Manifest compilation ----------------------------------------------------- *)
@@ -85,7 +85,7 @@ let create ?topo ?(record_state = true) ~ownership ~app_name ~cookie
   let env = Dispatch.env_of_ownership ~ownership ~cookie in
   { cookie; manifest; ownership; vtopo; record_state; env;
     automaton = Automaton.of_manifest ~env manifest;
-    mutex = Mutex.create (); confined = 0 }
+    mutex = Mutex.create (); confined = Atomic.make 0 }
 
 (* Token resolution --------------------------------------------------------- *)
 
@@ -130,7 +130,7 @@ let confinement_info =
          datapath outside the app's big-switch view" }
 
 let confine t r =
-  t.confined <- t.confined + 1;
+  Atomic.incr t.confined;
   r
 
 let check_unlocked t call =
@@ -390,4 +390,5 @@ let checker (t : t) : Api.checker =
 
 let stats t =
   let checks, denials = Automaton.stats t.automaton in
-  (checks + t.confined, denials + t.confined)
+  let confined = Atomic.get t.confined in
+  (checks + confined, denials + confined)

@@ -280,6 +280,104 @@ let test_explanations_basic () =
         true (explanations_agree m call))
     calls
 
+(* The accounts [check_explained] renders once per token at compile
+   time go through [explanations_agree] for every (token, clause,
+   outcome) of the example manifests and the bundled apps' manifests
+   that some call reaches ([Diff.find_call] synthesizes the call),
+   every ungranted token, and an ungoverned call. *)
+let rec disjuncts = function
+  | Filter.Or (a, b) -> disjuncts a @ disjuncts b
+  | e -> [ e ]
+
+let rec conjuncts = function
+  | Filter.And (a, b) -> conjuncts a @ conjuncts b
+  | e -> [ e ]
+
+(* One goal per leaf a filter's explanation distinguishes (deciding
+   clause and outcome): the attributes that reach that leaf. *)
+let leaves (f : Filter.expr) =
+  let ev c a = Filter_eval.eval Filter_eval.pure_env c a in
+  let before i cs = List.filteri (fun j _ -> j < i) cs in
+  match f with
+  | Filter.True | Filter.False -> [ (fun _ -> true) ]
+  | Filter.Or _ ->
+    let cs = disjuncts f in
+    (fun a -> not (List.exists (fun c -> ev c a) cs))
+    :: List.mapi
+         (fun i c a ->
+           ev c a && not (List.exists (fun c -> ev c a) (before i cs)))
+         cs
+  | Filter.And _ ->
+    let cs = conjuncts f in
+    (fun a -> List.for_all (fun c -> ev c a) cs)
+    :: List.mapi
+         (fun i c a ->
+           (not (ev c a)) && List.for_all (fun c -> ev c a) (before i cs))
+         cs
+  | e -> [ ev e; (fun a -> not (ev e a)) ]
+
+let example_manifests () =
+  let read name =
+    match
+      List.find_opt Sys.file_exists
+        [ Filename.concat "examples" name; Filename.concat "../examples" name ]
+    with
+    | Some path -> In_channel.with_open_text path In_channel.input_all
+    | None -> Alcotest.failf "example %s not found" name
+  in
+  List.map
+    (fun name -> (name, manifest (read name)))
+    [ "lint/clean.manifest"; "lint/dirty.manifest"; "verify/clean.manifest";
+      "verify/dirty.manifest"; "verify/overtruncated.manifest" ]
+  @ List.map
+      (fun (name, src) -> (name, manifest src))
+      [ ("l2_switch", Shield_apps.L2_switch.manifest_src);
+        ("firewall", Shield_apps.Firewall.manifest_src);
+        ("routing", Shield_apps.Routing.manifest_src);
+        ("alto", Shield_apps.Alto.alto_manifest_src);
+        ("te", Shield_apps.Alto.te_manifest_src) ]
+  @
+  (* Its stubs bound as deployed: the engine refuses open macros. *)
+  let open Shield_apps.Monitoring in
+  match
+    Reconcile.run_strings ~app_name:"monitoring" ~manifest_src
+      ~policy_src:
+        (policy_src ~switches:[ 1; 2; 3 ] ~admin_subnet:"10.1.0.0"
+           ~admin_mask:"255.255.0.0")
+  with
+  | Ok (m, _) -> [ ("monitoring", m) ]
+  | Error e -> Alcotest.fail e
+
+let test_explanation_text () =
+  let reached = ref 0 and unreached = ref 0 and wrong = ref [] in
+  let expect name m call =
+    incr reached;
+    if not (explanations_agree m call) then
+      wrong := Fmt.str "%s: %a" name Api.pp_call call :: !wrong
+  in
+  let find name m ~filters token goal =
+    match Diff.find_call ~filters token ~goal with
+    | Some (call, _) -> expect name m call
+    | None -> incr unreached
+  in
+  List.iter
+    (fun (name, m) ->
+      List.iter
+        (fun token ->
+          if Perm.grants_token m token then
+            let f = Perm.filter_of m token in
+            List.iter (find name m ~filters:[ f ] token) (leaves f)
+          else find name m ~filters:[] token (fun _ -> true))
+        Token.all;
+      expect name m (Api.Publish_event { tag = "t"; payload = "" }))
+    (example_manifests ());
+  Alcotest.(check (list string)) "accounts that differ" [] (List.rev !wrong);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d accounts compared, %d leaves no call reaches"
+       !reached !unreached)
+    true
+    (!reached > 10 * !unreached)
+
 (* Stateful oracle ---------------------------------------------------------
 
    An engine with recording on against a reference that decides with
@@ -427,7 +525,9 @@ let suite =
       test_stateful_ownership;
     Alcotest.test_case "batch = single on workload trace" `Quick
       test_batch_matches_single_on_trace;
-    Alcotest.test_case "explanations match (unit)" `Quick test_explanations_basic ]
+    Alcotest.test_case "explanations match (unit)" `Quick test_explanations_basic;
+    Alcotest.test_case "explanation text = per-call formatting" `Quick
+      test_explanation_text ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qsuite
 
 (* The engine against the [Filter_eval] oracle, stateless and with

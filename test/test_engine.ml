@@ -297,6 +297,37 @@ let test_vtopo_check_confines_to_vswitch () =
     (Engine.check e (insert ~dpid:Filter_eval.virtual_big_switch_dpid ()));
   Test_util.check_deny "physical hidden" (Engine.check e (insert ~dpid:1 ()))
 
+(* Deputy domains and the dispatcher check against one engine in
+   parallel, so its counters must not lose updates: two domains each
+   make 100k lock-free checks (allowed, denied by the automaton,
+   confined by the virtual topology) and the totals are exact. *)
+let test_stats_exact_across_domains () =
+  let _topo, e = vtopo_engine () in
+  let calls =
+    [| Api.Read_stats (Stats.request Stats.Flow_level);
+       Api.Syscall (Api.Spawn_process "sh");
+       Api.Read_flow_table { dpid = Some 1; pattern = None } |]
+  in
+  let n = 100_000 and ready = Atomic.make 0 in
+  let checker () =
+    (* Start together, so the two runs overlap. *)
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    let denials = ref 0 in
+    for i = 0 to n - 1 do
+      match Engine.check e calls.(i mod 3) with
+      | Api.Deny _ -> incr denials
+      | Api.Allow -> ()
+    done;
+    !denials
+  in
+  let d1 = Domain.spawn checker and d2 = Domain.spawn checker in
+  let denials = Domain.join d1 + Domain.join d2 in
+  Alcotest.(check (pair int int)) "(checks, denials)" (2 * n, denials)
+    (Engine.stats e)
+
 let test_vtopo_flow_translation () =
   let _topo, e = vtopo_engine () in
   (* The big switch's external ports are the three host ports, sorted:
@@ -428,6 +459,8 @@ let suite =
     Alcotest.test_case "vet: topology switch set" `Quick test_vet_topology_switch_set;
     Alcotest.test_case "vet: stats by switch" `Quick test_vet_stats_by_switch;
     Alcotest.test_case "vtopo: confinement" `Quick test_vtopo_check_confines_to_vswitch;
+    Alcotest.test_case "stats exact across domains" `Quick
+      test_stats_exact_across_domains;
     Alcotest.test_case "vtopo: flow translation" `Quick test_vtopo_flow_translation;
     Alcotest.test_case "vtopo: topology view" `Quick test_vtopo_topology_view;
     Alcotest.test_case "vtopo: stats aggregation" `Quick test_vtopo_stats_aggregation;

@@ -1,4 +1,4 @@
-(* Tests for the runtime extensions: domain-parallel KSD pool,
+(* Tests for the runtime extensions: the domain-hosted KSD pool,
    load-time access control (§VIII-B), and the observer channel wiring
    flow expirations into the ownership store. *)
 
@@ -13,7 +13,7 @@ let pkt_in ?(dpid = 1) () =
     { Message.dpid; in_port = 1; packet = Packet.arp ~src:0xA ~dst:0xB ();
       reason = Message.No_match; buffer_id = None }
 
-(* Domain-parallel KSDs --------------------------------------------------------- *)
+(* Domain-hosted KSDs ----------------------------------------------------------- *)
 
 let test_domains_mode_basic () =
   let topo = Topology.linear 2 in
@@ -32,7 +32,7 @@ let test_domains_mode_basic () =
   in
   let rt =
     Runtime.create
-      ~mode:(Runtime.Isolated_domains { ksd_domains = 2 })
+      ~mode:(Runtime.Isolated { ksd_threads = 2 })
       kernel
       [ (app, Api.allow_all) ]
   in
@@ -57,7 +57,7 @@ let test_domains_mode_async_drain () =
   in
   let rt =
     Runtime.create
-      ~mode:(Runtime.Isolated_domains { ksd_domains = 1 })
+      ~mode:(Runtime.Isolated { ksd_threads = 1 })
       kernel
       [ (app, Api.allow_all) ]
   in
@@ -98,7 +98,7 @@ let test_domains_mode_with_engine () =
   in
   let rt =
     Runtime.create
-      ~mode:(Runtime.Isolated_domains { ksd_domains = 2 })
+      ~mode:(Runtime.Isolated { ksd_threads = 2 })
       kernel [ (app, checker) ]
   in
   Runtime.feed_sync rt (pkt_in ());
@@ -106,6 +106,115 @@ let test_domains_mode_with_engine () =
   match !results with
   | [ Api.Done; Api.Denied _ ] -> ()
   | rs -> Alcotest.failf "unexpected: %a" Fmt.(list Api.pp_result) rs
+
+(* Spin-then-park hand-offs (docs/RUNTIME.md §6) ------------------------------------ *)
+
+let busy_us us =
+  let until = Metrics.now () +. (float_of_int us *. 1e-6) in
+  while Metrics.now () < until do
+    ()
+  done
+
+(* A checker whose [check] busy-waits 0–30 µs, so replies land on both
+   sides of the spin bound, and which echoes each call's tag back as
+   its result. *)
+let echo_checker =
+  { Api.allow_all with
+    check =
+      (fun call ->
+        (match call with
+        | Api.Publish_event { payload; _ } ->
+          busy_us (int_of_string payload * 7 mod 31)
+        | _ -> ());
+        Api.Allow);
+    vet_result =
+      (fun call r ->
+        match call with
+        | Api.Publish_event { payload; _ } -> Api.Payload payload
+        | _ -> r) }
+
+(* 20k tagged calls of one app against two deputies, with no deadline
+   and with a 1 s one: every call gets its own result exactly once,
+   nothing expires, and no safety net fires.  The first 10k come from
+   a lone caller pausing 0–30 µs between calls, which lands requests on
+   both sides of a deputy's spin, where a lost wake-up would strand a
+   request; the other 10k from four back-to-back callers, which queue
+   requests behind the spinner. *)
+let test_handoff_stress () =
+  List.iter
+    (fun call_deadline ->
+      let label = if call_deadline = None then "no deadline" else "deadline 1s" in
+      let rt =
+        Runtime.create
+          ~config:{ Runtime.default_config with Runtime.call_deadline }
+          ~mode:(Runtime.Isolated { ksd_threads = 2 })
+          (Kernel.create (Dataplane.create (Topology.linear 2)))
+          [ (App.make "echo", echo_checker) ]
+      in
+      let ctx = Runtime.instance_ctx rt "echo" in
+      let wrong = Atomic.make 0 in
+      let calls ~pause first n () =
+        for i = first to first + n - 1 do
+          if pause then busy_us (i * 13 mod 31);
+          let tag = string_of_int i in
+          match ctx.App.call (Api.Publish_event { tag = "stress"; payload = tag }) with
+          | Api.Payload p when p = tag -> ()
+          | _ -> Atomic.incr wrong
+        done
+      in
+      calls ~pause:true 0 10_000 ();
+      List.iter Thread.join
+        (List.init 4 (fun c ->
+             Thread.create (calls ~pause:false (10_000 + (c * 2_500)) 2_500) ()));
+      Runtime.shutdown rt;
+      let served, _, _, _ = Runtime.stats rt in
+      Alcotest.(check int) (label ^ ": calls served") 20_000 served;
+      Alcotest.(check int) (label ^ ": replies not the call's own") 0
+        (Atomic.get wrong);
+      Alcotest.(check bool) (label ^ ": no safety net fired") true
+        (Runtime.fault_report rt
+         = { Runtime.failures = 0; restarts = 0; deadlines = 0; rejections = 0 }))
+    [ Some 1.0; None ]
+
+(* A spin that never parked would burn a core while the runtime idles. *)
+let test_idle_runtime_parks () =
+  let rt =
+    Runtime.create
+      ~mode:(Runtime.Isolated { ksd_threads = 2 })
+      (Kernel.create (Dataplane.create (Topology.linear 2)))
+      [ (App.make "idle", Api.allow_all) ]
+  in
+  let ctx = Runtime.instance_ctx rt "idle" in
+  for _ = 1 to 1_000 do
+    ignore (ctx.App.call Api.Read_topology)
+  done;
+  let c0 = Sys.time () in
+  Thread.delay 0.2;
+  let cpu = Sys.time () -. c0 in
+  Runtime.shutdown rt;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f ms of CPU in 200 ms idle" (cpu *. 1e3))
+    true (cpu < 0.02)
+
+(* OCaml 5.1 hosts at most 128 domains: a pool that cannot be spawned
+   raises, after stopping the deputies it did spawn. *)
+let test_deputy_spawn_failure () =
+  let mk n =
+    Runtime.create
+      ~mode:(Runtime.Isolated { ksd_threads = n })
+      (Kernel.create (Dataplane.create (Topology.linear 2)))
+      [ (App.make "spawn", Api.allow_all) ]
+  in
+  (match mk 200 with
+  | rt ->
+    Runtime.shutdown rt;
+    Alcotest.fail "200 deputy domains spawned"
+  | exception Failure _ -> ());
+  let rt = mk 2 in
+  let r = (Runtime.instance_ctx rt "spawn").App.call Api.Read_topology in
+  Runtime.shutdown rt;
+  Alcotest.(check bool) "a later runtime serves calls" true
+    (match r with Api.Topology_of _ -> true | _ -> false)
 
 (* Load-time access control ------------------------------------------------------ *)
 
@@ -255,6 +364,9 @@ let suite =
   [ Alcotest.test_case "domains: basic dispatch" `Quick test_domains_mode_basic;
     Alcotest.test_case "domains: async drain" `Quick test_domains_mode_async_drain;
     Alcotest.test_case "domains: with engine" `Quick test_domains_mode_with_engine;
+    Alcotest.test_case "hand-off: 20k tagged calls" `Quick test_handoff_stress;
+    Alcotest.test_case "hand-off: idle runtime parks" `Quick test_idle_runtime_parks;
+    Alcotest.test_case "deputy spawn failure" `Quick test_deputy_spawn_failure;
     Alcotest.test_case "load-time: reject" `Quick test_load_time_reject;
     Alcotest.test_case "load-time: subscription" `Quick test_load_time_subscription_check;
     Alcotest.test_case "load-time: warn keeps app" `Quick test_load_time_warn_keeps_app;
