@@ -237,8 +237,7 @@ let run () =
 
 (* Smoke gate ------------------------------------------------------------- *)
 
-let failures = ref []
-let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt
+let fail = Bench_util.fail
 
 (** Automaton, Engine and batched Automaton each decide as the
     [Filter_eval] oracle, call-for-call on [m]. *)
@@ -278,7 +277,7 @@ let read_example name =
          (fun () -> really_input_string ic (in_channel_length ic)))
 
 let smoke () =
-  Bench_util.hr "Automaton: smoke";
+  Bench_util.start_gate ~title:"Automaton: smoke" "automaton-smoke" 120.;
   (* 1. Equivalence over the generated corpus: every complexity × focus
      shape, with a violation rate high enough to exercise denials. *)
   List.iter
@@ -313,7 +312,7 @@ let smoke () =
         m
         (Array.map fst (Api_trace.generate_mixed ~violation_rate:0.3 ~n:2048 ()))));
   Fmt.pr "equivalence (Filter_eval = automaton = engine = batched): %s@."
-    (if !failures = [] then "ok" else "FAIL");
+    (if !Bench_util.failures = [] then "ok" else "FAIL");
   (* 3. Conservative single-core throughput floor on the uniform
      workload — catches an automaton that silently fell back to
      something interpretive, not a benchmark. *)
@@ -324,8 +323,4 @@ let smoke () =
   Fmt.pr "uniform single-core throughput: %.2f M ops/s (floor 1.00)@."
     (ops /. 1e6);
   if ops < 1e6 then fail "throughput %.2f M ops/s under the 1M floor" (ops /. 1e6);
-  match !failures with
-  | [] -> Fmt.pr "smoke ok@."
-  | fs ->
-    List.iter (fun f -> Fmt.epr "smoke FAILURE: %s@." f) fs;
-    exit 1
+  Bench_util.report "automaton-smoke"

@@ -147,3 +147,42 @@ let write_json path (j : Json.t) =
       output_string oc (Json.to_string j);
       output_char oc '\n');
   Fmt.pr "@.wrote %s@." path
+
+(* Gate harness -------------------------------------------------------------
+
+   Every correctness gate has one shape: a watchdog, the failures its
+   checks record, and a tail that prints the gate's [ok] line or its
+   [FAILURE] lines. *)
+
+(** Exit 3, naming [gate], if the process still runs after [seconds]:
+    a hang is the bug most gates exist to catch, and a loud exit beats
+    a stuck CI job.  The thread dies with the process on success. *)
+let arm_watchdog gate seconds =
+  ignore
+    (Thread.create
+       (fun () ->
+         Thread.delay seconds;
+         Fmt.epr "%s WATCHDOG: still running after %.0fs@." gate seconds;
+         exit 3)
+       ())
+
+(** The running gate's failures, newest first. *)
+let failures : string list ref = ref []
+
+let fail fmt = Shield_workload.Drill.flag failures fmt
+
+(** Open a gate: print [title], arm the watchdog, clear the failures. *)
+let start_gate ~title gate seconds =
+  hr title;
+  arm_watchdog gate seconds;
+  failures := []
+
+(** Close a gate: [gate ok] followed by [detail] when no check failed;
+    otherwise one [gate FAILURE: …] line per failure, in the order the
+    checks recorded them, and exit 1. *)
+let report ?(detail = "") gate =
+  match List.rev !failures with
+  | [] -> Fmt.pr "%s ok%s@." gate detail
+  | fs ->
+    List.iter (Fmt.epr "%s FAILURE: %s@." gate) fs;
+    exit 1

@@ -27,8 +27,7 @@ open Sdnshield
 module Hostile = Shield_workload.Hostile_gen
 module J = Bench_util.Json
 
-let failures = ref []
-let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt
+let fail = Bench_util.fail
 
 (* The runtest rule runs from _build/default/bench; `dune exec
    bench/main.exe` usually runs from the repo root.  Try both. *)
@@ -260,18 +259,6 @@ let check_hostile ~seeds =
 
 (* Harness ----------------------------------------------------------------- *)
 
-let arm_watchdog seconds =
-  ignore
-    (Thread.create
-       (fun () ->
-         Thread.delay seconds;
-         Fmt.epr
-           "diff-lab WATCHDOG: still running after %.0fs — the difference \
-            analysis hung on the corpus@."
-           seconds;
-         exit 3)
-       ())
-
 let emit_json ~gate ~slack_cert ~clean_dt ~repaired_dt ~slack_dt =
   let s = Verify.stats () in
   let slack_witnesses =
@@ -299,20 +286,7 @@ let emit_json ~gate ~slack_cert ~clean_dt ~repaired_dt ~slack_dt =
                ("dirty_repaired", J.Float (repaired_dt *. 1e6));
                ("overtruncated", J.Float (slack_dt *. 1e6)) ] ) ])
 
-let report_outcome ~gate failures =
-  match failures with
-  | [] ->
-    Fmt.pr
-      "%s ok: honest repairs certify Minimal, over-truncation yields \
-       confirmed Slack, exhaustion degrades to Unknown without a false \
-       Empty@."
-      gate
-  | fs ->
-    List.iter (fun f -> Fmt.epr "%s FAILURE: %s@." gate f) fs;
-    exit 1
-
 let run_checks ~gate ~hostile_seeds =
-  failures := [];
   Verify.reset_stats ();
   let clean_dt, repaired_dt = check_minimal_corpora () in
   let slack_cert, slack_dt = check_overtruncated () in
@@ -320,16 +294,18 @@ let run_checks ~gate ~hostile_seeds =
   check_diff_direction ();
   if hostile_seeds > 0 then check_hostile ~seeds:hostile_seeds;
   emit_json ~gate ~slack_cert ~clean_dt ~repaired_dt ~slack_dt;
-  !failures
+  Bench_util.report gate
+    ~detail:
+      ": honest repairs certify Minimal, over-truncation yields confirmed \
+       Slack, exhaustion degrades to Unknown without a false Empty"
 
 let run () =
-  Bench_util.hr "symbolic diff: minimality certification on the corpus";
-  arm_watchdog 300.;
-  report_outcome ~gate:"diff-lab" (run_checks ~gate:"diff-lab" ~hostile_seeds:12)
+  Bench_util.start_gate
+    ~title:"symbolic diff: minimality certification on the corpus" "diff-lab"
+    300.;
+  run_checks ~gate:"diff-lab" ~hostile_seeds:12
 
 (** Tier-1 gate: same invariants, smaller hostile sweep. *)
 let smoke () =
-  Bench_util.hr "symbolic diff: smoke";
-  arm_watchdog 120.;
-  report_outcome ~gate:"diff-smoke"
-    (run_checks ~gate:"diff-smoke" ~hostile_seeds:2)
+  Bench_util.start_gate ~title:"symbolic diff: smoke" "diff-smoke" 120.;
+  run_checks ~gate:"diff-smoke" ~hostile_seeds:2

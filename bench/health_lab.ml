@@ -2,7 +2,8 @@
    under injected lifecycle faults (docs/OBSERVABILITY.md).
 
    `health-smoke` is the tier-1 gate for the control-plane
-   observability chain, end to end:
+   observability chain, end to end, on the observed market of
+   [Shield_workload.Drill] (which `sdnshield health` also runs):
 
    - a clean churn phase must judge Healthy;
    - churn with the mid-swap fault sites armed must degrade the
@@ -18,153 +19,60 @@
      the new metric families. *)
 
 open Shield_controller
-open Sdnshield
-
-let arm_watchdog seconds =
-  ignore
-    (Thread.create
-       (fun () ->
-         Thread.delay seconds;
-         Fmt.epr "health-smoke WATCHDOG: still running after %.0fs@." seconds;
-         exit 3)
-       ())
-
-let run_churn m ~txns ~apps ~invalid ~seed =
-  let script =
-    Shield_workload.Churn_gen.script ~seed ~apps ~invalid_fraction:invalid
-      ~length:txns ()
-  in
-  List.iter
-    (fun (e : Shield_workload.Churn_gen.entry) ->
-      ignore (Market.submit m e.Shield_workload.Churn_gen.request))
-    script
-
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
+module Drill = Shield_workload.Drill
 
 let smoke () =
-  Bench_util.hr "Health: smoke";
-  arm_watchdog 120.;
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let hclock = ref 0. in
-  let health = Health.create ~clock:(fun () -> !hclock) () in
-  let trace = Trace.create () in
-  let flight = Forensics.Flight.create ~capacity:64 ~trace () in
-  Faults.set_observer (fun _ -> Health.fault health);
-  let t =
-    match Epoch.create ~policy:"" () with
-    | Ok t -> t
-    | Error e -> failwith ("health-smoke: policy rejected: " ^ e)
-  in
-  let m = Epoch.market ~trace ~health ~flight t in
+  Bench_util.start_gate ~title:"Health: smoke" "health-smoke" 120.;
+  let fail = Bench_util.fail in
+  (* Every rollback's bundle is checked, so the recorder keeps them
+     all: the faulted phase rolls back more than the default 16. *)
+  let o = Drill.observe ~flight_capacity:64 (Trace.create ()) in
   Fun.protect
-    ~finally:(fun () ->
-      Faults.disarm ();
-      Faults.clear_observer ())
+    ~finally:(fun () -> Drill.close_observed o)
     (fun () ->
       (* Phase A: clean churn judges Healthy. *)
-      run_churn m ~txns:20 ~apps:10 ~invalid:0. ~seed:11;
-      let v = Health.verdict health in
+      let v = Drill.phase o ~seed:11 ~apps:10 ~txns:20 () in
       if v.Health.status <> Health.Healthy then
         fail "clean churn judged %s, expected healthy"
           (Health.status_to_string v.Health.status);
-      (* Phase B: armed mid-swap faults degrade the verdict with a
-         named cause, and the snapshot exposition taken *during* the
-         incident carries every new metric family. *)
-      Faults.configure ~seed:7 ~swap_verify:0.1 ~swap_compile:0.1
-        ~swap_publish:0.1 ();
-      run_churn m ~txns:40 ~apps:10 ~invalid:0. ~seed:12;
-      Faults.disarm ();
-      let injected =
-        List.exists (fun (_, n) -> n > 0) (Faults.report ())
-      in
-      if not injected then
-        fail "fault schedule injected nothing at 0.1 per swap site";
-      let v_fault = Health.verdict health in
-      if v_fault.Health.status = Health.Healthy then
-        fail "health stayed healthy under injected faults";
-      if
-        not
-          (List.exists
-             (fun (c : Health.cause) -> c.Health.cause_signal = "faults")
-             v_fault.Health.causes)
-      then fail "degraded verdict has no 'faults' cause";
+      (* Phase B: armed mid-swap faults degrade the verdict, and the
+         snapshot exposition taken *during* the incident carries every
+         new metric family. *)
+      let v_fault = Drill.phase o ~faulted:true ~seed:12 ~apps:10 ~txns:40 () in
+      if not (List.exists (fun (_, n) -> n > 0) (Faults.report ())) then
+        fail "fault schedule injected nothing at %g per swap site"
+          Drill.incident_rate;
       let prom =
-        Telemetry.to_prometheus (Telemetry.snapshot ~trace ~health ())
+        Telemetry.to_prometheus
+          (Telemetry.snapshot ~trace:o.Drill.trace ~health:o.Drill.health ())
       in
       (match Telemetry.validate_prometheus prom with
       | Ok () -> ()
       | Error e -> fail "Prometheus exposition invalid: %s" e);
       List.iter
         (fun family ->
-          if not (contains ~sub:family prom) then
+          if not (Drill.contains ~sub:family prom) then
             fail "Prometheus exposition lacks %s" family)
         [ "sdnshield_health_status"; "sdnshield_health_window_seconds";
           "sdnshield_health_signal"; "sdnshield_health_cause_level";
           "sdnshield_trace_txn_spans" ];
-      (* Flight recorder: every fault-injected rollback left a bundle
-         naming the failed stage. *)
-      let ledger = Market.history m in
+      (* Phase C: the window slides past the incident; the verdict
+         recovers with no restart.  The incident left its named cause
+         and its flight bundles, and the span trail is the ledger. *)
+      Drill.slide o;
+      let v_slid = Health.verdict o.Drill.health in
+      List.iter (fail "%s")
+        (Drill.incident_violations o ~during:v_fault ~after:v_slid);
+      List.iter (fail "%s") (Drill.violations o);
       let rollbacks =
         List.filter
           (fun (txn : Market.txn) -> not (Market.committed txn.Market.outcome))
-          ledger
+          (Market.history o.Drill.market.Drill.queue)
       in
-      let bundles = Forensics.Flight.bundles flight in
-      if bundles = [] && rollbacks <> [] then
-        fail "%d rollbacks left no flight bundle" (List.length rollbacks);
-      List.iter
-        (fun (b : Forensics.Flight.bundle) ->
-          match b.Forensics.Flight.txn with
-          | None -> fail "flight bundle #%d has no transaction span" b.bseq
-          | Some s -> (
-            match s.Trace.verdict with
-            | Trace.Txn_rolled_back { stage; _ } ->
-              if not (contains ~sub:stage b.Forensics.Flight.reason) then
-                fail "bundle #%d reason %S does not name stage %s" b.bseq
-                  b.Forensics.Flight.reason stage
-            | Trace.Txn_committed _ ->
-              fail "flight bundle #%d captured a committed transaction" b.bseq))
-        bundles;
-      (* Span trail = ledger: same ids, verdicts, failed stages. *)
-      let trail = Trace.txn_spans trace in
-      if List.length trail <> List.length ledger then
-        fail "span trail has %d entries, ledger %d" (List.length trail)
-          (List.length ledger);
-      List.iter
-        (fun (txn : Market.txn) ->
-          match
-            List.find_opt
-              (fun (s : Trace.txn_span) -> s.Trace.id = txn.Market.id)
-              trail
-          with
-          | None -> fail "transaction %d has no span" txn.Market.id
-          | Some s -> (
-            match (txn.Market.outcome, s.Trace.verdict) with
-            | Market.Committed { epoch; _ }, Trace.Txn_committed _ ->
-              if s.Trace.epoch_after <> epoch then
-                fail "txn %d: span epoch %d <> ledger epoch %d" txn.Market.id
-                  s.Trace.epoch_after epoch
-            | Market.Rolled_back { stage; _ }, Trace.Txn_rolled_back v ->
-              if v.stage <> stage then
-                fail "txn %d: span stage %s <> ledger stage %s" txn.Market.id
-                  v.stage stage
-            | _ ->
-              fail "txn %d: span and ledger disagree on commit/rollback"
-                txn.Market.id))
-        ledger;
-      (* Phase C: the window slides past the incident; the verdict
-         recovers with no restart, and clean churn keeps it healthy. *)
-      hclock := !hclock +. Health.window health +. 1.;
-      let v_slid = Health.verdict health in
-      if v_slid.Health.status <> Health.Healthy then
-        fail "verdict still %s after the window slid past the faults"
-          (Health.status_to_string v_slid.Health.status);
-      run_churn m ~txns:10 ~apps:10 ~invalid:0. ~seed:13;
-      let v_final = Health.verdict health in
+      let bundles = Forensics.Flight.bundles o.Drill.flight in
+      let trail = Trace.txn_spans o.Drill.trace in
+      (* Clean churn keeps it healthy. *)
+      let v_final = Drill.phase o ~seed:13 ~apps:10 ~txns:10 () in
       if v_final.Health.status <> Health.Healthy then
         fail "post-recovery clean churn judged %s"
           (Health.status_to_string v_final.Health.status);
@@ -175,12 +83,5 @@ let smoke () =
         (Health.status_to_string v_fault.Health.status)
         (Health.status_to_string v_slid.Health.status)
         (Health.status_to_string v_final.Health.status)
-        (List.length rollbacks) (List.length bundles)
-        (List.length trail));
-  Market.shutdown m;
-  Epoch.close t;
-  match !failures with
-  | [] -> Fmt.pr "health-smoke ok@."
-  | fs ->
-    List.iter (fun f -> Fmt.epr "health-smoke FAILURE: %s@." f) fs;
-    exit 1
+        (List.length rollbacks) (List.length bundles) (List.length trail));
+  Bench_util.report "health-smoke"

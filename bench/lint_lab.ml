@@ -22,8 +22,7 @@ module Hostile = Shield_workload.Hostile_gen
 module Pgen = Shield_workload.Perm_gen
 module Json = Shield_controller.Telemetry.Json
 
-let failures = ref []
-let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt
+let fail = Bench_util.fail
 
 (* The runtest rule runs from _build/default/bench; `dune exec
    bench/main.exe` usually runs from the repo root.  Try both. *)
@@ -180,19 +179,15 @@ let check_budget_degradation () =
 
 (* Harness --------------------------------------------------------------------- *)
 
-let arm_watchdog seconds =
-  ignore
-    (Thread.create
-       (fun () ->
-         Thread.delay seconds;
-         Fmt.epr
-           "lint-lab WATCHDOG: still running after %.0fs — lint hung on the \
-            corpus@."
-           seconds;
-         exit 3)
-       ())
-
-let report_outcome ~gate failures =
+let run_checks ~gate ~seeds ~trace_n =
+  Lint.reset_counters ();
+  let _, trace = Pgen.over_privileged ~n:trace_n () in
+  let dirty_policy_findings = check_dirty_corpus ~trace in
+  check_generated_corpus ~seeds ~trace;
+  check_over_privileged ~n:trace_n;
+  check_clean_corpus ~trace;
+  check_sarif_roundtrip dirty_policy_findings;
+  check_budget_degradation ();
   Fmt.pr "@.lint counters:@.";
   List.iter (fun (name, n) -> Fmt.pr "  %-36s %d@." name n) (Lint.stats ());
   let module J = Bench_util.Json in
@@ -202,32 +197,16 @@ let report_outcome ~gate failures =
          ("corpus", J.Str "examples/lint dirty/clean + hostile seeds");
          ( "rule_counters",
            J.Obj (List.map (fun (name, n) -> (name, J.Int n)) (Lint.stats ())) );
-         ("failures", J.Int (List.length failures)) ]);
-  match failures with
-  | [] -> Fmt.pr "%s ok: rule coverage, clean corpus and renderers hold@." gate
-  | fs ->
-    List.iter (fun f -> Fmt.epr "%s FAILURE: %s@." gate f) fs;
-    exit 1
-
-let run_checks ~seeds ~trace_n =
-  failures := [];
-  Lint.reset_counters ();
-  let _, trace = Pgen.over_privileged ~n:trace_n () in
-  let dirty_policy_findings = check_dirty_corpus ~trace in
-  check_generated_corpus ~seeds ~trace;
-  check_over_privileged ~n:trace_n;
-  check_clean_corpus ~trace;
-  check_sarif_roundtrip dirty_policy_findings;
-  check_budget_degradation ();
-  !failures
+         ("failures", J.Int (List.length !Bench_util.failures)) ]);
+  Bench_util.report gate ~detail:": rule coverage, clean corpus and renderers hold"
 
 let run () =
-  Bench_util.hr "Shield-lint: rule coverage on the dirty/clean corpus";
-  arm_watchdog 300.;
-  report_outcome ~gate:"lint-lab" (run_checks ~seeds:16 ~trace_n:512)
+  Bench_util.start_gate
+    ~title:"Shield-lint: rule coverage on the dirty/clean corpus" "lint-lab"
+    300.;
+  run_checks ~gate:"lint-lab" ~seeds:16 ~trace_n:512
 
 (** Tier-1 gate: same invariants, smaller volume. *)
 let smoke () =
-  Bench_util.hr "Shield-lint: smoke";
-  arm_watchdog 120.;
-  report_outcome ~gate:"lint-smoke" (run_checks ~seeds:3 ~trace_n:64)
+  Bench_util.start_gate ~title:"Shield-lint: smoke" "lint-smoke" 120.;
+  run_checks ~gate:"lint-smoke" ~seeds:3 ~trace_n:64

@@ -30,12 +30,17 @@
 
    `market-lab` prints the full report; `market-smoke` is the tier-1
    gate (smaller volume, same invariants including the p99 bound, a
-   watchdog turns a hang into exit 3). *)
+   watchdog turns a hang into exit 3).  Phase 3 runs on the observed
+   market of [Shield_workload.Drill], the one `sdnshield market-demo`
+   runs, so it also checks the span trail against the ledger and the
+   health and flight-recorder chain of the injected incident. *)
 
 open Shield_openflow
 open Shield_controller
 open Shield_workload
 open Sdnshield
+
+let fail = Bench_util.fail
 
 let insert_call ~nw_dst =
   Api.Install_flow
@@ -102,44 +107,12 @@ let reader ?pairs ~(live : Api.checker) ~stop ~tally () =
   done;
   h
 
-(** Replay a ledger, checking the epoch trace: a commit advances the
-    global epoch by exactly one, a rollback reports the unchanged
-    pre-transaction epoch.  Returns violations. *)
-let check_epoch_trace ~label (txns : Market.txn list) =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let _final =
-    List.fold_left
-      (fun prev (t : Market.txn) ->
-        match t.Market.outcome with
-        | Market.Committed { epoch; _ } ->
-          if epoch <> prev + 1 then
-            fail "%s: txn %d committed epoch %d after epoch %d" label
-              t.Market.id epoch prev;
-          epoch
-        | Market.Rolled_back { stage; epoch; _ } ->
-          if epoch <> prev then
-            fail "%s: txn %d rolled back (%s) but the epoch moved %d -> %d"
-              label t.Market.id stage prev epoch;
-          if stage = "" then fail "%s: txn %d rollback names no stage" label t.Market.id;
-          prev)
-      0 txns
-  in
-  !failures
-
 (* Phase 1+2: scripted churn with concurrent probe readers ---------------- *)
 
 let run_churn ~apps ~script_len ~flips ~quiescent_probes ~readers :
-    string list * Bench_util.Json.t =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let t =
-    match Epoch.create ~policy:lab_policy () with
-    | Ok t -> t
-    | Error e -> failwith ("lab policy rejected: " ^ e)
-  in
-  let sandbox = Sandbox.create () in
-  let m = Epoch.market ~sandbox t in
+    Bench_util.Json.t =
+  let dm = Drill.market ~policy:lab_policy ~sandbox:(Sandbox.create ()) () in
+  let t = dm.Drill.epoch and m = dm.Drill.queue in
   (* Probe app in, then the quiescent latency baseline: same reader
      loop, no churn. *)
   (match Market.submit m (Market.install probe_app (grant_src o1)) with
@@ -170,29 +143,25 @@ let run_churn ~apps ~script_len ~flips ~quiescent_probes ~readers :
     List.init readers (fun _ -> Domain.spawn (reader ~live ~stop ~tally))
   in
   let flip_every = max 1 (script_len / max 1 flips) in
-  let expected = ref [] (* newest first: (id, should_commit) *) in
-  let submitted = ref 0 in
-  let submit_tracked req valid =
-    incr submitted;
-    expected := (!submitted, valid) :: !expected;
-    ignore (Market.submit m req)
+  let entries =
+    List.concat
+      (List.mapi
+         (fun i (e : Churn_gen.entry) ->
+           if i > 0 && i mod flip_every = 0 then
+             let o = if i / flip_every land 1 = 1 then o2 else o1 in
+             [ { Churn_gen.request = Market.upgrade probe_app (grant_src o);
+                 valid = true };
+               e ]
+           else [ e ])
+         script)
   in
-  List.iteri
-    (fun i (e : Churn_gen.entry) ->
-      if i > 0 && i mod flip_every = 0 then
-        submit_tracked
-          (Market.upgrade probe_app
-             (grant_src (if i / flip_every land 1 = 1 then o2 else o1)))
-          true;
-      submit_tracked e.Churn_gen.request e.Churn_gen.valid)
-    script;
+  Drill.submit dm entries;
   Atomic.set stop true;
   let churn_h =
     List.fold_left
       (fun acc d -> Metrics.Histogram.merge acc (Domain.join d))
       (Metrics.Histogram.create ()) reader_domains
   in
-  Market.shutdown m;
   (* Ground truth: the ledger (minus the probe install) must match the
      script's model exactly — commit where valid, rollback where not. *)
   let ledger = Market.history m in
@@ -201,7 +170,7 @@ let run_churn ~apps ~script_len ~flips ~quiescent_probes ~readers :
     | _probe_install :: rest -> rest
     | [] -> []
   in
-  let expected = List.rev !expected in
+  let expected = List.map (fun (e : Churn_gen.entry) -> e.Churn_gen.valid) entries in
   if List.length scripted <> List.length expected then
     fail "churn: ledger has %d scripted txns, expected %d"
       (List.length scripted) (List.length expected);
@@ -209,7 +178,7 @@ let run_churn ~apps ~script_len ~flips ~quiescent_probes ~readers :
     (fun i (txn : Market.txn) ->
       match List.nth_opt expected i with
       | None -> ()
-      | Some (_, valid) ->
+      | Some valid ->
         if Market.committed txn.Market.outcome <> valid then
           fail "churn: txn %d (%s %s) %s but the script says %s" txn.Market.id
             (Market.kind_to_string txn.Market.request.Market.kind)
@@ -218,14 +187,15 @@ let run_churn ~apps ~script_len ~flips ~quiescent_probes ~readers :
              else "rolled back")
             (if valid then "commit" else "rollback"))
     scripted;
-  List.iter (fun f -> failures := f :: !failures) (check_epoch_trace ~label:"churn" ledger);
+  List.iter (fail "churn: %s") (Drill.epoch_trace_violations ledger);
   if Atomic.get tally.torn > 0 then
     fail "churn: %d torn probe pairs out of %d — a call mixed two epochs"
       (Atomic.get tally.torn) (Atomic.get tally.probes);
   if Atomic.get tally.probes = 0 then
     fail "churn: readers issued no probes — the race was never exercised";
-  if not (Epoch.consistent t) then
-    fail "churn: deployment inconsistent after the script";
+  List.iter
+    (fail "churn: epoch invariants violated after transaction %d")
+    (List.rev dm.Drill.inconsistent);
   let deltas, fulls = Epoch.reconcile_counts t in
   if deltas = 0 then fail "churn: the delta reconcile path was never taken";
   if fulls = 0 then fail "churn: the whole-policy reconcile path was never taken";
@@ -239,7 +209,7 @@ let run_churn ~apps ~script_len ~flips ~quiescent_probes ~readers :
       (p99_c *. 1e6) (bound *. 1e6) (p99_q *. 1e6);
   Bench_util.subhr "scripted churn under probe traffic";
   Fmt.pr "apps=%d script=%d (+%d probe flips) commits=%d rollbacks=%d@." apps
-    script_len (!submitted - script_len) stats.Market.commits
+    script_len (List.length entries - script_len) stats.Market.commits
     stats.Market.rollbacks;
   Fmt.pr "final epoch=%d live apps=%d reconciles: delta=%d full=%d@."
     (Epoch.epoch t)
@@ -269,34 +239,22 @@ let run_churn ~apps ~script_len ~flips ~quiescent_probes ~readers :
         ("p99_churn_us", J.Float (p99_c *. 1e6));
         ("p99_bound_us", J.Float (bound *. 1e6)) ]
   in
-  Epoch.close t;
-  (!failures, json)
+  Drill.close dm;
+  json
 
 (* Phase 3: fault-armed churn --------------------------------------------- *)
 
-let run_faulted ~apps ~script_len : string list * Bench_util.Json.t =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let t =
-    match Epoch.create ~policy:"" () with
-    | Ok t -> t
-    | Error e -> failwith ("policy rejected: " ^ e)
-  in
-  let sandbox = Sandbox.create () in
-  let m = Epoch.market ~sandbox t in
-  let script = Churn_gen.script ~seed:23 ~apps ~length:script_len () in
-  Faults.reset_counts ();
-  Faults.configure ~seed:7 ~swap_verify:0.05 ~swap_compile:0.05
-    ~swap_publish:0.05 ();
-  Fun.protect ~finally:Faults.disarm (fun () ->
-      List.iter
-        (fun (e : Churn_gen.entry) -> ignore (Market.submit m e.Churn_gen.request))
-        script);
+let run_faulted ~apps ~script_len : Bench_util.Json.t =
+  let o = Drill.observe (Trace.create ()) in
+  let dm = o.Drill.market in
+  let t = dm.Drill.epoch and m = dm.Drill.queue in
+  Drill.with_swap_faults ~seed:7 ~verify:0.05 ~compile:0.05 ~publish:0.05
+    (fun () -> Drill.churn dm ~seed:23 ~apps ~txns:script_len ());
   (* Every injected mid-swap fault must have surfaced as a clean
-     rollback: stage named, epoch untouched, deployment consistent. *)
+     rollback: stage named, epoch untouched, deployment consistent
+     after every transaction, span trail equal to the ledger. *)
+  List.iter (fail "faulted: %s") (Drill.violations o);
   let ledger = Market.history m in
-  List.iter (fun f -> failures := f :: !failures)
-    (check_epoch_trace ~label:"faulted" ledger);
   let stage_ok = [ "vet"; "reconcile"; "lint"; "verify"; "compile"; "publish" ] in
   List.iter
     (fun (txn : Market.txn) ->
@@ -312,11 +270,15 @@ let run_faulted ~apps ~script_len : string list * Bench_util.Json.t =
   in
   if injected = 0 then
     fail "faulted: no swap faults fired — the sites were never reached";
-  if not (Epoch.consistent t) then
-    fail "faulted: deployment inconsistent after injected rollbacks";
   let stats = Market.stats m in
   if stats.Market.rollbacks = 0 then
     fail "faulted: armed swap faults produced no rollbacks";
+  (* The incident degraded health with a faults cause, ages out of
+     the window, and left flight bundles naming the failed stages. *)
+  let during = Health.verdict o.Drill.health in
+  Drill.slide o;
+  List.iter (fail "faulted: %s")
+    (Drill.incident_violations o ~during ~after:(Health.verdict o.Drill.health));
   (* Recovery: with the sites disarmed the pipeline serves again. *)
   (match Market.submit m (Market.install "recovery" (grant_src o1)) with
   | Market.Committed _ -> ()
@@ -325,7 +287,6 @@ let run_faulted ~apps ~script_len : string list * Bench_util.Json.t =
   (match (Epoch.checker t "recovery").Api.check call_a with
   | Api.Allow -> ()
   | Api.Deny _ -> fail "faulted: post-disarm grant does not serve");
-  Market.shutdown m;
   Bench_util.subhr "fault-armed churn (swap sites at p=0.05)";
   Fmt.pr "script=%d commits=%d rollbacks=%d injected: verify=%d compile=%d publish=%d@."
     script_len stats.Market.commits stats.Market.rollbacks
@@ -336,7 +297,7 @@ let run_faulted ~apps ~script_len : string list * Bench_util.Json.t =
     (List.length
        (List.filter
           (fun (e : Sandbox.audit_entry) -> e.Sandbox.action = "market-rollback")
-          (Forensics.fault_log sandbox)));
+          (Forensics.fault_log o.Drill.sandbox)));
   let module J = Bench_util.Json in
   let json =
     J.Obj
@@ -349,51 +310,32 @@ let run_faulted ~apps ~script_len : string list * Bench_util.Json.t =
         ("injected_publish", J.Int (Faults.injected Faults.Swap_publish));
         ("final_epoch", J.Int (Epoch.epoch t)) ]
   in
-  Epoch.close t;
-  (!failures, json)
+  Drill.close_observed o;
+  json
 
 (* Entry points ------------------------------------------------------------ *)
 
-let arm_watchdog seconds =
-  ignore
-    (Thread.create
-       (fun () ->
-         Thread.delay seconds;
-         Fmt.epr
-           "market-lab WATCHDOG: still running after %.0fs — a transaction \
-            or reader hung@."
-           seconds;
-         exit 3)
-       ())
-
-let emit_json ~gate phases =
-  let module J = Bench_util.Json in
-  Bench_util.write_json "BENCH_MARKET.json"
-    (J.Obj [ ("bench", J.Str gate); ("phases", J.Arr phases) ])
-
 let run_all ~gate ~apps ~script_len ~flips ~quiescent_probes ~faulted_len =
-  let churn_failures, churn_json =
+  let churn_json =
     run_churn ~apps ~script_len ~flips ~quiescent_probes ~readers:2
   in
-  let fault_failures, fault_json = run_faulted ~apps:100 ~script_len:faulted_len in
-  let failures = churn_failures @ fault_failures in
-  emit_json ~gate [ churn_json; fault_json ];
-  (match failures with
-  | [] -> Fmt.pr "@.%s: churn, swap-latency and fault invariants all held@." gate
-  | fs -> List.iter (fun f -> Fmt.epr "%s FAILURE: %s@." gate f) fs);
-  if failures <> [] then exit 1
+  let fault_json = run_faulted ~apps:100 ~script_len:faulted_len in
+  let module J = Bench_util.Json in
+  Bench_util.write_json "BENCH_MARKET.json"
+    (J.Obj [ ("bench", J.Str gate); ("phases", J.Arr [ churn_json; fault_json ]) ]);
+  Bench_util.report gate
+    ~detail:": churn, swap-latency and fault invariants all held"
 
 let run () =
-  Bench_util.hr
-    "Market lab: 1k-app churn, hot-swap consistency, rollback under faults";
-  arm_watchdog 600.;
+  Bench_util.start_gate
+    ~title:"Market lab: 1k-app churn, hot-swap consistency, rollback under faults"
+    "market-lab" 600.;
   run_all ~gate:"market-lab" ~apps:1000 ~script_len:3000 ~flips:200
     ~quiescent_probes:20_000 ~faulted_len:400
 
 (** Tier-1 gate: same invariants (including the p99 bound), smaller
     volume. *)
 let smoke () =
-  Bench_util.hr "Market churn: smoke";
-  arm_watchdog 180.;
+  Bench_util.start_gate ~title:"Market churn: smoke" "market-smoke" 180.;
   run_all ~gate:"market-smoke" ~apps:200 ~script_len:500 ~flips:60
     ~quiescent_probes:5_000 ~faulted_len:150

@@ -15,70 +15,27 @@
    parse/round-trip, and every denied span must carry a decision
    explanation. *)
 
-open Shield_openflow
-open Shield_net
 open Shield_controller
 open Sdnshield
+module Drill = Shield_workload.Drill
 
-(* The CLI `telemetry` demo's manifest: MAX_PRIORITY 400 makes every
-   4th call (priority 1000) a denial, so traces carry explained
-   denials. *)
-let demo_manifest =
-  "PERM insert_flow LIMITING MAX_PRIORITY 400 AND OWN_FLOWS\n\
-   PERM pkt_in_event\nPERM read_payload"
-
-let pkt_in dpid =
-  Events.Packet_in
-    { Message.dpid; in_port = 1; packet = Packet.arp ~src:0xA ~dst:0xB ();
-      reason = Message.No_match; buffer_id = None }
-
-(** An engine-guarded app on a runtime in [mode], traced or not. *)
-let start_workload ?trace ~mode ~tag () =
-  let kernel = Kernel.create (Dataplane.create (Topology.linear 4)) in
-  let handled = ref 0 in
-  let app =
-    App.make
-      ~subscriptions:[ Api.E_packet_in ]
-      ~handle:(fun ctx ev ->
-        match ev with
-        | Events.Packet_in pi ->
-          incr handled;
-          let priority = if !handled mod 4 = 0 then 1_000 else 100 in
-          let fm =
-            Flow_mod.add ~priority
-              ~match_:(Match_fields.make ~tp_dst:(1024 + (!handled mod 16)) ())
-              ~actions:[ Action.Output 1 ] ()
-          in
-          ignore (ctx.App.call (Api.Install_flow (pi.Message.dpid, fm)))
-        | _ -> ())
-      tag
-  in
-  let engine =
-    Engine.create
-      ~ownership:(Ownership.create ())
-      ~app_name:tag ~cookie:1
-      (Perm_parser.manifest_exn demo_manifest)
-  in
-  let config = { Runtime.default_config with Runtime.trace } in
-  Runtime.create ~config ~mode kernel [ (app, Engine.checker engine) ]
-
-(** Feed [n] packet-ins and wait for them.  Returns the process-CPU
-    seconds this took: on a small CI box the runtime's thread pipeline
-    timeshares the cores, so wall clock measures the scheduler; CPU
-    time ([Sys.time], getrusage-backed, all threads) measures the work
-    — which is what tracing adds. *)
-let feed_timed rt n =
+(** Process-CPU seconds that [f] takes: on a small CI box the
+    runtime's thread pipeline (and the market's worker) timeshares the
+    cores, so wall clock measures the scheduler; CPU time ([Sys.time],
+    getrusage-backed, all threads) measures the work — which is what
+    tracing adds. *)
+let cpu_time f =
   let c0 = Sys.time () in
-  for i = 1 to n do
-    Runtime.feed rt (pkt_in (1 + (i mod 4)))
-  done;
-  Runtime.drain rt;
+  f ();
   Sys.time () -. c0
+
+(** Feed [n] packet-ins and wait for them; the CPU seconds it took. *)
+let feed_timed rt n = cpu_time (fun () -> Drill.feed rt n)
 
 (** One traced (or untraced) run: [warmup] events to settle the thread
     pool, then [events] timed ones. *)
 let run_workload ?trace ~mode ~tag ~warmup ~events () =
-  let rt = start_workload ?trace ~mode ~tag () in
+  let rt = Drill.calls_runtime ?trace ~mode ~tag () in
   ignore (feed_timed rt warmup);
   let dt = feed_timed rt events in
   Runtime.shutdown rt;
@@ -100,12 +57,12 @@ let measure_overhead ~sampling ~trials ~events () =
   let slice = 250 in
   List.init trials (fun i ->
       let traced =
-        start_workload
+        Drill.calls_runtime
           ~trace:(Trace.create ~capacity:4096 ~sampling ())
           ~mode:Runtime.Monolithic ~tag:(Printf.sprintf "obs-t%d" i) ()
       in
       let untraced =
-        start_workload ~mode:Runtime.Monolithic
+        Drill.calls_runtime ~mode:Runtime.Monolithic
           ~tag:(Printf.sprintf "obs-u%d" i) ()
       in
       let cpu_traced = ref 0. and cpu_untraced = ref 0. in
@@ -141,57 +98,53 @@ let median xs =
   let a = List.sort Float.compare xs in
   List.nth a (List.length a / 2)
 
-(** One churn run through the live-update pipeline (Epoch + Market),
-    traced or not: CPU seconds for [txns] lifecycle transactions.
-    Quantifies what transaction spans + stage histograms add to
-    market-lab-style churn throughput.  Every run starts with cold
-    normal-form and inclusion memos: they are process-global, so
-    otherwise the first run of a pair would do the normal-form work
-    the second one reuses. *)
-let run_churn ?trace ~txns ~apps ~seed () =
-  Nf.clear_memo ();
-  Inclusion.clear_memo ();
-  let t =
-    match Epoch.create ~policy:"" () with
-    | Ok t -> t
-    | Error e -> failwith ("trace-lab: policy rejected: " ^ e)
-  in
-  let m = Epoch.market ?trace t in
-  let script =
-    Shield_workload.Churn_gen.script ~seed ~apps ~invalid_fraction:0.15
-      ~length:txns ()
-  in
-  let c0 = Sys.time () in
-  List.iter
-    (fun (e : Shield_workload.Churn_gen.entry) ->
-      ignore (Market.submit m e.Shield_workload.Churn_gen.request))
-    script;
-  Market.drain m;
-  let dt = Sys.time () -. c0 in
-  Market.shutdown m;
-  Epoch.close t;
-  dt
-
-(** Paired traced/untraced churn runs, same script both sides.  One
-    discarded warmup run first (the process's first churn pays the
-    pipeline's cold-start costs), and the order within a pair
-    alternates between trials so a residual first-runs-slower bias
-    cancels instead of landing on one side. *)
+(** Churn overhead: [trials] pairs of markets on the live-update
+    pipeline (Epoch + Market), one wired to a span store alone and one
+    bare, both taking the same [txns]-transaction script; the CPU
+    seconds each spent, as (untraced, traced) pairs.  Like the
+    hot-path pairs, the two take turns at slices of 25 transactions,
+    the side that goes first alternating between trials.  The
+    normal-form and inclusion memos are process-global, so both are
+    cleared before every slice of either side: each slice starts from
+    cold memos and never reuses normal forms the other side computed.
+    One discarded run first: the process's first churn pays the
+    pipeline's cold-start costs. *)
 let measure_churn_overhead ~trials ~txns ~apps () =
-  ignore (run_churn ~txns:(min txns 20) ~apps ~seed:40 ());
+  let slice = 25 in
+  let warmup = Drill.market () in
+  Drill.churn warmup ~seed:40 ~apps ~invalid:0.15 ~txns:(min txns 20) ();
+  Drill.close warmup;
   List.init trials (fun i ->
-      let tr = Trace.create () in
-      let seed = 41 + i in
-      if i mod 2 = 0 then begin
-        let t = run_churn ~trace:tr ~txns ~apps ~seed () in
-        let u = run_churn ~txns ~apps ~seed () in
-        (u, t)
-      end
-      else begin
-        let u = run_churn ~txns ~apps ~seed () in
-        let t = run_churn ~trace:tr ~txns ~apps ~seed () in
-        (u, t)
-      end)
+      let script =
+        Shield_workload.Churn_gen.script ~seed:(41 + i) ~apps
+          ~invalid_fraction:0.15 ~length:txns ()
+      in
+      let traced = Drill.market ~trace:(Trace.create ()) () in
+      let untraced = Drill.market () in
+      let cpu_traced = ref 0. and cpu_untraced = ref 0. in
+      let run m cpu entries =
+        Nf.clear_memo ();
+        Inclusion.clear_memo ();
+        cpu := !cpu +. cpu_time (fun () -> Drill.submit m entries)
+      in
+      let rec slices = function
+        | [] -> ()
+        | entries ->
+          let now = List.filteri (fun j _ -> j < slice) entries in
+          if i mod 2 = 0 then begin
+            run traced cpu_traced now;
+            run untraced cpu_untraced now
+          end
+          else begin
+            run untraced cpu_untraced now;
+            run traced cpu_traced now
+          end;
+          slices (List.filteri (fun j _ -> j >= slice) entries)
+      in
+      slices script;
+      Drill.close traced;
+      Drill.close untraced;
+      (!cpu_untraced, !cpu_traced))
 
 (** Overhead %, as the median of the per-pair traced/untraced ratios:
     single-run CPU time on a small shared box swings by ~10% (GC
@@ -200,6 +153,13 @@ let measure_churn_overhead ~trials ~txns ~apps () =
     the systematic part. *)
 let overhead_pct pairs =
   100. *. (median (List.map (fun (u, t) -> t /. u) pairs) -. 1.)
+
+(** Each pair's traced/untraced reading, in percent. *)
+let trial_readings pairs =
+  String.concat ""
+    (List.map
+       (fun (u, t) -> Printf.sprintf " %+.1f" (100. *. ((t /. u) -. 1.)))
+       pairs)
 
 let median_us_per_event ~events pairs sel =
   median (List.map sel pairs) /. float_of_int events *. 1e6
@@ -341,22 +301,9 @@ let run () =
 
 (* Tier-1 gate ------------------------------------------------------------- *)
 
-(** Watchdog: turn a hung runtime into a loud exit instead of a stuck
-    CI job (same idiom as fault_lab). *)
-let arm_watchdog seconds =
-  ignore
-    (Thread.create
-       (fun () ->
-         Thread.delay seconds;
-         Fmt.epr "obs-smoke WATCHDOG: still running after %.0fs@." seconds;
-         exit 3)
-       ())
-
 let smoke () =
-  Bench_util.hr "Observability: smoke";
-  arm_watchdog 120.;
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  Bench_util.start_gate ~title:"Observability: smoke" "obs-smoke" 120.;
+  let fail = Bench_util.fail in
   (* 1. Correctness of a fully-sampled traced run: spans are
      accounted for, denied spans are explained, exports round-trip. *)
   let trace = Trace.create ~capacity:4096 () in
@@ -420,11 +367,7 @@ let smoke () =
   let pct = overhead_pct call_pairs in
   Fmt.pr "hot path overhead at sampling 0.1 (median of 9 paired trials): \
           %+.1f %% (trials:%s)@."
-    pct
-    (String.concat ""
-       (List.map
-          (fun (u, t) -> Printf.sprintf " %+.1f" (100. *. ((t /. u) -. 1.)))
-          call_pairs));
+    pct (trial_readings call_pairs);
   if pct >= 10. then
     fail "tracing at sampling 0.1 adds %.1f%% >= 10%% to the engine hot path"
       pct;
@@ -440,15 +383,11 @@ let smoke () =
   in
   let churn_pct = overhead_pct churn_pairs in
   Fmt.pr "churn tracing overhead (%d txns, median of 5 paired trials): \
-          %+.1f %%@."
-    churn_txns churn_pct;
+          %+.1f %% (trials:%s)@."
+    churn_txns churn_pct (trial_readings churn_pairs);
   if churn_pct >= 10. then
     fail "lifecycle tracing adds %.1f%% >= 10%% to churn throughput" churn_pct;
   emit_json ~gate:"obs-smoke"
     ~call_rows:[ (0.1, 2_000, call_pairs, pct) ]
     ~churn:(churn_pairs, churn_pct) ~churn_txns;
-  match !failures with
-  | [] -> Fmt.pr "obs-smoke ok@."
-  | fs ->
-    List.iter (fun f -> Fmt.epr "obs-smoke FAILURE: %s@." f) fs;
-    exit 1
+  Bench_util.report "obs-smoke"

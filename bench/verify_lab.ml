@@ -23,8 +23,7 @@ open Sdnshield
 module Hostile = Shield_workload.Hostile_gen
 module J = Bench_util.Json
 
-let failures = ref []
-let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt
+let fail = Bench_util.fail
 
 (* The runtest rule runs from _build/default/bench; `dune exec
    bench/main.exe` usually runs from the repo root.  Try both. *)
@@ -170,18 +169,6 @@ let check_hostile ~seeds =
 
 (* Harness --------------------------------------------------------------------- *)
 
-let arm_watchdog seconds =
-  ignore
-    (Thread.create
-       (fun () ->
-         Thread.delay seconds;
-         Fmt.epr
-           "verify-lab WATCHDOG: still running after %.0fs — verification \
-            hung on the corpus@."
-           seconds;
-         exit 3)
-       ())
-
 let emit_json ~gate ~raw ~raw_dt ~rep_dt ~clean_dt =
   let s = Verify.stats () in
   let cexs = counterexamples raw in
@@ -207,35 +194,25 @@ let emit_json ~gate ~raw ~raw_dt ~rep_dt ~clean_dt =
                ("dirty_reconciled", J.Float (rep_dt *. 1e6));
                ("clean", J.Float (clean_dt *. 1e6)) ] ) ])
 
-let report_outcome ~gate failures =
-  match failures with
-  | [] ->
-    Fmt.pr
-      "%s ok: dirty refuted with confirmed witnesses, repair certifies, \
-       clean certifies, budget degrades@."
-      gate
-  | fs ->
-    List.iter (fun f -> Fmt.epr "%s FAILURE: %s@." gate f) fs;
-    exit 1
-
 let run_checks ~gate ~hostile_seeds =
-  failures := [];
   Verify.reset_stats ();
   let raw, raw_dt, rep_dt = check_dirty_corpus () in
   let clean_dt = check_clean_corpus () in
   check_budget_degradation ();
   if hostile_seeds > 0 then check_hostile ~seeds:hostile_seeds;
   emit_json ~gate ~raw ~raw_dt ~rep_dt ~clean_dt;
-  !failures
+  Bench_util.report gate
+    ~detail:
+      ": dirty refuted with confirmed witnesses, repair certifies, clean \
+       certifies, budget degrades"
 
 let run () =
-  Bench_util.hr "shield-verify: certification on the dirty/clean corpus";
-  arm_watchdog 300.;
-  report_outcome ~gate:"verify-lab" (run_checks ~gate:"verify-lab" ~hostile_seeds:12)
+  Bench_util.start_gate
+    ~title:"shield-verify: certification on the dirty/clean corpus"
+    "verify-lab" 300.;
+  run_checks ~gate:"verify-lab" ~hostile_seeds:12
 
 (** Tier-1 gate: same invariants, smaller hostile sweep. *)
 let smoke () =
-  Bench_util.hr "shield-verify: smoke";
-  arm_watchdog 120.;
-  report_outcome ~gate:"verify-smoke"
-    (run_checks ~gate:"verify-smoke" ~hostile_seeds:2)
+  Bench_util.start_gate ~title:"shield-verify: smoke" "verify-smoke" 120.;
+  run_checks ~gate:"verify-smoke" ~hostile_seeds:2

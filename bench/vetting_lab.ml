@@ -20,8 +20,7 @@
 open Sdnshield
 module Hostile = Shield_workload.Hostile_gen
 
-let failures = ref []
-let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt
+let fail = Bench_util.fail
 
 (* Run one family and check its verdict class.  [expect] lists the
    acceptable labels; anything else — including an exception escaping
@@ -72,8 +71,8 @@ let check_cross_allocation () =
        is not incremental"
       spent.Budget.clauses
 
-let run_families ~garbage_seeds ~text_depth =
-  failures := [];
+let run_families ~gate ~garbage_seeds ~text_depth =
+  Vetting.reset_stats ();
   family "depth-bomb (NOT chain)" ~expect:[ "rejected" ] (fun () ->
       describe
         (Vetting.vet_manifest (Hostile.depth_bomb_src ~depth:text_depth)));
@@ -107,42 +106,16 @@ let run_families ~garbage_seeds ~text_depth =
           (Vetting.vet_manifest (Hostile.garbage ~seed ~len:4096)))
   done;
   check_cross_allocation ();
-  !failures
-
-(* A hang is precisely the bug this lab exists to catch: fail loudly
-   instead of wedging CI.  The thread dies with the process on
-   success. *)
-let arm_watchdog seconds =
-  ignore
-    (Thread.create
-       (fun () ->
-         Thread.delay seconds;
-         Fmt.epr
-           "vetting-lab WATCHDOG: still running after %.0fs — a hostile \
-            input hung the admission pipeline@."
-           seconds;
-         exit 3)
-       ())
-
-let report_outcome ~gate failures =
   Fmt.pr "@.%a@." Vetting.pp_stats (Vetting.stats ());
-  match failures with
-  | [] -> Fmt.pr "%s ok: every hostile family was contained@." gate
-  | fs ->
-    List.iter (fun f -> Fmt.epr "%s FAILURE: %s@." gate f) fs;
-    exit 1
+  Bench_util.report gate ~detail:": every hostile family was contained"
 
 let run () =
-  Bench_util.hr "Adversarial admission: hostile manifests and policies";
-  arm_watchdog 300.;
-  Vetting.reset_stats ();
-  report_outcome ~gate:"vetting-lab"
-    (run_families ~garbage_seeds:8 ~text_depth:400_000)
+  Bench_util.start_gate
+    ~title:"Adversarial admission: hostile manifests and policies"
+    "vetting-lab" 300.;
+  run_families ~gate:"vetting-lab" ~garbage_seeds:8 ~text_depth:400_000
 
 (** Tier-1 gate: same invariants, smaller volume. *)
 let smoke () =
-  Bench_util.hr "Adversarial admission: smoke";
-  arm_watchdog 120.;
-  Vetting.reset_stats ();
-  report_outcome ~gate:"vet-smoke"
-    (run_families ~garbage_seeds:3 ~text_depth:120_000)
+  Bench_util.start_gate ~title:"Adversarial admission: smoke" "vet-smoke" 120.;
+  run_families ~gate:"vet-smoke" ~garbage_seeds:3 ~text_depth:120_000

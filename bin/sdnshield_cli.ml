@@ -47,7 +47,8 @@
      sdnshield faults-demo [--events N] [--seed S]
          Drive the supervised isolated runtime under injected
          checker/kernel/deputy faults and print the fault-tolerance
-         report (docs/RUNTIME.md).  Exits 1 if any call hung.
+         report (docs/RUNTIME.md).  Exits 1 if any liveness invariant
+         of faults-smoke fails.
 
      sdnshield market-demo [--txns N] [--apps N] [--fault-*  P]
                [--json] [--timeline FILE]
@@ -70,7 +71,12 @@
      sdnshield health [--txns N] [--seed S] [--json]
          Run clean / faulted / recovered churn phases against the
          sliding-window health monitor and print each phase verdict
-         with causes.  Exits 1 unless the final verdict is healthy.
+         with causes.  Exits 1 unless the final verdict is healthy and
+         the incident checks of health-smoke hold.
+
+   The demo commands (faults-demo, market-demo, telemetry, timeline,
+   health) run the drivers of the smoke gates, Shield_workload.Drill,
+   and add only flags and printing.
 
    All input files use the syntax of the paper's Appendices A and B. *)
 
@@ -79,12 +85,19 @@ open Shield_openflow
 open Shield_openflow.Types
 open Shield_controller
 open Sdnshield
+module Drill = Shield_workload.Drill
 
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path contents =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () -> output_string oc contents)
 
 (* parse ---------------------------------------------------------------------- *)
 
@@ -152,53 +165,69 @@ let reconcile_cmd =
 
 (* check ----------------------------------------------------------------------- *)
 
+(* Every malformed spec is an [Error], never an exception: [check]
+   reports it and still decides the other specs. *)
 let call_of_spec spec : (Api.call, string) result =
+  let ( let* ) = Result.bind in
+  let bad fmt = Printf.ksprintf (fun why -> Error ("bad call spec " ^ why)) fmt in
+  let int s =
+    match int_of_string_opt s with
+    | Some n -> Ok n
+    | None -> bad "%S: %S is not an integer" spec s
+  in
+  let ip s =
+    match ipv4_of_string s with
+    | ip -> Ok ip
+    | exception Invalid_argument _ ->
+      bad "%S: %S is not an IPv4 address" spec s
+  in
   let fm ?(priority = 100) dst =
     Flow_mod.add ~priority
       ~match_:
-        (Match_fields.make ~dl_type:Eth_ip
-           ~nw_dst:(Match_fields.exact_ip (ipv4_of_string dst))
-           ())
+        (Match_fields.make ~dl_type:Eth_ip ~nw_dst:(Match_fields.exact_ip dst) ())
       ~actions:[ Action.Output 2 ] ()
+  in
+  let pktout ~from_pkt_in dpid =
+    let* dpid = int dpid in
+    Ok
+      (Api.Send_packet_out
+         { dpid; port = 1; packet = Packet.arp ~src:1 ~dst:2 (); from_pkt_in })
   in
   match String.split_on_char ':' spec with
   | [ "insert"; dpid; dst ] ->
-    Ok (Api.Install_flow (int_of_string dpid, fm dst))
+    let* dpid = int dpid in
+    let* dst = ip dst in
+    Ok (Api.Install_flow (dpid, fm dst))
   | [ "insert"; dpid; dst; prio ] ->
-    Ok (Api.Install_flow (int_of_string dpid, fm ~priority:(int_of_string prio) dst))
+    let* dpid = int dpid in
+    let* dst = ip dst in
+    let* priority = int prio in
+    Ok (Api.Install_flow (dpid, fm ~priority dst))
   | [ "delete"; dpid; dst ] ->
+    let* dpid = int dpid in
+    let* dst = ip dst in
     Ok
       (Api.Install_flow
-         ( int_of_string dpid,
+         ( dpid,
            Flow_mod.delete
-             ~match_:
-               (Match_fields.make ~nw_dst:(Match_fields.exact_ip (ipv4_of_string dst)) ())
+             ~match_:(Match_fields.make ~nw_dst:(Match_fields.exact_ip dst) ())
              () ))
   | [ "stats"; "flow" ] -> Ok (Api.Read_stats (Stats.request Stats.Flow_level))
   | [ "stats"; "port" ] -> Ok (Api.Read_stats (Stats.request Stats.Port_level))
   | [ "stats"; "switch" ] -> Ok (Api.Read_stats (Stats.request Stats.Switch_level))
-  | [ "pktout"; dpid ] ->
-    Ok
-      (Api.Send_packet_out
-         { dpid = int_of_string dpid; port = 1;
-           packet = Packet.arp ~src:1 ~dst:2 (); from_pkt_in = false })
-  | [ "pktout-replay"; dpid ] ->
-    Ok
-      (Api.Send_packet_out
-         { dpid = int_of_string dpid; port = 1;
-           packet = Packet.arp ~src:1 ~dst:2 (); from_pkt_in = true })
-  | [ "net"; ip; port ] ->
-    Ok
-      (Api.Syscall
-         (Api.Net_connect
-            { dst = ipv4_of_string ip; dst_port = int_of_string port; payload = "" }))
+  | [ "pktout"; dpid ] -> pktout ~from_pkt_in:false dpid
+  | [ "pktout-replay"; dpid ] -> pktout ~from_pkt_in:true dpid
+  | [ "net"; dst; port ] ->
+    let* dst = ip dst in
+    let* dst_port = int port in
+    Ok (Api.Syscall (Api.Net_connect { dst; dst_port; payload = "" }))
   | [ "file"; path ] -> Ok (Api.Syscall (Api.File_open { path; write = false }))
   | [ "spawn"; cmd ] -> Ok (Api.Syscall (Api.Spawn_process cmd))
   | [ "topo" ] -> Ok Api.Read_topology
   | [ "event"; "pkt_in" ] -> Ok (Api.Receive_event Api.E_packet_in)
   | [ "event"; "flow" ] -> Ok (Api.Receive_event Api.E_flow)
   | [ "event"; "topology" ] -> Ok (Api.Receive_event Api.E_topology)
-  | _ -> Error (Printf.sprintf "bad call spec %S" spec)
+  | _ -> bad "%S" spec
 
 let check_cmd =
   let run explain manifest_path specs =
@@ -373,65 +402,17 @@ let vet_cmd =
 
 let faults_demo_cmd =
   let run events seed =
-    let open Shield_net in
-    let kernel = Kernel.create (Dataplane.create (Topology.linear 4)) in
-    let replies = ref 0 and handled = ref 0 in
-    let app =
-      App.make
-        ~subscriptions:[ Api.E_packet_in ]
-        ~handle:(fun ctx ev ->
-          match ev with
-          | Events.Packet_in pi ->
-            incr handled;
-            let fm =
-              Flow_mod.add
-                ~match_:
-                  (Match_fields.make ~tp_dst:(1024 + (!handled mod 64)) ())
-                ~actions:[ Action.Output 1 ] ()
-            in
-            ignore (ctx.App.call (Api.Install_flow (pi.Message.dpid, fm)));
-            incr replies
-          | _ -> ())
-        "demo"
+    let r =
+      Drill.fault_run ~seed ~mode:(Runtime.Isolated { ksd_threads = 2 }) ~events
     in
-    let config =
-      { Runtime.default_config with
-        Runtime.call_deadline = Some 0.1;
-        restart_budget = 1_000;
-        ev_capacity = Some 256;
-        req_capacity = Some 1_024 }
-    in
-    Faults.configure ~seed ~checker:0.02 ~kernel:0.02 ~deputy:0.01 ();
-    let rt =
-      Fun.protect ~finally:Faults.disarm (fun () ->
-          let rt =
-            Runtime.create ~config
-              ~mode:(Runtime.Isolated { ksd_threads = 2 })
-              kernel
-              [ (app, Faults.wrap_checker Api.allow_all) ]
-          in
-          for i = 1 to events do
-            Runtime.feed rt
-              (Events.Packet_in
-                 { Message.dpid = 1 + (i mod 4); in_port = 1;
-                   packet = Packet.arp ~src:0xA ~dst:0xB ();
-                   reason = Message.No_match; buffer_id = None })
-          done;
-          Runtime.drain rt;
-          rt)
-    in
-    Fmt.pr "%a" Runtime.pp_report rt;
-    Fmt.pr "%a" Faults.pp_report ();
-    Runtime.shutdown rt;
-    if !handled <> !replies then
-      `Error
-        ( false,
-          Printf.sprintf "%d handled events but %d replies — a call hung"
-            !handled !replies )
-    else begin
-      Fmt.pr "handled=%d — every call got a reply@." !handled;
+    Fmt.pr "%a" Drill.pp_fault_run r;
+    match r.Drill.violations with
+    | [] ->
+      Fmt.pr "every handled event's call got a reply@.";
       `Ok ()
-    end
+    | vs ->
+      List.iter (Fmt.epr "%s@.") vs;
+      exit 1
   in
   let events =
     Arg.(
@@ -449,139 +430,67 @@ let faults_demo_cmd =
        ~doc:
          "Drive the supervised isolated runtime under injected \
           checker/kernel/deputy faults and print the fault-tolerance report \
-          (docs/RUNTIME.md)")
+          (docs/RUNTIME.md); the run is faults-smoke's, and it exits 1 if \
+          any of that gate's liveness invariants fails")
     Term.(ret (const run $ events $ seed))
 
 (* market-demo ---------------------------------------------------------------- *)
 
-(* A live-update churn demo (docs/CHURN.md): a seeded install / upgrade
-   / revoke script runs through the market queue against an epoch-based
-   deployment, optionally with the mid-swap fault sites armed, and the
-   epoch history prints as a ledger (or JSON).  The structural epoch
-   invariants are re-checked after every transaction; any violation —
-   a torn publish, a rollback that moved the epoch — exits 1. *)
+module J = Telemetry.Json
+
+let txn_json (txn : Market.txn) =
+  let base =
+    [ ("id", J.Num (float_of_int txn.Market.id));
+      ("kind", J.Str (Market.kind_to_string txn.Market.request.Market.kind));
+      ("app", J.Str txn.Market.request.Market.app) ]
+  in
+  match txn.Market.outcome with
+  | Market.Committed { epoch; delta; republished; _ } ->
+    J.Obj
+      (base
+      @ [ ("outcome", J.Str "committed");
+          ("epoch", J.Num (float_of_int epoch));
+          ("delta", J.Bool delta);
+          ("republished", J.Arr (List.map (fun a -> J.Str a) republished)) ])
+  | Market.Rolled_back { stage; reason; epoch; _ } ->
+    J.Obj
+      (base
+      @ [ ("outcome", J.Str "rolled_back");
+          ("stage", J.Str stage);
+          ("reason", J.Str reason);
+          ("epoch", J.Num (float_of_int epoch)) ])
+
+(* A live-update churn demo (docs/CHURN.md) on the observed market of
+   market-smoke and health-smoke: a seeded install / upgrade / revoke
+   script, optionally with the mid-swap fault sites armed, prints as a
+   ledger (or JSON), and the drill's checks decide the exit status. *)
 let market_demo_cmd =
   let run txns apps invalid seed fault_verify fault_compile fault_publish json
       timeline_out =
-    let t =
-      match Epoch.create ~policy:"" () with
-      | Ok t -> t
-      | Error e -> failwith ("policy rejected: " ^ e)
-    in
-    let sandbox = Sandbox.create () in
-    (* Full observability wiring (docs/OBSERVABILITY.md): every
-       transaction leaves a span, every injected fault feeds the
-       health monitor (through the fault-site observer), every
-       rollback captures a flight-recorder bundle.  The health clock
-       is manual so the post-run recovery check is deterministic. *)
-    let trace = Trace.create ~txn_capacity:(max 1024 txns) () in
-    let hclock = ref 0. in
-    let health = Health.create ~clock:(fun () -> !hclock) () in
-    let flight = Forensics.Flight.create ~trace () in
-    Faults.set_observer (fun _ -> Health.fault health);
-    let m = Epoch.market ~sandbox ~trace ~health ~flight t in
-    let script =
-      Shield_workload.Churn_gen.script ~seed ~apps ~invalid_fraction:invalid
-        ~length:txns ()
-    in
-    let faulted = fault_verify +. fault_compile +. fault_publish > 0. in
-    if faulted then
-      Faults.configure ~seed ~swap_verify:fault_verify
-        ~swap_compile:fault_compile ~swap_publish:fault_publish ();
-    let inconsistent = ref [] in
-    Fun.protect
-      ~finally:(fun () ->
-        Faults.disarm ();
-        Faults.clear_observer ())
-      (fun () ->
-        List.iter
-          (fun (e : Shield_workload.Churn_gen.entry) ->
-            let id = (Market.stats m).Market.submitted + 1 in
-            ignore (Market.submit m e.Shield_workload.Churn_gen.request);
-            if not (Epoch.consistent t) then inconsistent := id :: !inconsistent)
-          script);
-    Market.shutdown m;
-    let ledger = Market.history m in
-    let stats = Market.stats m in
-    (* Health before and after the window slides past the run: armed
-       faults must degrade the verdict, and disarming must let it
-       recover once the incident ages out. *)
-    let v_during = Health.verdict health in
-    hclock := !hclock +. Health.window health +. 1.;
-    let v_after = Health.verdict health in
-    (* The span trail is the ledger, re-derived from the trace ring:
-       every transaction id must be present with the same commit /
-       rollback verdict, the same failed stage, the same epoch. *)
-    let trail = Trace.txn_spans trace in
-    let span_by_id = Hashtbl.create (List.length trail) in
-    List.iter
-      (fun (s : Trace.txn_span) -> Hashtbl.replace span_by_id s.Trace.id s)
-      trail;
-    let mismatches =
-      List.filter_map
-        (fun (txn : Market.txn) ->
-          let fail why = Some (txn.Market.id, why) in
-          match Hashtbl.find_opt span_by_id txn.Market.id with
-          | None -> fail "no transaction span"
-          | Some s -> (
-            match (txn.Market.outcome, s.Trace.verdict) with
-            | Market.Committed { epoch; _ }, Trace.Txn_committed _ ->
-              if s.Trace.epoch_after <> epoch then
-                fail
-                  (Printf.sprintf "epoch mismatch: span %d, ledger %d"
-                     s.Trace.epoch_after epoch)
-              else None
-            | Market.Rolled_back { stage; _ }, Trace.Txn_rolled_back v ->
-              if v.stage <> stage then
-                fail
-                  (Printf.sprintf "stage mismatch: span %s, ledger %s" v.stage
-                     stage)
-              else None
-            | Market.Committed _, Trace.Txn_rolled_back _ ->
-              fail "span rolled back, ledger committed"
-            | Market.Rolled_back _, Trace.Txn_committed _ ->
-              fail "span committed, ledger rolled back"))
-        ledger
-    in
-    let bundles = Forensics.Flight.bundles flight in
-    (match timeline_out with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (Timeline.to_string trace)));
+    let o = Drill.observe (Trace.create ~txn_capacity:(max 1024 txns) ()) in
+    Drill.with_swap_faults ~seed ~verify:fault_verify ~compile:fault_compile
+      ~publish:fault_publish (fun () ->
+        Drill.churn o.Drill.market ~seed ~apps ~invalid ~txns ());
+    let ledger = Market.history o.Drill.market.Drill.queue in
+    let stats = Market.stats o.Drill.market.Drill.queue in
+    let epoch = o.Drill.market.Drill.epoch in
+    (* Health before and after the window slides past the run. *)
+    let during = Health.verdict o.Drill.health in
+    Drill.slide o;
+    let after = Health.verdict o.Drill.health in
+    let trail = List.length (Trace.txn_spans o.Drill.trace) in
+    let trail_ok = Drill.span_trail_mismatches o.Drill.trace ledger = [] in
+    let bundles = Forensics.Flight.bundles o.Drill.flight in
+    Option.iter
+      (fun path -> write_file path (Timeline.to_string o.Drill.trace))
+      timeline_out;
     (if json then
-       let module J = Telemetry.Json in
-       let txn_json (txn : Market.txn) =
-         let base =
-           [ ("id", J.Num (float_of_int txn.Market.id));
-             ("kind", J.Str (Market.kind_to_string txn.Market.request.Market.kind));
-             ("app", J.Str txn.Market.request.Market.app) ]
-         in
-         match txn.Market.outcome with
-         | Market.Committed { epoch; delta; republished; _ } ->
-           J.Obj
-             (base
-             @ [ ("outcome", J.Str "committed");
-                 ("epoch", J.Num (float_of_int epoch));
-                 ("delta", J.Bool delta);
-                 ("republished", J.Arr (List.map (fun a -> J.Str a) republished))
-               ])
-         | Market.Rolled_back { stage; reason; epoch; _ } ->
-           J.Obj
-             (base
-             @ [ ("outcome", J.Str "rolled_back");
-                 ("stage", J.Str stage);
-                 ("reason", J.Str reason);
-                 ("epoch", J.Num (float_of_int epoch)) ])
-       in
        Fmt.pr "%s@."
          (J.to_string
             (J.Obj
                [ ("epoch_history", J.Arr (List.map txn_json ledger));
-                 ("final_epoch", J.Num (float_of_int (Epoch.epoch t)));
-                 ("live_apps", J.Num (float_of_int (List.length (Epoch.apps t))));
+                 ("final_epoch", J.Num (float_of_int (Epoch.epoch epoch)));
+                 ("live_apps", J.Num (float_of_int (List.length (Epoch.apps epoch))));
                  ("commits", J.Num (float_of_int stats.Market.commits));
                  ("rollbacks", J.Num (float_of_int stats.Market.rollbacks));
                  ( "faults_injected",
@@ -589,13 +498,13 @@ let market_demo_cmd =
                      (List.map
                         (fun (name, n) -> (name, J.Num (float_of_int n)))
                         (Faults.report ())) );
-                 ("consistent", J.Bool (!inconsistent = []));
-                 ("txn_spans", J.Num (float_of_int (List.length trail)));
-                 ("span_trail_consistent", J.Bool (mismatches = []));
+                 ("consistent", J.Bool (o.Drill.market.Drill.inconsistent = []));
+                 ("txn_spans", J.Num (float_of_int trail));
+                 ("span_trail_consistent", J.Bool trail_ok);
                  ( "health_during",
-                   J.Str (Health.status_to_string v_during.Health.status) );
+                   J.Str (Health.status_to_string during.Health.status) );
                  ( "health_after",
-                   J.Str (Health.status_to_string v_after.Health.status) );
+                   J.Str (Health.status_to_string after.Health.status) );
                  ("flight_bundles", J.Num (float_of_int (List.length bundles)));
                  ( "flight_stages",
                    J.Arr
@@ -610,49 +519,27 @@ let market_demo_cmd =
      else begin
        List.iter (fun txn -> Fmt.pr "%a@." Market.pp_txn txn) ledger;
        Fmt.pr "@.final epoch=%d live apps=%d commits=%d rollbacks=%d@."
-         (Epoch.epoch t)
-         (List.length (Epoch.apps t))
+         (Epoch.epoch epoch)
+         (List.length (Epoch.apps epoch))
          stats.Market.commits stats.Market.rollbacks;
-       Fmt.pr "txn spans=%d trail=%s flight bundles=%d@." (List.length trail)
-         (if mismatches = [] then "consistent" else "MISMATCHED")
+       Fmt.pr "txn spans=%d trail=%s flight bundles=%d@." trail
+         (if trail_ok then "consistent" else "MISMATCHED")
          (List.length bundles);
-       Fmt.pr "health during run: %a@." Health.pp_verdict v_during;
-       Fmt.pr "health after window: %a@." Health.pp_verdict v_after;
-       if faulted then Fmt.pr "%a" Faults.pp_report ()
+       Fmt.pr "health during run: %a@." Health.pp_verdict during;
+       Fmt.pr "health after window: %a@." Health.pp_verdict after;
+       if fault_verify +. fault_compile +. fault_publish > 0. then
+         Fmt.pr "%a" Faults.pp_report ()
      end);
-    Epoch.close t;
-    let fail = ref false in
-    if !inconsistent <> [] then begin
-      Fmt.epr "epoch invariants violated after transaction(s): %s@."
-        (String.concat ", "
-           (List.rev_map string_of_int !inconsistent));
-      fail := true
-    end;
-    if mismatches <> [] then begin
-      List.iter
-        (fun (id, why) ->
-          Fmt.epr "span trail mismatch at transaction %d: %s@." id why)
-        mismatches;
-      fail := true
-    end;
-    let injected =
-      List.exists (fun (_, n) -> n > 0) (Faults.report ())
+    (* Armed faults that fired must degrade the verdict, and disarming
+       must let it recover once the incident ages out. *)
+    let injected = List.exists (fun (_, n) -> n > 0) (Faults.report ()) in
+    let violations =
+      Drill.violations o
+      @ if injected then Drill.incident_violations o ~during ~after else []
     in
-    if injected then begin
-      if v_during.Health.status = Health.Healthy then begin
-        Fmt.epr "health did not degrade despite injected faults@.";
-        fail := true
-      end;
-      if v_after.Health.status <> Health.Healthy then begin
-        Fmt.epr "health did not recover after the window slid past@.";
-        fail := true
-      end;
-      if bundles = [] && stats.Market.rollbacks > 0 then begin
-        Fmt.epr "rollbacks occurred but no flight bundle was captured@.";
-        fail := true
-      end
-    end;
-    if !fail then exit 1;
+    Drill.close_observed o;
+    List.iter (Fmt.epr "%s@.") violations;
+    if violations <> [] then exit 1;
     `Ok ()
   in
   let txns =
@@ -718,9 +605,10 @@ let market_demo_cmd =
           the sliding-window health verdict (during the run and after the \
           window slides past) and flight-recorder bundles per rollback.  \
           Exits 1 if any transaction leaves the deployment's epoch \
-          invariants violated, if the span trail disagrees with the \
-          ledger, or if injected faults fail to degrade (and then \
-          release) the health verdict")
+          invariants violated or breaks the ledger's epoch trace, if the \
+          span trail disagrees with the ledger, or if injected faults fail \
+          to degrade (and then release) the health verdict or to leave \
+          flight bundles that name each failed stage")
     Term.(
       ret
         (const run $ txns $ apps $ invalid $ seed $ fault_verify
@@ -728,161 +616,67 @@ let market_demo_cmd =
 
 (* telemetry ------------------------------------------------------------------ *)
 
-(* A self-contained traced run, shared by `telemetry` and `timeline`:
-   an engine-guarded app on the isolated runtime, issuing a mix of
-   allowed and denied calls, so the snapshot (and the call track of a
-   timeline export) has something in every section — histograms, cache
-   counters, queue gauges, fault counters and span accounting. *)
-let run_traced_calls ~trace ?health ~events () =
-  let demo_manifest =
-    "PERM insert_flow LIMITING MAX_PRIORITY 400 AND OWN_FLOWS\n\
-     PERM pkt_in_event\nPERM read_payload"
-  in
-  let open Shield_net in
-  let kernel = Kernel.create (Dataplane.create (Topology.linear 4)) in
-  let handled = ref 0 in
-  let app =
-    App.make
-      ~subscriptions:[ Api.E_packet_in ]
-      ~handle:(fun ctx ev ->
-        match ev with
-        | Events.Packet_in pi ->
-          incr handled;
-          (* Every 4th call breaches the MAX_PRIORITY 400 bound, so
-             the trace carries explained denials. *)
-          let priority = if !handled mod 4 = 0 then 1_000 else 100 in
-          let fm =
-            Flow_mod.add ~priority
-              ~match_:(Match_fields.make ~tp_dst:(1024 + (!handled mod 16)) ())
-              ~actions:[ Action.Output 1 ] ()
-          in
-          ignore (ctx.App.call (Api.Install_flow (pi.Message.dpid, fm)))
-        | _ -> ())
-      "demo"
-  in
-  let ownership = Ownership.create () in
-  let engine =
-    Engine.create ~ownership ~app_name:"demo" ~cookie:1
-      (Perm_parser.manifest_exn demo_manifest)
-  in
-  let config =
-    { Runtime.default_config with Runtime.trace = Some trace; health }
-  in
-  let rt =
-    Runtime.create ~config
-      ~mode:(Runtime.Isolated { ksd_threads = 2 })
-      kernel
-      [ (app, Engine.checker engine) ]
-  in
-  for i = 1 to events do
-    Runtime.feed rt
-      (Events.Packet_in
-         { Message.dpid = 1 + (i mod 4); in_port = 1;
-           packet = Packet.arp ~src:0xA ~dst:0xB ();
-           reason = Message.No_match; buffer_id = None })
-  done;
-  Runtime.drain rt;
-  let snap = Runtime.telemetry rt in
-  Runtime.shutdown rt;
-  snap
+(* The churn phase of `telemetry --market` and `timeline`, recorded
+   into [trace]; the closed market keeps its ledger and epoch. *)
+let traced_churn ~trace ?health ~txns ~apps ~invalid ~seed () =
+  let m = Drill.market ~trace ?health () in
+  Drill.churn m ~seed ~apps ~invalid ~txns ();
+  Drill.close m;
+  m
 
-(* A churn script through a market wired to [trace] (and optionally
-   [health]): populates the transaction track of a timeline export and
-   the `--market` section of the telemetry report. *)
-let run_traced_churn ~trace ?health ~txns ~apps ~invalid ~seed () =
-  let t =
-    match Epoch.create ~policy:"" () with
-    | Ok t -> t
-    | Error e -> failwith ("policy rejected: " ^ e)
-  in
-  let m = Epoch.market ~trace ?health t in
-  let script =
-    Shield_workload.Churn_gen.script ~seed ~apps ~invalid_fraction:invalid
-      ~length:txns ()
-  in
-  List.iter
-    (fun (e : Shield_workload.Churn_gen.entry) ->
-      ignore (Market.submit m e.Shield_workload.Churn_gen.request))
-    script;
-  Market.shutdown m;
-  let ledger = Market.history m in
-  let final_epoch = Epoch.epoch t in
-  let live_apps = List.length (Epoch.apps t) in
-  Epoch.close t;
-  (ledger, final_epoch, live_apps)
+let committed_epochs ledger =
+  List.filter_map
+    (fun (txn : Market.txn) ->
+      match txn.Market.outcome with
+      | Market.Committed { epoch; _ } -> Some epoch
+      | Market.Rolled_back _ -> None)
+    ledger
 
 let telemetry_cmd =
   let run format events spans_to_show market =
     let trace = Trace.create ~capacity:4096 () in
     let health = Health.create () in
-    let market_section =
+    let market =
       if market then
-        Some (run_traced_churn ~trace ~health ~txns:40 ~apps:12 ~invalid:0.15 ~seed:11 ())
+        Some
+          (traced_churn ~trace ~health ~txns:40 ~apps:12 ~invalid:0.15 ~seed:11
+             ())
       else None
     in
-    let snap = run_traced_calls ~trace ~health ~events () in
-    let module J = Telemetry.Json in
-    let market_json (ledger, final_epoch, live_apps) =
-      let txn_json (txn : Market.txn) =
-        let base =
-          [ ("id", J.Num (float_of_int txn.Market.id));
-            ("kind", J.Str (Market.kind_to_string txn.Market.request.Market.kind));
-            ("app", J.Str txn.Market.request.Market.app) ]
-        in
-        match txn.Market.outcome with
-        | Market.Committed { epoch; delta; _ } ->
-          J.Obj
-            (base
-            @ [ ("outcome", J.Str "committed");
-                ("epoch", J.Num (float_of_int epoch));
-                ("delta", J.Bool delta) ])
-        | Market.Rolled_back { stage; reason; epoch; _ } ->
-          J.Obj
-            (base
-            @ [ ("outcome", J.Str "rolled_back"); ("stage", J.Str stage);
-                ("reason", J.Str reason);
-                ("epoch", J.Num (float_of_int epoch)) ])
-      in
+    let snap = Drill.traced_calls ~trace ~health ~events () in
+    let market_json (m : Drill.market) =
+      let ledger = Market.history m.Drill.queue in
       J.Obj
         [ ("ledger", J.Arr (List.map txn_json ledger));
           ( "epoch_history",
             J.Arr
-              (List.filter_map
-                 (fun (txn : Market.txn) ->
-                   match txn.Market.outcome with
-                   | Market.Committed { epoch; _ } ->
-                     Some (J.Num (float_of_int epoch))
-                   | Market.Rolled_back _ -> None)
-                 ledger) );
-          ("final_epoch", J.Num (float_of_int final_epoch));
-          ("live_apps", J.Num (float_of_int live_apps)) ]
+              (List.map (fun e -> J.Num (float_of_int e)) (committed_epochs ledger))
+          );
+          ("final_epoch", J.Num (float_of_int (Epoch.epoch m.Drill.epoch)));
+          ( "live_apps",
+            J.Num (float_of_int (List.length (Epoch.apps m.Drill.epoch))) ) ]
     in
     let json_doc () =
-      match market_section with
+      match market with
       | None -> Telemetry.to_json snap
-      | Some section ->
+      | Some m ->
         J.to_string
           (J.Obj
              [ ("telemetry", Telemetry.to_json_value snap);
-               ("market", market_json section) ])
+               ("market", market_json m) ])
     in
     let pp_market_text () =
-      match market_section with
-      | None -> ()
-      | Some (ledger, final_epoch, live_apps) ->
-        Fmt.pr "# --- market ---@.";
-        List.iter (fun txn -> Fmt.pr "%a@." Market.pp_txn txn) ledger;
-        Fmt.pr "epoch history: %s@."
-          (String.concat " -> "
-             ("0"
-             :: List.filter_map
-                  (fun (txn : Market.txn) ->
-                    match txn.Market.outcome with
-                    | Market.Committed { epoch; _ } ->
-                      Some (string_of_int epoch)
-                    | Market.Rolled_back _ -> None)
-                  ledger));
-        Fmt.pr "final epoch=%d live apps=%d@." final_epoch live_apps
+      Option.iter
+        (fun (m : Drill.market) ->
+          let ledger = Market.history m.Drill.queue in
+          Fmt.pr "# --- market ---@.";
+          List.iter (fun txn -> Fmt.pr "%a@." Market.pp_txn txn) ledger;
+          Fmt.pr "epoch history: %s@."
+            (String.concat " -> "
+               (List.map string_of_int (0 :: committed_epochs ledger)));
+          Fmt.pr "final epoch=%d live apps=%d@." (Epoch.epoch m.Drill.epoch)
+            (List.length (Epoch.apps m.Drill.epoch)))
+        market
     in
     (match format with
     | "json" -> Fmt.pr "%s@." (json_doc ())
@@ -961,16 +755,13 @@ let telemetry_cmd =
 let timeline_cmd =
   let run events txns apps invalid seed out =
     let trace = Trace.create ~capacity:8192 ~txn_capacity:(max 1024 txns) () in
-    ignore (run_traced_calls ~trace ~events ());
-    ignore (run_traced_churn ~trace ~txns ~apps ~invalid ~seed ());
+    ignore (Drill.traced_calls ~trace ~events ());
+    ignore (traced_churn ~trace ~txns ~apps ~invalid ~seed ());
     let doc = Timeline.to_string trace in
     (match out with
     | None -> print_string doc
     | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc doc);
+      write_file path doc;
       let st = Trace.stats trace in
       Fmt.pr "wrote %s: %d call spans, %d transaction spans@." path
         st.Trace.stored st.Trace.txn_stored);
@@ -1023,59 +814,28 @@ let timeline_cmd =
 
 (* health --------------------------------------------------------------------- *)
 
-(* Three deterministic phases against one monitor on a manual clock:
+(* health-smoke's phases on the observed market, on a manual clock:
    clean churn (expect healthy), churn with the mid-swap fault sites
-   armed (expect degraded — the fault-site observer feeds the
-   monitor), then disarm, slide the window past the incident and run
-   clean churn again (expect healthy).  Exits 1 when the final verdict
-   is not healthy. *)
+   armed (expect degraded), then slide the window past the incident
+   and run clean churn again (expect healthy).  Exits 1 when the final
+   verdict is not healthy or a drill check fails. *)
 let health_cmd =
   let run txns apps seed json =
-    let hclock = ref 0. in
-    let health = Health.create ~clock:(fun () -> !hclock) () in
-    let trace = Trace.create () in
-    let flight = Forensics.Flight.create ~trace () in
-    Faults.set_observer (fun _ -> Health.fault health);
-    let t =
-      match Epoch.create ~policy:"" () with
-      | Ok t -> t
-      | Error e -> failwith ("policy rejected: " ^ e)
+    let o = Drill.observe (Trace.create ()) in
+    let clean = Drill.phase o ~seed ~apps ~txns () in
+    let faulted = Drill.phase o ~faulted:true ~seed:(seed + 1) ~apps ~txns () in
+    Drill.slide o;
+    let slid = Health.verdict o.Drill.health in
+    let recovered = Drill.phase o ~seed:(seed + 2) ~apps ~txns () in
+    let violations =
+      Drill.violations o @ Drill.incident_violations o ~during:faulted ~after:slid
     in
-    let m = Epoch.market ~trace ~health ~flight t in
-    let phase ~faulted seed =
-      if faulted then
-        Faults.configure ~seed ~swap_verify:0.08 ~swap_compile:0.08
-          ~swap_publish:0.08 ()
-      else Faults.disarm ();
-      let script =
-        Shield_workload.Churn_gen.script ~seed ~apps ~invalid_fraction:0.
-          ~length:txns ()
-      in
-      List.iter
-        (fun (e : Shield_workload.Churn_gen.entry) ->
-          ignore (Market.submit m e.Shield_workload.Churn_gen.request))
-        script;
-      Health.verdict health
-    in
+    Drill.close_observed o;
     let verdicts =
-      Fun.protect
-        ~finally:(fun () ->
-          Faults.disarm ();
-          Faults.clear_observer ())
-        (fun () ->
-          let clean = phase ~faulted:false seed in
-          let under_fault = phase ~faulted:true (seed + 1) in
-          Faults.disarm ();
-          hclock := !hclock +. Health.window health +. 1.;
-          let recovered = phase ~faulted:false (seed + 2) in
-          [ ("clean", clean); ("faulted", under_fault);
-            ("recovered", recovered) ])
+      [ ("clean", clean); ("faulted", faulted); ("recovered", recovered) ]
     in
-    Market.shutdown m;
-    Epoch.close t;
-    let bundles = Forensics.Flight.bundles flight in
+    let bundles = Forensics.Flight.bundles o.Drill.flight in
     (if json then
-       let module J = Telemetry.Json in
        let cause_json (c : Health.cause) =
          J.Obj
            [ ("signal", J.Str c.Health.cause_signal);
@@ -1105,8 +865,8 @@ let health_cmd =
          (fun (name, v) ->
            Fmt.pr "phase %-9s -> %a@." name Health.pp_verdict v)
          verdicts);
-    let _, final = List.nth verdicts 2 in
-    if final.Health.status <> Health.Healthy then exit 1;
+    List.iter (Fmt.epr "%s@.") violations;
+    if violations <> [] || recovered.Health.status <> Health.Healthy then exit 1;
     `Ok ()
   in
   let txns =
@@ -1136,7 +896,8 @@ let health_cmd =
          "Drive the sliding-window health monitor through a clean / \
           faulted / recovered churn sequence on a manual clock and print \
           the verdict after each phase (docs/OBSERVABILITY.md).  Exits 1 \
-          when the final verdict is not healthy")
+          when the final verdict is not healthy or a health-smoke check \
+          fails")
     Term.(ret (const run $ txns $ apps $ seed $ json))
 
 (* lint ----------------------------------------------------------------------- *)
@@ -1192,14 +953,12 @@ let lint_cmd =
             | specs -> (
               let rec parse_calls acc = function
                 | [] -> Ok (List.rev acc)
-                | s :: rest -> (
-                  match call_of_spec s with
-                  | Ok c -> parse_calls (c :: acc) rest
-                  | Error e -> Error (Printf.sprintf "call %S: %s" s e))
+                | s :: rest ->
+                  Result.bind (call_of_spec s) (fun c -> parse_calls (c :: acc) rest)
               in
-              match parse_calls [] specs with
-              | Error e -> Error e
-              | Ok trace -> Ok (Lint.lint_manifest ~rules ~trace m)))
+              Result.map
+                (fun trace -> Lint.lint_manifest ~rules ~trace m)
+                (parse_calls [] specs)))
       in
       match findings_result with
       | Error e -> `Error (false, e)
