@@ -257,25 +257,6 @@ let equivalence ~what m trace =
         fail "%s: check_batch diverges from Filter_eval at call %d" what i)
     trace
 
-let read_example name =
-  (* The runtest rule runs from _build/default/bench; `dune exec
-     bench/main.exe` usually runs from the repo root.  Try both. *)
-  let candidates =
-    [ Filename.concat "examples/lint" name;
-      Filename.concat "../examples/lint" name ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | None ->
-    fail "corpus file %s not found (tried: %s)" name
-      (String.concat ", " candidates);
-    None
-  | Some path ->
-    let ic = open_in_bin path in
-    Some
-      (Fun.protect
-         ~finally:(fun () -> close_in_noerr ic)
-         (fun () -> really_input_string ic (in_channel_length ic)))
-
 let smoke () =
   Bench_util.start_gate ~title:"Automaton: smoke" "automaton-smoke" 120.;
   (* 1. Equivalence over the generated corpus: every complexity × focus
@@ -302,9 +283,9 @@ let smoke () =
   equivalence ~what:"large/mixed" (manifest ())
     (Array.map fst (Api_trace.generate_mixed ~violation_rate:0.3 ~n:2048 ()));
   (* 2. A real manifest from the examples corpus, not a generated one. *)
-  (match read_example "clean.manifest" with
-  | None -> ()
-  | Some src -> (
+  (match Bench_util.read_example ~dir:"lint" "clean.manifest" with
+  | "" -> ()
+  | src -> (
     match Perm_parser.manifest_of_string src with
     | Error e -> fail "clean.manifest does not parse: %s" e
     | Ok m ->

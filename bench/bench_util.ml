@@ -186,3 +186,39 @@ let report ?(detail = "") gate =
   | fs ->
     List.iter (Fmt.epr "%s FAILURE: %s@." gate) fs;
     exit 1
+
+(* Example corpora ------------------------------------------------------------ *)
+
+(** The text of [examples/<dir>/<name>].  The runtest rule runs from
+    _build/default/bench; `dune exec bench/main.exe` usually runs from
+    the repo root, so both are tried.  A missing file is a failure of
+    the running gate, and reads as [""]. *)
+let read_example ~dir name =
+  let candidates =
+    List.map
+      (fun root -> Filename.concat (Filename.concat root dir) name)
+      [ "examples"; "../examples" ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | None ->
+    fail "corpus file %s not found (tried: %s)" name
+      (String.concat ", " candidates);
+    ""
+  | Some path -> In_channel.with_open_bin path In_channel.input_all
+
+(** Parse a manifest; a parse error is a failure of the running gate,
+    naming [what], and reads as the empty manifest. *)
+let manifest_of ~what src =
+  match Sdnshield.Perm_parser.manifest_of_string src with
+  | Ok m -> m
+  | Error e ->
+    fail "%s: manifest does not parse: %s" what e;
+    []
+
+(** {!manifest_of} for policies. *)
+let policy_of ~what src =
+  match Sdnshield.Policy_parser.of_string src with
+  | Ok p -> p
+  | Error e ->
+    fail "%s: policy does not parse: %s" what e;
+    []

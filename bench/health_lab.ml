@@ -12,6 +12,8 @@
      span names the failed stage;
    - the transaction-span trail must agree with the market ledger
      (same ids, same commit/rollback verdicts, same failed stages);
+   - every phase with no fault armed must commit every transaction:
+     each phase's script starts from the deployment the last one left;
    - sliding the window past the incident (manual clock) must flip
      the verdict back to Healthy without any process restart;
    - the Prometheus exposition of a snapshot carrying trace + health
@@ -55,15 +57,14 @@ let smoke () =
             fail "Prometheus exposition lacks %s" family)
         [ "sdnshield_health_status"; "sdnshield_health_window_seconds";
           "sdnshield_health_signal"; "sdnshield_health_cause_level";
-          "sdnshield_trace_txn_spans" ];
+          "sdnshield_trace_txn_spans_total" ];
       (* Phase C: the window slides past the incident; the verdict
          recovers with no restart.  The incident left its named cause
-         and its flight bundles, and the span trail is the ledger. *)
+         and its flight bundles. *)
       Drill.slide o;
       let v_slid = Health.verdict o.Drill.health in
       List.iter (fail "%s")
         (Drill.incident_violations o ~during:v_fault ~after:v_slid);
-      List.iter (fail "%s") (Drill.violations o);
       let rollbacks =
         List.filter
           (fun (txn : Market.txn) -> not (Market.committed txn.Market.outcome))
@@ -76,6 +77,9 @@ let smoke () =
       if v_final.Health.status <> Health.Healthy then
         fail "post-recovery clean churn judged %s"
           (Health.status_to_string v_final.Health.status);
+      (* The span trail is the ledger, and no clean phase rolled
+         back. *)
+      List.iter (fail "%s") (Drill.violations o);
       Fmt.pr
         "phases: clean=%s faulted=%s slid=%s final=%s; %d rollbacks, %d \
          flight bundles, %d spans@."

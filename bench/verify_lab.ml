@@ -25,37 +25,9 @@ module J = Bench_util.Json
 
 let fail = Bench_util.fail
 
-(* The runtest rule runs from _build/default/bench; `dune exec
-   bench/main.exe` usually runs from the repo root.  Try both. *)
-let read_example name =
-  let candidates =
-    [ Filename.concat "examples/verify" name;
-      Filename.concat "../examples/verify" name ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | None ->
-    fail "corpus file %s not found (tried: %s)" name
-      (String.concat ", " candidates);
-    ""
-  | Some path ->
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-
-let manifest_of ~what src =
-  match Perm_parser.manifest_of_string src with
-  | Ok m -> m
-  | Error e ->
-    fail "%s: manifest does not parse: %s" what e;
-    []
-
-let policy_of ~what src =
-  match Policy_parser.of_string src with
-  | Ok p -> p
-  | Error e ->
-    fail "%s: policy does not parse: %s" what e;
-    []
+let read_example = Bench_util.read_example ~dir:"verify"
+let manifest_of = Bench_util.manifest_of
+let policy_of = Bench_util.policy_of
 
 let pure = Filter_eval.pure_env
 

@@ -138,11 +138,11 @@ let suspicions ?(allowed_destinations = []) ~(sandbox : Sandbox.t)
 
    Post-mortems should not need a re-run: when a lifecycle transaction
    rolls back (or a fault site trips), capture everything the process
-   knows about the incident *now*, into a bounded ring.  A bundle
-   carries the transaction span (stage timings included), the last few
-   call spans around the incident, and a diff of the telemetry
-   snapshot against the last epoch boundary — what moved since the
-   deployment was last known-good. *)
+   knows about the incident *now*, into a bounded {!Trace.ring}.  A
+   bundle carries the transaction span (stage timings included), the
+   last few call spans around the incident, and a diff of the
+   telemetry snapshot against the last epoch boundary — what moved
+   since the deployment was last known-good. *)
 
 module Flight = struct
   type bundle = {
@@ -155,18 +155,17 @@ module Flight = struct
     baseline_epoch : int;
         (** Epoch at the last {!boundary}; [-1] = never marked. *)
     diff : (string * float) list;
-        (** Telemetry movement since the baseline: gauge depths, cache
-            hit/miss counters and histogram sample counts that
+        (** Telemetry movement since the baseline: the registry
+            counters, gauge depths and histogram sample counts that
             changed, as [(name, delta)]. *)
   }
 
   type t = {
     calls_around : int;
     trace : Trace.t option;
-    ring : bundle option array;
-    mutable recorded : int;
+    ring : bundle Trace.ring;
     mutable baseline : (int * Telemetry.snapshot) option;
-    mutex : Mutex.t;
+    mutex : Mutex.t;  (** Guards [ring] and [baseline]. *)
   }
 
   (** [create ()] — a recorder keeping the last [capacity] (default
@@ -178,8 +177,7 @@ module Flight = struct
       invalid_arg "Flight.create: capacity must be > 0";
     { calls_around = Stdlib.max 0 calls_around;
       trace;
-      ring = Array.make capacity None;
-      recorded = 0;
+      ring = Trace.ring capacity;
       baseline = None;
       mutex = Mutex.create () }
 
@@ -193,56 +191,30 @@ module Flight = struct
     t.baseline <- Some (epoch, snap);
     Mutex.unlock t.mutex
 
-  (* What moved since the baseline snapshot: gauge depths, cache
-     hits/misses, histogram counts.  Counter-style entries only — the
-     point is a small, skimmable "what changed" list, not a second
-     snapshot. *)
+  (* What moved since the baseline snapshot: registry counters, gauge
+     depths, histogram sample counts.  Counts only — the point is a
+     small, skimmable "what changed" list, not a second snapshot. *)
   let snapshot_diff (old_s : Telemetry.snapshot) (new_s : Telemetry.snapshot)
       =
-    let delta out name now before =
-      let d = now -. before in
-      if d <> 0. then (name, d) :: out else out
+    let moved prefix now before =
+      List.filter_map
+        (fun (k, v) ->
+          let d = v - Option.value ~default:0 (List.assoc_opt k before) in
+          if d <> 0 then Some (prefix ^ k, float_of_int d) else None)
+        now
     in
-    let out = ref [] in
-    List.iter
-      (fun (k, (g : Metrics.gauge)) ->
-        let before =
-          match List.assoc_opt k old_s.Telemetry.gauges with
-          | Some (o : Metrics.gauge) -> float_of_int o.Metrics.depth
-          | None -> 0.
-        in
-        out := delta !out ("gauge:" ^ k) (float_of_int g.Metrics.depth) before)
-      new_s.Telemetry.gauges;
-    List.iter
-      (fun (k, (c : Metrics.cache_stats)) ->
-        let before =
-          match List.assoc_opt k old_s.Telemetry.caches with
-          | Some o -> o
-          | None -> Metrics.zero_cache_stats
-        in
-        out :=
-          delta !out ("cache:" ^ k ^ ":hits")
-            (float_of_int c.Metrics.hits)
-            (float_of_int before.Metrics.hits);
-        out :=
-          delta !out ("cache:" ^ k ^ ":misses")
-            (float_of_int c.Metrics.misses)
-            (float_of_int before.Metrics.misses))
-      new_s.Telemetry.caches;
-    List.iter
-      (fun (k, (h : Metrics.Histogram.export)) ->
-        let before =
-          match List.assoc_opt k old_s.Telemetry.histograms with
-          | Some (o : Metrics.Histogram.export) ->
-            float_of_int o.Metrics.Histogram.n
-          | None -> 0.
-        in
-        out :=
-          delta !out ("hist:" ^ k ^ ":n")
-            (float_of_int h.Metrics.Histogram.n)
-            before)
-      new_s.Telemetry.histograms;
-    List.rev !out
+    let depths (s : Telemetry.snapshot) =
+      List.map (fun (k, (g : Metrics.gauge)) -> (k, g.Metrics.depth)) s.gauges
+    in
+    let hist_counts (s : Telemetry.snapshot) =
+      List.map
+        (fun (k, (h : Metrics.Histogram.export)) ->
+          (k ^ ":n", h.Metrics.Histogram.n))
+        s.histograms
+    in
+    moved "counter:" new_s.registry_counters old_s.registry_counters
+    @ moved "gauge:" (depths new_s) (depths old_s)
+    @ moved "hist:" (hist_counts new_s) (hist_counts old_s)
 
   (** Capture an incident bundle now.  [txn], when given, is the
       rolled-back transaction's span. *)
@@ -264,33 +236,16 @@ module Flight = struct
       | Some (epoch, snap) -> (epoch, snapshot_diff snap now)
     in
     let b =
-      { bseq = t.recorded; reason; txn; calls; baseline_epoch; diff }
+      { bseq = t.ring.Trace.written; reason; txn; calls; baseline_epoch; diff }
     in
-    t.ring.(t.recorded mod Array.length t.ring) <- Some b;
-    t.recorded <- t.recorded + 1;
+    Trace.push t.ring b;
     Mutex.unlock t.mutex;
     b
 
   (** Captured bundles, oldest first (bounded by the ring). *)
-  let bundles t =
-    Mutex.lock t.mutex;
-    let cap = Array.length t.ring in
-    let stored = Stdlib.min t.recorded cap in
-    let first = t.recorded - stored in
-    let out =
-      List.init stored (fun i ->
-          match t.ring.((first + i) mod cap) with
-          | Some b -> b
-          | None -> assert false)
-    in
-    Mutex.unlock t.mutex;
-    out
+  let bundles t = Mutex.protect t.mutex (fun () -> Trace.contents t.ring)
 
-  let captured t =
-    Mutex.lock t.mutex;
-    let n = t.recorded in
-    Mutex.unlock t.mutex;
-    n
+  let captured t = Mutex.protect t.mutex (fun () -> t.ring.Trace.written)
 
   let pp_bundle ppf (b : bundle) =
     Fmt.pf ppf "@[<v>incident #%d: %s (baseline epoch %d)" b.bseq b.reason

@@ -74,22 +74,20 @@ type t = {
   mutable shut : bool;
 }
 
-(* Gauge names are fixed: one market per process is the deployment
+(* Metric names are fixed: one market per process is the deployment
    shape (like the runtime's queue:ksd-reqs), and registration
    replaces, so sequential markets — the bench pattern — don't grow
-   the registry. *)
-let gauge_names = [ "queue:market"; "market:committed"; "market:rolled-back" ]
-
-let register_gauges t =
+   the registries. *)
+let register_metrics t =
   Metrics.register_gauge "queue:market" (fun () ->
       { Metrics.depth = Channel.length t.chan;
         hwm = Channel.high_water t.chan });
-  let counter c () =
-    let v = Atomic.get c in
-    { Metrics.depth = v; hwm = v }
-  in
-  Metrics.register_gauge "market:committed" (counter t.commits);
-  Metrics.register_gauge "market:rolled-back" (counter t.rollbacks)
+  Metrics.register_counter "market:committed" t.commits;
+  Metrics.register_counter "market:rolled-back" t.rollbacks
+
+let unregister_metrics () =
+  Metrics.unregister_gauge "queue:market";
+  List.iter Metrics.unregister_counter [ "market:committed"; "market:rolled-back" ]
 
 let audit t (req : request) (outcome : outcome) =
   match t.sandbox with
@@ -139,11 +137,16 @@ let txn_span_of id (req : request) outcome ~start ~dur : Trace.txn_span =
     verdict; epoch_before; epoch_after; txn_start = start; txn_total = dur;
     stages = List.rev rev_stages }
 
+(* The span is built only for a consumer that takes it: the trace
+   store, or the flight recorder's capture of a rollback. *)
 let observe t id req outcome ~timing =
   let tspan =
     match timing with
-    | None -> None
-    | Some (start, dur) -> Some (txn_span_of id req outcome ~start ~dur)
+    | Some (start, dur)
+      when Option.is_some t.trace
+           || (Option.is_some t.flight && not (committed outcome)) ->
+      Some (txn_span_of id req outcome ~start ~dur)
+    | _ -> None
   in
   (match (t.trace, tspan) with
   | Some tr, Some tspan ->
@@ -227,7 +230,7 @@ let create ?capacity ?sandbox ?trace ?health ?flight ~exec () : t =
       shut = false }
   in
   t.worker <- Some (Thread.create (worker t) ());
-  register_gauges t;
+  register_metrics t;
   t
 
 let refused =
@@ -279,7 +282,7 @@ let shutdown t =
     Channel.close t.chan;
     (match t.worker with Some th -> Thread.join th | None -> ());
     t.worker <- None;
-    List.iter Metrics.unregister_gauge gauge_names
+    unregister_metrics ()
   end
 
 let pp_outcome ppf = function

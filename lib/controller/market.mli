@@ -110,8 +110,8 @@ val create :
     rollback.
 
     Registers the [queue:market] depth gauge and the
-    [market:committed] / [market:rolled-back] counters in the
-    {!Metrics} gauge registry; {!shutdown} unregisters them. *)
+    [market:committed] / [market:rolled-back] {!Metrics} counters;
+    {!shutdown} unregisters them. *)
 
 val submit : t -> request -> outcome
 (** Enqueue and wait for the transaction's outcome.
@@ -131,7 +131,8 @@ val drain : t -> unit
 (** Block until every submitted transaction has completed. *)
 
 val shutdown : t -> unit
-(** Drain, stop the worker, unregister the gauges.  Idempotent. *)
+(** Drain, stop the worker, unregister the gauge and counters.
+    Idempotent. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_txn : Format.formatter -> txn -> unit

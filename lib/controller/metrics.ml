@@ -1,5 +1,5 @@
 (* Latency/throughput sample collection with percentile summaries, plus
-   a process-wide registry of cache hit/miss counters.
+   the process-wide registries of counters, gauges and histograms.
 
    The end-to-end experiments (Figures 6–8) report medians with 10/90
    percentile error bars; this module computes exactly those.  Samples
@@ -8,10 +8,11 @@
    array copy + sort — no list-to-array conversions on the hot path
    under domain parallelism.
 
-   The cache registry is how the normal-form and inclusion memo tables
-   in [lib/core] surface their hit rates to the runtimes and the
-   telemetry exporters without a dependency cycle: producers register
-   a stats thunk under a name; consumers call [cache_report]. *)
+   The registries are how producers all over the process (the memo
+   tables and admission stages in [lib/core], the runtimes, the
+   market) surface what they count, what level their queues are at
+   and how long their stages take to the telemetry exporters, without
+   a dependency cycle. *)
 
 (* Monotonic time -------------------------------------------------------- *)
 
@@ -130,81 +131,6 @@ let time t f =
   let r = f () in
   record t (now () -. start);
   r
-
-(* Cache-counter registry --------------------------------------------------- *)
-
-type cache_stats = {
-  hits : int;
-  misses : int;
-  evictions : int;  (** Entries discarded for capacity. *)
-  bypasses : int;  (** Lookups the cache refused to serve (uncacheable). *)
-}
-
-let zero_cache_stats =
-  { hits = 0; misses = 0; evictions = 0; bypasses = 0 }
-
-let hit_rate (s : cache_stats) =
-  let total = s.hits + s.misses in
-  if total = 0 then nan else float_of_int s.hits /. float_of_int total
-
-let registry : (string, unit -> cache_stats) Hashtbl.t = Hashtbl.create 8
-let registry_mutex = Mutex.create ()
-
-(** Register (or replace) the stats source for cache [name]. *)
-let register_cache name read =
-  Mutex.lock registry_mutex;
-  Hashtbl.replace registry name read;
-  Mutex.unlock registry_mutex
-
-(** Snapshot every registered cache, sorted by name. *)
-let cache_report () : (string * cache_stats) list =
-  Mutex.lock registry_mutex;
-  let sources = Hashtbl.fold (fun name read acc -> (name, read) :: acc) registry [] in
-  Mutex.unlock registry_mutex;
-  List.sort compare (List.map (fun (name, read) -> (name, read ())) sources)
-
-let pp_cache_stats ppf (s : cache_stats) =
-  Fmt.pf ppf "hits=%d misses=%d evictions=%d bypasses=%d" s.hits s.misses
-    s.evictions s.bypasses;
-  if s.hits + s.misses > 0 then Fmt.pf ppf " hit-rate=%.1f%%" (100. *. hit_rate s)
-
-(* Queue-depth gauge registry ------------------------------------------------ *)
-
-(* Same pattern as the cache registry, for live queue depths: the
-   runtimes register a reading thunk per channel (request queue, per-app
-   event queue) so benchmarks and reports can show where backpressure
-   is building without reaching into runtime internals. *)
-
-type gauge = {
-  depth : int;  (** Current queue depth. *)
-  hwm : int;  (** High-water mark since creation. *)
-}
-
-let gauge_registry : (string, unit -> gauge) Hashtbl.t = Hashtbl.create 8
-let gauge_mutex = Mutex.create ()
-
-(** Register (or replace) the reading source for gauge [name].
-    Re-registration replaces, so short-lived runtimes do not grow the
-    registry; {!unregister_gauge} on shutdown keeps reports scoped to
-    live runtimes. *)
-let register_gauge name read =
-  Mutex.lock gauge_mutex;
-  Hashtbl.replace gauge_registry name read;
-  Mutex.unlock gauge_mutex
-
-let unregister_gauge name =
-  Mutex.lock gauge_mutex;
-  Hashtbl.remove gauge_registry name;
-  Mutex.unlock gauge_mutex
-
-(** Snapshot every registered gauge, sorted by name. *)
-let gauge_report () : (string * gauge) list =
-  Mutex.lock gauge_mutex;
-  let sources =
-    Hashtbl.fold (fun name read acc -> (name, read) :: acc) gauge_registry []
-  in
-  Mutex.unlock gauge_mutex;
-  List.sort compare (List.map (fun (name, read) -> (name, read ())) sources)
 
 (* Bounded log-linear latency histograms ------------------------------------ *)
 
@@ -398,40 +324,74 @@ module Histogram = struct
         (percentile t 99. *. 1e6) (e.max *. 1e6)
 end
 
-(* Histogram registry -------------------------------------------------------- *)
+(* Registries ------------------------------------------------------------------ *)
 
-(* Same shape as the cache and gauge registries: the runtimes record
-   per-stage and per-app latencies under stable names
-   (["lat:check"], ["lat:app:<name>"], …) and exporters snapshot them
-   all through [hist_report].  [hist] creates on first use so
-   instrumentation sites need no setup order. *)
+(* One name table per kind of reading, each behind its own mutex.
+   Producers register under stable names; exporters snapshot every
+   entry, sorted by name. *)
+module Registry = struct
+  type 'a t = { table : (string, 'a) Hashtbl.t; mutex : Mutex.t }
 
-let hist_registry : (string, Histogram.t) Hashtbl.t = Hashtbl.create 8
-let hist_mutex = Mutex.create ()
+  let create () = { table = Hashtbl.create 16; mutex = Mutex.create () }
 
-(** The histogram registered under [name], created empty on first
-    use. *)
-let hist name =
-  Mutex.lock hist_mutex;
-  let h =
-    match Hashtbl.find_opt hist_registry name with
-    | Some h -> h
-    | None ->
-      let h = Histogram.create () in
-      Hashtbl.add hist_registry name h;
-      h
-  in
-  Mutex.unlock hist_mutex;
-  h
+  (** Register (or replace) [v] under [name]: re-registration
+      replaces, so short-lived producers do not grow the table. *)
+  let replace r name v =
+    Mutex.protect r.mutex (fun () -> Hashtbl.replace r.table name v)
 
-let unregister_hist name =
-  Mutex.lock hist_mutex;
-  Hashtbl.remove hist_registry name;
-  Mutex.unlock hist_mutex
+  let remove r name = Mutex.protect r.mutex (fun () -> Hashtbl.remove r.table name)
 
-(** Every registered histogram, sorted by name. *)
-let hist_report () : (string * Histogram.t) list =
-  Mutex.lock hist_mutex;
-  let hs = Hashtbl.fold (fun name h acc -> (name, h) :: acc) hist_registry [] in
-  Mutex.unlock hist_mutex;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) hs
+  (** The entry under [name], created by [make] on first use, so
+      instrumentation sites need no setup order. *)
+  let find_or_add r name make =
+    Mutex.protect r.mutex (fun () ->
+        match Hashtbl.find_opt r.table name with
+        | Some v -> v
+        | None ->
+          let v = make () in
+          Hashtbl.add r.table name v;
+          v)
+
+  let sorted r =
+    Mutex.protect r.mutex (fun () ->
+        Hashtbl.fold (fun name v acc -> (name, v) :: acc) r.table [])
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+end
+
+(* Counters: monotone counts — memo hits, admission verdicts, lint
+   findings, market commits.  A counter is a bare [int Atomic.t], so
+   counting is one [Atomic.incr] and needs no lock. *)
+
+let counters : int Atomic.t Registry.t = Registry.create ()
+let counter name = Registry.find_or_add counters name (fun () -> Atomic.make 0)
+let register_counter name c = Registry.replace counters name c
+let unregister_counter name = Registry.remove counters name
+
+let counter_report () =
+  List.map (fun (name, c) -> (name, Atomic.get c)) (Registry.sorted counters)
+
+(* Gauges: levels — queue depths with their high-water marks, the
+   market's epoch and live-app count.  The runtimes register a reading
+   thunk per channel, so reports show where backpressure is building
+   without reaching into runtime internals. *)
+
+type gauge = {
+  depth : int;  (** Current level. *)
+  hwm : int;  (** High-water mark since creation. *)
+}
+
+let gauges : (unit -> gauge) Registry.t = Registry.create ()
+let register_gauge name read = Registry.replace gauges name read
+let unregister_gauge name = Registry.remove gauges name
+
+(* The thunks run outside the registry's lock. *)
+let gauge_report () =
+  List.map (fun (name, read) -> (name, read ())) (Registry.sorted gauges)
+
+(* Histograms: the runtimes record per-stage and per-app latencies
+   under stable names (["lat:check"], ["lat:app:<name>"], …). *)
+
+let hists : Histogram.t Registry.t = Registry.create ()
+let hist name = Registry.find_or_add hists name Histogram.create
+let unregister_hist name = Registry.remove hists name
+let hist_report () = Registry.sorted hists

@@ -10,10 +10,10 @@
     - {!Histogram} is the bounded log-linear companion for long-running
       processes: constant memory, 6.25% relative resolution over
       1µs–10s, mergeable across domains;
-    - the registries ({!register_cache}, {!register_gauge}, {!hist})
-      are how producers all over the process surface cache counters,
-      queue depths and latency histograms to {!Telemetry} without
-      dependency cycles.
+    - the registries ({!counter}, {!register_gauge}, {!hist}) are how
+      producers all over the process surface monotone counts, levels
+      and latency histograms to {!Telemetry} without dependency
+      cycles.
 
     All timing uses {!now}, a monotonic clock: wall-clock steps cannot
     produce negative spans. *)
@@ -138,6 +138,45 @@ module Histogram : sig
   val pp : Format.formatter -> t -> unit
 end
 
+(** {1 Registries}
+
+    Three process-wide name tables, one per kind of reading, each
+    snapshotted sorted by name.  A count that only grows is a
+    {e counter}, never a gauge: exporters type it as one (a Prometheus
+    [counter] family ending [_total]).  A gauge is a level that can go
+    down again — a queue's depth — with its high-water mark. *)
+
+val counter : string -> int Atomic.t
+(** The counter registered under [name], created at zero on first use
+    (so instrumentation sites need no setup order).  Count with
+    [Atomic.incr]; resolve the name once where the count is hot. *)
+
+val register_counter : string -> int Atomic.t -> unit
+(** Register (or replace) a count an object owns — a market's commits,
+    an epoch deployment's reconcile runs — under a fixed name.
+    Re-registration replaces, so sequential owners do not grow the
+    registry; {!unregister_counter} at shutdown keeps reports scoped to
+    live owners. *)
+
+val unregister_counter : string -> unit
+
+val counter_report : unit -> (string * int) list
+(** Every registered counter's current value, sorted by name. *)
+
+type gauge = {
+  depth : int;  (** Current level. *)
+  hwm : int;  (** High-water mark since creation. *)
+}
+
+val register_gauge : string -> (unit -> gauge) -> unit
+(** Register (or replace) the reading source for gauge [name]; it is
+    called outside the registry's lock at every report. *)
+
+val unregister_gauge : string -> unit
+
+val gauge_report : unit -> (string * gauge) list
+(** Snapshot every registered gauge, sorted by name. *)
+
 val hist : string -> Histogram.t
 (** The histogram registered under [name], created empty on first use
     (so instrumentation sites need no setup order). *)
@@ -146,39 +185,3 @@ val unregister_hist : string -> unit
 
 val hist_report : unit -> (string * Histogram.t) list
 (** Every registered histogram, sorted by name. *)
-
-(** {1 Cache-counter registry} *)
-
-type cache_stats = {
-  hits : int;
-  misses : int;
-  evictions : int;  (** Entries discarded for capacity. *)
-  bypasses : int;  (** Lookups the cache refused to serve (uncacheable). *)
-}
-
-val zero_cache_stats : cache_stats
-
-val hit_rate : cache_stats -> float
-(** [hits / (hits + misses)].  [nan] when no lookup has happened —
-    check [hits + misses > 0] before formatting. *)
-
-val register_cache : string -> (unit -> cache_stats) -> unit
-(** Register (or replace) the stats source for cache [name]. *)
-
-val cache_report : unit -> (string * cache_stats) list
-(** Snapshot every registered cache, sorted by name. *)
-
-val pp_cache_stats : Format.formatter -> cache_stats -> unit
-
-(** {1 Queue-depth gauge registry} *)
-
-type gauge = {
-  depth : int;  (** Current value (queue depth / counter reading). *)
-  hwm : int;  (** High-water mark since creation. *)
-}
-
-val register_gauge : string -> (unit -> gauge) -> unit
-val unregister_gauge : string -> unit
-
-val gauge_report : unit -> (string * gauge) list
-(** Snapshot every registered gauge, sorted by name. *)

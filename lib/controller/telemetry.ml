@@ -1,11 +1,11 @@
 (* Unified telemetry export.
 
-   Observability so far lives in per-concern corners: latency
-   histograms and exact sample sets in [Metrics], cache counters in the
-   cache registry, queue-depth gauges in the gauge registry, fault
-   counters in the runtime, span statistics in a [Trace] store.  This
-   module takes one consistent snapshot of all of them and renders it
-   two ways:
+   Observability lives in per-concern corners: the [Metrics]
+   registries (monotone counters, level gauges, latency histograms),
+   reference-monitor and fault counters in the runtime, span statistics
+   in a [Trace] store, the verdict of a [Health] monitor.  This module
+   takes one consistent snapshot of all of them and renders it two
+   ways:
 
    - JSON, for programmatic consumers (and the [sdnshield telemetry]
      CLI command), with a minimal parser alongside so round-trips can
@@ -23,8 +23,9 @@ type snapshot = {
   counters : (string * int) list;
       (** Caller-supplied monotone counters (calls, denials, fault
           counters, ...), in the caller's order. *)
+  registry_counters : (string * int) list;
+      (** The {!Metrics} counter registry, sorted by name. *)
   histograms : (string * Metrics.Histogram.export) list;
-  caches : (string * Metrics.cache_stats) list;
   gauges : (string * Metrics.gauge) list;
   trace : Trace.stats option;
   health : Health.verdict option;
@@ -38,11 +39,11 @@ type snapshot = {
     stop-the-world cut. *)
 let snapshot ?(counters = []) ?trace ?health () =
   { counters;
+    registry_counters = Metrics.counter_report ();
     histograms =
       List.map
         (fun (name, h) -> (name, Metrics.Histogram.export h))
         (Metrics.hist_report ());
-    caches = Metrics.cache_report ();
     gauges = Metrics.gauge_report ();
     trace = Option.map Trace.stats trace;
     health = Option.map Health.verdict health }
@@ -273,13 +274,6 @@ module Json = struct
     | _ -> None
 end
 
-let json_of_cache (c : Metrics.cache_stats) : Json.t =
-  Json.Obj
-    [ ("hits", Json.Num (float_of_int c.Metrics.hits));
-      ("misses", Json.Num (float_of_int c.Metrics.misses));
-      ("evictions", Json.Num (float_of_int c.Metrics.evictions));
-      ("bypasses", Json.Num (float_of_int c.Metrics.bypasses)) ]
-
 let json_of_hist (h : Metrics.Histogram.export) : Json.t =
   Json.Obj
     [ ("n", Json.Num (float_of_int h.Metrics.Histogram.n));
@@ -330,14 +324,14 @@ let json_of_health (v : Health.verdict) : Json.t =
             v.Health.causes)) ]
 
 let to_json_value (s : snapshot) : Json.t =
+  let counts cs =
+    Json.Obj (List.map (fun (k, v) -> (k, Json.Num (float_of_int v))) cs)
+  in
   Json.Obj
-    [ ("counters",
-       Json.Obj
-         (List.map (fun (k, v) -> (k, Json.Num (float_of_int v))) s.counters));
+    [ ("counters", counts s.counters);
+      ("registry_counters", counts s.registry_counters);
       ("histograms",
        Json.Obj (List.map (fun (k, h) -> (k, json_of_hist h)) s.histograms));
-      ("caches",
-       Json.Obj (List.map (fun (k, c) -> (k, json_of_cache c)) s.caches));
       ("gauges",
        Json.Obj
          (List.map
@@ -404,43 +398,40 @@ let to_prometheus (s : snapshot) : string =
     Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" name help);
     Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" name typ)
   in
-  List.iter
-    (fun (k, v) ->
-      let name = "sdnshield_" ^ sanitize_metric_name k ^ "_total" in
-      header name "counter" ("Runtime counter " ^ k ^ ".");
-      line name (float_of_int v))
-    s.counters;
-  if s.gauges <> [] then begin
+  let counter help (k, v) =
+    let name = "sdnshield_" ^ sanitize_metric_name k ^ "_total" in
+    header name "counter" (help ^ " " ^ k ^ ".");
+    line name (float_of_int v)
+  in
+  List.iter (counter "Runtime counter") s.counters;
+  List.iter (counter "Counter") s.registry_counters;
+  (* Queues ([queue:*]) share the depth and high-water families, with
+     the registry name in the [queue] label; any other level is a
+     family of its own. *)
+  let queues, levels =
+    List.partition (fun (k, _) -> String.starts_with ~prefix:"queue:" k) s.gauges
+  in
+  if queues <> [] then begin
     header "sdnshield_queue_depth" "gauge" "Current depth of a runtime queue.";
     List.iter
       (fun (k, (g : Metrics.gauge)) ->
         line ~labels:[ ("queue", k) ] "sdnshield_queue_depth"
           (float_of_int g.Metrics.depth))
-      s.gauges;
+      queues;
     header "sdnshield_queue_high_water" "gauge"
       "High-water mark of a runtime queue.";
     List.iter
       (fun (k, (g : Metrics.gauge)) ->
         line ~labels:[ ("queue", k) ] "sdnshield_queue_high_water"
           (float_of_int g.Metrics.hwm))
-      s.gauges
+      queues
   end;
-  if s.caches <> [] then begin
-    let field name help get =
-      let metric = "sdnshield_cache_" ^ name ^ "_total" in
-      header metric "counter" help;
-      List.iter
-        (fun (k, c) ->
-          line ~labels:[ ("cache", k) ] metric (float_of_int (get c)))
-        s.caches
-    in
-    field "hits" "Memo-cache hits." (fun (c : Metrics.cache_stats) ->
-        c.Metrics.hits);
-    field "misses" "Memo-cache misses." (fun c -> c.Metrics.misses);
-    field "evictions" "Entries discarded for capacity." (fun c ->
-        c.Metrics.evictions);
-    field "bypasses" "Lookups the cache refused." (fun c -> c.Metrics.bypasses)
-  end;
+  List.iter
+    (fun (k, (g : Metrics.gauge)) ->
+      let name = "sdnshield_" ^ sanitize_metric_name k in
+      header name "gauge" ("Level " ^ k ^ ".");
+      line name (float_of_int g.Metrics.depth))
+    levels;
   if s.histograms <> [] then begin
     header "sdnshield_latency_seconds" "histogram"
       "Mediated-call latency by stage (log-linear buckets).";
@@ -471,27 +462,35 @@ let to_prometheus (s : snapshot) : string =
   (match s.trace with
   | None -> ()
   | Some tr ->
-    header "sdnshield_trace_spans" "gauge"
-      "Span-store accounting (seen/recorded/stored/dropped/sampled_out).";
-    List.iter
-      (fun (state, v) ->
-        line ~labels:[ ("state", state) ] "sdnshield_trace_spans"
-          (float_of_int v))
+    (* Counts since the store's creation are counters; what its rings
+       hold now is a level. *)
+    let by_state family help counts =
+      header family "counter" help;
+      List.iter
+        (fun (state, v) ->
+          line ~labels:[ ("state", state) ] family (float_of_int v))
+        counts
+    in
+    let level family help v =
+      header family "gauge" help;
+      line family v
+    in
+    by_state "sdnshield_trace_spans_total"
+      "Calls offered to the span store (seen), recorded, overwritten by \
+       its ring (dropped) and sampled out."
       [ ("seen", tr.Trace.seen); ("recorded", tr.Trace.recorded);
-        ("stored", tr.Trace.stored); ("dropped", tr.Trace.dropped);
-        ("sampled_out", tr.Trace.sampled_out) ];
-    header "sdnshield_trace_sampling_ratio" "gauge"
-      "Effective trace sampling ratio.";
-    line "sdnshield_trace_sampling_ratio" tr.Trace.sampling;
-    header "sdnshield_trace_txn_spans" "gauge"
-      "Lifecycle-transaction span accounting (recorded/stored/dropped).";
-    List.iter
-      (fun (state, v) ->
-        line ~labels:[ ("state", state) ] "sdnshield_trace_txn_spans"
-          (float_of_int v))
-      [ ("recorded", tr.Trace.txn_recorded);
-        ("stored", tr.Trace.txn_stored);
-        ("dropped", tr.Trace.txn_dropped) ]);
+        ("dropped", tr.Trace.dropped); ("sampled_out", tr.Trace.sampled_out) ];
+    level "sdnshield_trace_spans_stored" "Call spans the store holds."
+      (float_of_int tr.Trace.stored);
+    level "sdnshield_trace_sampling_ratio" "Effective trace sampling ratio."
+      tr.Trace.sampling;
+    by_state "sdnshield_trace_txn_spans_total"
+      "Lifecycle-transaction spans recorded and overwritten by the ring \
+       (dropped)."
+      [ ("recorded", tr.Trace.txn_recorded); ("dropped", tr.Trace.txn_dropped) ];
+    level "sdnshield_trace_txn_spans_stored"
+      "Lifecycle-transaction spans the store holds."
+      (float_of_int tr.Trace.txn_stored));
   (match s.health with
   | None -> ()
   | Some v ->
@@ -663,9 +662,8 @@ let pp ppf (s : snapshot) =
       Fmt.pf ppf "gauge %-24s depth=%-6d hwm=%d@." k g.Metrics.depth
         g.Metrics.hwm)
     s.gauges;
-  List.iter
-    (fun (k, c) -> Fmt.pf ppf "cache %-24s %a@." k Metrics.pp_cache_stats c)
-    s.caches;
+  List.iter (fun (k, v) -> Fmt.pf ppf "count %-24s %d@." k v)
+    s.registry_counters;
   List.iter
     (fun (k, (h : Metrics.Histogram.export)) ->
       if h.Metrics.Histogram.n = 0 then

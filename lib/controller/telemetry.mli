@@ -1,7 +1,7 @@
 (** Unified telemetry export (docs/OBSERVABILITY.md).
 
     {!snapshot} gathers one consistent view of everything the process
-    measures — the {!Metrics} histogram/cache/gauge registries, plus
+    measures — the {!Metrics} counter/gauge/histogram registries, plus
     caller-supplied runtime counters and a {!Trace} store — and renders
     it as JSON ({!to_json}) or Prometheus text exposition format
     ({!to_prometheus}).  [Runtime.telemetry] is the usual entry point;
@@ -10,8 +10,9 @@
 type snapshot = {
   counters : (string * int) list;
       (** Caller-supplied monotone counters, in the caller's order. *)
+  registry_counters : (string * int) list;
+      (** The {!Metrics} counter registry, sorted by name. *)
   histograms : (string * Metrics.Histogram.export) list;
-  caches : (string * Metrics.cache_stats) list;
   gauges : (string * Metrics.gauge) list;
   trace : Trace.stats option;
   health : Health.verdict option;
@@ -53,12 +54,15 @@ val to_json_value : snapshot -> Json.t
 val to_json : snapshot -> string
 
 val to_prometheus : snapshot -> string
-(** Text exposition format 0.0.4: runtime counters as
-    [sdnshield_<name>_total], queue gauges as [sdnshield_queue_depth] /
-    [_high_water], cache counters as [sdnshield_cache_*_total],
+(** Text exposition format 0.0.4: runtime and registry counters as
+    [sdnshield_<name>_total] counter families (the name's [-] and [:]
+    turned to [_]), queue gauges ([queue:*]) as
+    [sdnshield_queue_depth] / [_high_water] with the registry name in
+    the [queue] label, any other gauge as [sdnshield_<name>],
     histograms as cumulative [sdnshield_latency_seconds] bucket series
     (registry names in the [stage] label), trace accounting as
-    [sdnshield_trace_spans] / [sdnshield_trace_txn_spans], and the
+    [sdnshield_trace_spans_total] / [sdnshield_trace_txn_spans_total]
+    counters by state with [_stored] gauges beside them, and the
     health verdict as [sdnshield_health_status] (0/1/2),
     [sdnshield_health_window_seconds],
     [sdnshield_health_signal{signal=…}] and, for crossed rules,

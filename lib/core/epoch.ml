@@ -113,29 +113,30 @@ let analyze (policy : Policy.t) : (Policy.stmt * deps) list =
 
 (* Construction ------------------------------------------------------------- *)
 
-let gauge_names =
-  [ "market:epoch"; "market:apps"; "market:reconcile:delta";
-    "market:reconcile:full" ]
-
-let register_gauges t =
-  let counter f () =
+(* The deployment's levels are gauges, its reconcile-run counts
+   counters; the names are fixed, like the market's.  A level keeps no
+   high-water mark of its own, so it reports its current value as
+   both. *)
+let register_metrics t =
+  let level f () =
     let v = f () in
     { Metrics.depth = v; hwm = v }
   in
-  Metrics.register_gauge "market:epoch" (counter (fun () -> Atomic.get t.epoch_counter));
+  Metrics.register_gauge "market:epoch" (level (fun () -> Atomic.get t.epoch_counter));
   Metrics.register_gauge "market:apps"
-    (counter (fun () ->
+    (level (fun () ->
          List.length
            (List.filter
               (fun (_, c) ->
                 match Atomic.get c with Active _ -> true | Absent _ -> false)
               (Atomic.get t.slots))));
-  Metrics.register_gauge "market:reconcile:delta"
-    (counter (fun () -> Atomic.get t.delta_runs));
-  Metrics.register_gauge "market:reconcile:full"
-    (counter (fun () -> Atomic.get t.full_runs))
+  Metrics.register_counter "market:reconcile:delta" t.delta_runs;
+  Metrics.register_counter "market:reconcile:full" t.full_runs
 
-let close (_ : t) = List.iter Metrics.unregister_gauge gauge_names
+let close (_ : t) =
+  List.iter Metrics.unregister_gauge [ "market:epoch"; "market:apps" ];
+  List.iter Metrics.unregister_counter
+    [ "market:reconcile:delta"; "market:reconcile:full" ]
 
 let create ?limits ?(strict_verify = false) ?topo ~policy () : (t, string) result =
   match Vetting.vet_policy ?limits policy with
@@ -150,7 +151,7 @@ let create ?limits ?(strict_verify = false) ?topo ~policy () : (t, string) resul
            next_cookie = 1; delta_runs = Atomic.make 0;
            full_runs = Atomic.make 0 }
        in
-       register_gauges t;
+       register_metrics t;
        t)
 
 (* Slots and readers -------------------------------------------------------- *)
@@ -460,7 +461,7 @@ let apply_admit t ~upgrade ~app ~src stages =
   in
   (* The admission's one lint run, over the manifest it publishes.
      Advisory: findings never block the commit, but the stage is timed
-     and the counters feed the lint-severity gauges. *)
+     and the findings feed the [lint-*] counters. *)
   let _findings =
     stage stages "lint" (fun () ->
         Lint.lint_manifest ?limits:t.limits ~label:("app " ^ app)

@@ -64,9 +64,9 @@ val create :
     back when its certificate is [Unverified] (budget ran out) rather
     than only on [Refuted].
 
-    Registers the [market:epoch], [market:apps],
-    [market:reconcile:delta] and [market:reconcile:full] gauges;
-    {!close} unregisters them. *)
+    Registers the [market:epoch] and [market:apps] gauges and the
+    [market:reconcile:delta] and [market:reconcile:full] {!Metrics}
+    counters; {!close} unregisters them. *)
 
 val apply : t -> Market.request -> Market.outcome
 (** Run one lifecycle transaction to completion.  Serialized by an
@@ -117,8 +117,9 @@ val reconcile_counts : t -> int * int
 (** (delta runs, full runs) — full includes delta fallbacks. *)
 
 val close : t -> unit
-(** Unregister the deployment's gauges.  The slots and engines are
-    plain values; dropping the last reference collects them. *)
+(** Unregister the deployment's gauges and counters.  The slots and
+    engines are plain values; dropping the last reference collects
+    them. *)
 
 val consistent : t -> bool
 (** Structural epoch invariants, cheap enough to gate on after every

@@ -171,13 +171,12 @@ let includes_memo : (Filter.expr * Filter.expr * int, bool * bool) Hashtbl.t =
 
 let memo_max_entries = 8192
 let memo_mutex = Mutex.create ()
-let memo_counters = ref Shield_controller.Metrics.zero_cache_stats
 
-let () =
-  Shield_controller.Metrics.register_cache "inclusion-memo" (fun () ->
-      !memo_counters)
+module M = Shield_controller.Metrics
 
-let memo_stats () = !memo_counters
+let memo_hits = M.counter "inclusion-memo:hits"
+let memo_misses = M.counter "inclusion-memo:misses"
+let memo_evictions = M.counter "inclusion-memo:evictions"
 
 let clear_memo () =
   Mutex.lock memo_mutex;
@@ -202,28 +201,23 @@ let filter_includes_uncached ~max_clauses (a : Filter.expr) (b : Filter.expr) :
     allows?  Sound, incomplete (conservatively [false]).  Memoized on
     [(a, b, max_clauses)] in a bounded process-wide table. *)
 let filter_includes ?(max_clauses = 4096) (a : Filter.expr) (b : Filter.expr) =
-  let module M = Shield_controller.Metrics in
   Budget.step ();
   let key = (a, b, max_clauses) in
   Mutex.lock memo_mutex;
   let cached = Hashtbl.find_opt includes_memo key in
-  (match cached with
-  | Some _ -> memo_counters := { !memo_counters with M.hits = !memo_counters.M.hits + 1 }
-  | None -> ());
   Mutex.unlock memo_mutex;
   match cached with
   | Some (answer, degraded) ->
+    Atomic.incr memo_hits;
     if degraded then Budget.note "inclusion: fell back to FALSE past max_clauses";
     answer
   | None ->
     let (answer, degraded) as entry = filter_includes_uncached ~max_clauses a b in
     if degraded then Budget.note "inclusion: fell back to FALSE past max_clauses";
+    Atomic.incr memo_misses;
     Mutex.lock memo_mutex;
-    memo_counters := { !memo_counters with M.misses = !memo_counters.M.misses + 1 };
     if Hashtbl.length includes_memo >= memo_max_entries then begin
-      memo_counters :=
-        { !memo_counters with
-          M.evictions = !memo_counters.M.evictions + Hashtbl.length includes_memo };
+      ignore (Atomic.fetch_and_add memo_evictions (Hashtbl.length includes_memo));
       Hashtbl.reset includes_memo
     end;
     Hashtbl.replace includes_memo key entry;

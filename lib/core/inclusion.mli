@@ -27,13 +27,11 @@ val filter_includes : ?max_clauses:int -> Filter.expr -> Filter.expr -> bool
 (** [filter_includes a b] — filter [a] allows every behaviour [b]
     allows.  CNF(a) × DNF(b) clause-pairwise comparison; conservative
     [false] past the [max_clauses] guard.  Answers are memoized on
-    [(a, b, max_clauses)] in a bounded process-wide table (registered
-    as ["inclusion-memo"] in the {!Shield_controller.Metrics} cache
-    registry); expressions are immutable, so memoized answers equal
+    [(a, b, max_clauses)] in a bounded process-wide table, counted by
+    the {!Shield_controller.Metrics} counters [inclusion-memo:hits],
+    [inclusion-memo:misses] and [inclusion-memo:evictions];
+    expressions are immutable, so memoized answers equal
     recomputation. *)
-
-val memo_stats : unit -> Shield_controller.Metrics.cache_stats
-(** Hit/miss/eviction counters of the inclusion memo table. *)
 
 val clear_memo : unit -> unit
 (** Drop the inclusion memo table (counters are kept). *)

@@ -125,40 +125,27 @@ let has_rule r fs = List.exists (fun f -> f.rule = r) fs
 
 (* Counters ------------------------------------------------------------------- *)
 
-(* Same pattern as the Vetting stage counters: monotone ints surfaced
-   through the gauge registry (depth = hwm = count), registered lazily
-   so only rules that actually fired appear in the telemetry. *)
-let counters_mutex = Mutex.create ()
-let counters : (string, int ref) Hashtbl.t = Hashtbl.create 24
-
-let bump name =
-  Mutex.lock counters_mutex;
-  (match Hashtbl.find_opt counters name with
-  | Some c -> incr c
-  | None ->
-    let c = ref 1 in
-    Hashtbl.add counters name c;
-    M.register_gauge name (fun () -> { M.depth = !c; hwm = !c }));
-  Mutex.unlock counters_mutex
-
+(* One registry counter per [lint-<severity>:<rule>] pair, created
+   when the rule first fires, so only rules that fired appear in the
+   telemetry. *)
 let count_findings fs =
   List.iter
     (fun f ->
-      bump
-        (Printf.sprintf "lint-%s:%s" (severity_label f.severity)
-           (rule_id f.rule)))
+      Atomic.incr
+        (M.counter
+           (Printf.sprintf "lint-%s:%s" (severity_label f.severity)
+              (rule_id f.rule))))
     fs
 
-let stats () =
-  Mutex.lock counters_mutex;
-  let s = Hashtbl.fold (fun name c acc -> (name, !c) :: acc) counters [] in
-  Mutex.unlock counters_mutex;
-  List.sort compare (List.filter (fun (_, n) -> n > 0) s)
+let lint_counters () =
+  List.filter
+    (fun (name, _) -> String.starts_with ~prefix:"lint-" name)
+    (M.counter_report ())
+
+let stats () = List.filter (fun (_, n) -> n > 0) (lint_counters ())
 
 let reset_counters () =
-  Mutex.lock counters_mutex;
-  Hashtbl.iter (fun _ c -> c := 0) counters;
-  Mutex.unlock counters_mutex
+  List.iter (fun (name, _) -> Atomic.set (M.counter name) 0) (lint_counters ())
 
 (* Small rendering helpers ---------------------------------------------------- *)
 

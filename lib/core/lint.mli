@@ -19,7 +19,7 @@
     rules still run.
 
     Findings are counted per rule and severity in the
-    {!Shield_controller.Metrics} gauge registry (names
+    {!Shield_controller.Metrics} counter registry (names
     [lint-error:<rule>], [lint-warn:<rule>], [lint-info:<rule>]), so
     lint pressure shows up in [Telemetry.snapshot], the Prometheus
     export and [Runtime.pp_report] next to admission verdicts. *)
@@ -145,8 +145,8 @@ val lint_policy :
 
 val stats : unit -> (string * int) list
 (** Per-rule/severity finding counts since start (or
-    {!reset_counters}), sorted by name — the same numbers the
-    [lint-<severity>:<rule>] gauges export. *)
+    {!reset_counters}), sorted by name: the
+    [lint-<severity>:<rule>] {!Shield_controller.Metrics} counters. *)
 
 val reset_counters : unit -> unit
 

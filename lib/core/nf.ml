@@ -137,7 +137,8 @@ let dnf_uncached ~max_clauses ~max_width (e : Filter.expr) : clause list =
    Oversized expressions bypass the table: [Hashtbl]'s structural
    comparison walks colliding keys recursively, so parking a depth bomb
    in a bucket would re-import the stack hazard the CPS conversion just
-   removed.  Bypasses are counted in the stats. *)
+   removed.  Hits, misses, evictions and bypasses are registry
+   counters ([nf-memo:*]). *)
 
 module M = Shield_controller.Metrics
 
@@ -154,8 +155,10 @@ let memo_mutex = Mutex.create ()
 let cnf_memo : (Filter.expr * int * int, converted) Hashtbl.t = Hashtbl.create 256
 let dnf_memo : (Filter.expr * int * int, converted) Hashtbl.t = Hashtbl.create 256
 
-let memo_counters = ref M.zero_cache_stats
-let () = M.register_cache "nf-memo" (fun () -> !memo_counters)
+let memo_hits = M.counter "nf-memo:hits"
+let memo_misses = M.counter "nf-memo:misses"
+let memo_evictions = M.counter "nf-memo:evictions"
+let memo_bypasses = M.counter "nf-memo:bypasses"
 
 (** Drop both memo tables (counters are kept). *)
 let clear_memo () =
@@ -164,26 +167,18 @@ let clear_memo () =
   Hashtbl.reset dnf_memo;
   Mutex.unlock memo_mutex
 
-let memo_stats () = !memo_counters
-
 let memoized table ~max_clauses ~max_width convert (e : Filter.expr) :
     clause list =
   if Filter.size e > memo_max_expr_size then begin
-    Mutex.lock memo_mutex;
-    memo_counters :=
-      { !memo_counters with M.bypasses = !memo_counters.M.bypasses + 1 };
-    Mutex.unlock memo_mutex;
+    Atomic.incr memo_bypasses;
     convert ~max_clauses ~max_width e
   end
   else begin
     let key = (e, max_clauses, max_width) in
     Mutex.lock memo_mutex;
     let cached = Hashtbl.find_opt table key in
-    (match cached with
-    | Some _ ->
-      memo_counters := { !memo_counters with M.hits = !memo_counters.M.hits + 1 }
-    | None -> ());
     Mutex.unlock memo_mutex;
+    if Option.is_some cached then Atomic.incr memo_hits;
     match cached with
     | Some (Converted clauses) -> clauses
     | Some Blew_up -> raise Too_large
@@ -193,13 +188,10 @@ let memoized table ~max_clauses ~max_width convert (e : Filter.expr) :
         | clauses -> Converted clauses
         | exception Too_large -> Blew_up
       in
+      Atomic.incr memo_misses;
       Mutex.lock memo_mutex;
-      memo_counters :=
-        { !memo_counters with M.misses = !memo_counters.M.misses + 1 };
       if Hashtbl.length table >= memo_max_entries then begin
-        memo_counters :=
-          { !memo_counters with
-            M.evictions = !memo_counters.M.evictions + Hashtbl.length table };
+        ignore (Atomic.fetch_and_add memo_evictions (Hashtbl.length table));
         Hashtbl.reset table
       end;
       Hashtbl.replace table key outcome;

@@ -28,16 +28,13 @@ val cnf : ?max_clauses:int -> ?max_width:int -> Filter.expr -> clause list
     memoized on [(expr, max_clauses, max_width)] in a bounded
     process-wide table; expressions are immutable, so results are
     identical to fresh conversion.  Oversized expressions bypass the
-    table (counted as bypasses in the stats). *)
+    table.  Hits, misses, evictions and bypasses are the
+    {!Shield_controller.Metrics} counters [nf-memo:hits],
+    [nf-memo:misses], [nf-memo:evictions] and [nf-memo:bypasses]. *)
 
 val dnf : ?max_clauses:int -> ?max_width:int -> Filter.expr -> clause list
 (** Disjunction of conjunctive clauses.  [[]] = False; a member [] is
     a True clause.  Memoized like {!cnf}. *)
-
-val memo_stats : unit -> Shield_controller.Metrics.cache_stats
-(** Hit/miss/eviction counters of the shared CNF/DNF memo tables (also
-    registered as ["nf-memo"] in the {!Shield_controller.Metrics} cache
-    registry). *)
 
 val clear_memo : unit -> unit
 (** Drop both memo tables (counters are kept).  Useful for cold-start

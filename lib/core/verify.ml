@@ -465,57 +465,38 @@ type stats = {
   unknown_minimality_n : int;
 }
 
-let counters_mutex = Mutex.create ()
-let certified_c = ref 0
-let refuted_c = ref 0
-let unverified_c = ref 0
-let minimal_c = ref 0
-let slack_c = ref 0
-let unknown_min_c = ref 0
-let gauge_of_counter c () = { M.depth = !c; hwm = !c }
-
-let () =
-  M.register_gauge "verify-certified" (gauge_of_counter certified_c);
-  M.register_gauge "verify-refuted" (gauge_of_counter refuted_c);
-  M.register_gauge "verify-unverified" (gauge_of_counter unverified_c);
-  M.register_gauge "verify-minimal" (gauge_of_counter minimal_c);
-  M.register_gauge "verify-slack" (gauge_of_counter slack_c);
-  M.register_gauge "verify-unknown-minimality" (gauge_of_counter unknown_min_c)
+(* Registry counters, one per verdict and per minimality outcome. *)
+let certified_c = M.counter "verify-certified"
+let refuted_c = M.counter "verify-refuted"
+let unverified_c = M.counter "verify-unverified"
+let minimal_c = M.counter "verify-minimal"
+let slack_c = M.counter "verify-slack"
+let unknown_min_c = M.counter "verify-unknown-minimality"
 
 let count_certificate cert =
-  Mutex.lock counters_mutex;
-  (match cert.verdict with
-  | Certified -> incr certified_c
-  | Refuted _ -> incr refuted_c
-  | Unverified _ -> incr unverified_c);
-  (match cert.minimality with
-  | Minimal -> incr minimal_c
-  | Slack _ -> incr slack_c
-  | Unknown_minimality _ -> incr unknown_min_c);
-  Mutex.unlock counters_mutex
+  Atomic.incr
+    (match cert.verdict with
+    | Certified -> certified_c
+    | Refuted _ -> refuted_c
+    | Unverified _ -> unverified_c);
+  Atomic.incr
+    (match cert.minimality with
+    | Minimal -> minimal_c
+    | Slack _ -> slack_c
+    | Unknown_minimality _ -> unknown_min_c)
 
 let stats () =
-  Mutex.lock counters_mutex;
-  let s =
-    { certified_n = !certified_c;
-      refuted_n = !refuted_c;
-      unverified_n = !unverified_c;
-      minimal_n = !minimal_c;
-      slack_n = !slack_c;
-      unknown_minimality_n = !unknown_min_c }
-  in
-  Mutex.unlock counters_mutex;
-  s
+  { certified_n = Atomic.get certified_c;
+    refuted_n = Atomic.get refuted_c;
+    unverified_n = Atomic.get unverified_c;
+    minimal_n = Atomic.get minimal_c;
+    slack_n = Atomic.get slack_c;
+    unknown_minimality_n = Atomic.get unknown_min_c }
 
 let reset_stats () =
-  Mutex.lock counters_mutex;
-  certified_c := 0;
-  refuted_c := 0;
-  unverified_c := 0;
-  minimal_c := 0;
-  slack_c := 0;
-  unknown_min_c := 0;
-  Mutex.unlock counters_mutex
+  List.iter
+    (fun c -> Atomic.set c 0)
+    [ certified_c; refuted_c; unverified_c; minimal_c; slack_c; unknown_min_c ]
 
 (* Driver -------------------------------------------------------------------- *)
 

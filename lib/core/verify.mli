@@ -168,11 +168,11 @@ val pp_counterexample : Format.formatter -> counterexample -> unit
 val pp_minimality : Format.formatter -> minimality -> unit
 val pp_certificate : Format.formatter -> certificate -> unit
 
-(** {1 Metrics} — process-wide per-verdict counters, registered as
-    gauges [verify-certified] / [verify-refuted] / [verify-unverified]
-    and [verify-minimal] / [verify-slack] /
-    [verify-unknown-minimality] so they ride into the {!Telemetry}
-    snapshot. *)
+(** {1 Metrics} — process-wide per-verdict counts, kept in the
+    {!Shield_controller.Metrics} counters [verify-certified] /
+    [verify-refuted] / [verify-unverified] and [verify-minimal] /
+    [verify-slack] / [verify-unknown-minimality], so they ride into the
+    {!Telemetry} snapshot. *)
 
 type stats = {
   certified_n : int;

@@ -33,39 +33,20 @@ type reconciled = {
 
 (* Verdict counters ---------------------------------------------------------- *)
 
-let counters_mutex = Mutex.create ()
-let admitted_c = ref 0
-let degraded_c = ref 0
-let rejected_c = ref 0
-let stage_counters : (string, int ref) Hashtbl.t = Hashtbl.create 8
-
-(* The gauge registry is the existing process-wide surface for live
-   integers; a monotone counter reads as depth = hwm = count. *)
-let gauge_of_counter c () = { M.depth = !c; hwm = !c }
-
-let () =
-  M.register_gauge "vet-admitted" (gauge_of_counter admitted_c);
-  M.register_gauge "vet-degraded" (gauge_of_counter degraded_c);
-  M.register_gauge "vet-rejected" (gauge_of_counter rejected_c)
+(* Registry counters: [vet-admitted], [vet-degraded], [vet-rejected]
+   and one [vet-rejected:<stage>] per stage that has rejected. *)
+let admitted_c = M.counter "vet-admitted"
+let degraded_c = M.counter "vet-degraded"
+let rejected_c = M.counter "vet-rejected"
+let stage_prefix = "vet-rejected:"
 
 let count_verdict (v : 'a verdict) : 'a verdict =
-  Mutex.lock counters_mutex;
   (match v with
-  | Admitted _ -> incr admitted_c
-  | Degraded _ -> incr degraded_c
+  | Admitted _ -> Atomic.incr admitted_c
+  | Degraded _ -> Atomic.incr degraded_c
   | Rejected r ->
-    incr rejected_c;
-    let cell =
-      match Hashtbl.find_opt stage_counters r.stage with
-      | Some c -> c
-      | None ->
-        let c = ref 0 in
-        Hashtbl.add stage_counters r.stage c;
-        M.register_gauge ("vet-rejected:" ^ r.stage) (gauge_of_counter c);
-        c
-    in
-    incr cell);
-  Mutex.unlock counters_mutex;
+    Atomic.incr rejected_c;
+    Atomic.incr (M.counter (stage_prefix ^ r.stage)));
   v
 
 type stats = {
@@ -75,27 +56,27 @@ type stats = {
   rejected_by_stage : (string * int) list;
 }
 
+(* The per-stage counters, by stage, sorted. *)
+let stage_counts () =
+  let n = String.length stage_prefix in
+  List.filter_map
+    (fun (name, c) ->
+      if String.starts_with ~prefix:stage_prefix name then
+        Some (String.sub name n (String.length name - n), c)
+      else None)
+    (M.counter_report ())
+
 let stats () =
-  Mutex.lock counters_mutex;
-  let s =
-    { admitted = !admitted_c;
-      degraded = !degraded_c;
-      rejected = !rejected_c;
-      rejected_by_stage =
-        Hashtbl.fold (fun st c acc -> (st, !c) :: acc) stage_counters []
-        |> List.filter (fun (_, n) -> n > 0)
-        |> List.sort compare }
-  in
-  Mutex.unlock counters_mutex;
-  s
+  { admitted = Atomic.get admitted_c;
+    degraded = Atomic.get degraded_c;
+    rejected = Atomic.get rejected_c;
+    rejected_by_stage = List.filter (fun (_, c) -> c > 0) (stage_counts ()) }
 
 let reset_stats () =
-  Mutex.lock counters_mutex;
-  admitted_c := 0;
-  degraded_c := 0;
-  rejected_c := 0;
-  Hashtbl.iter (fun _ c -> c := 0) stage_counters;
-  Mutex.unlock counters_mutex
+  List.iter (fun c -> Atomic.set c 0) [ admitted_c; degraded_c; rejected_c ];
+  List.iter
+    (fun (stage, _) -> Atomic.set (M.counter (stage_prefix ^ stage)) 0)
+    (stage_counts ())
 
 (* The guarded runner -------------------------------------------------------- *)
 

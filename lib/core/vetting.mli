@@ -21,10 +21,10 @@
       of work and yield a structured report.
 
     Verdicts are counted per stage in the
-    {!Shield_controller.Metrics} gauge registry (names [vet-admitted],
-    [vet-degraded], [vet-rejected], [vet-rejected:<stage>]) so
-    operators can see admission pressure next to cache and queue
-    metrics. *)
+    {!Shield_controller.Metrics} counter registry (names
+    [vet-admitted], [vet-degraded], [vet-rejected],
+    [vet-rejected:<stage>]) so operators can see admission pressure
+    next to memo and queue metrics. *)
 
 type rejection = {
   stage : string;
@@ -108,7 +108,9 @@ type stats = {
 }
 
 val stats : unit -> stats
-(** Process-wide verdict counters since start (or {!reset_stats}). *)
+(** Process-wide verdict counts since start (or {!reset_stats}), read
+    from the {!Shield_controller.Metrics} counters [vet-admitted],
+    [vet-degraded], [vet-rejected] and [vet-rejected:<stage>]. *)
 
 val reset_stats : unit -> unit
 

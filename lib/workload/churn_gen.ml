@@ -29,14 +29,20 @@ let manifest_src rng ~complexity =
   Sdnshield.Perm.to_string (Perm_gen.generate ~seed ~complexity ~focus ())
 
 (** [script ~length ()] — a deterministic lifecycle script of [length]
-    requests over a pool of [apps] app names.  [invalid_fraction]
-    (default 0) of the requests are built to roll back; [complexity]
-    sizes the generated manifests (paper's Small/Medium/Large). *)
-let script ?(seed = 11) ?(apps = 100) ?(invalid_fraction = 0.)
+    requests over a pool of [apps] app names, starting from a
+    deployment whose live apps are [live] (default none).
+    [invalid_fraction] (default 0) of the requests are built to roll
+    back; [complexity] sizes the generated manifests (paper's
+    Small/Medium/Large). *)
+let script ?(seed = 11) ?(apps = 100) ?(live = []) ?(invalid_fraction = 0.)
     ?(complexity = Perm_gen.Small) ~length () : entry list =
   let apps = max 1 apps in
   let rng = Prng.of_int seed in
-  let live = Hashtbl.create apps in
+  let live =
+    let t = Hashtbl.create apps in
+    List.iter (fun name -> Hashtbl.replace t name ()) live;
+    t
+  in
   let pick_app pred =
     (* Uniform-ish pick of an app name satisfying [pred]; linear probe
        from a random start so the scan stays bounded. *)

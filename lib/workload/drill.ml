@@ -258,11 +258,14 @@ let submit m (entries : Churn_gen.entry list) =
         m.inconsistent <- id :: m.inconsistent)
     entries
 
-(** [txns] transactions of [seed]'s script over [apps] apps, an
-    [invalid] fraction of them built to roll back. *)
+(** [txns] transactions of [seed]'s script over [apps] apps, starting
+    from the apps the deployment holds, an [invalid] fraction of them
+    built to roll back. *)
 let churn m ~seed ~apps ?(invalid = 0.) ~txns () =
   submit m
-    (Churn_gen.script ~seed ~apps ~invalid_fraction:invalid ~length:txns ())
+    (Churn_gen.script ~seed ~apps
+       ~live:(List.map fst (Epoch.apps m.epoch))
+       ~invalid_fraction:invalid ~length:txns ())
 
 let close m =
   Market.shutdown m.queue;
@@ -352,6 +355,8 @@ type observed = {
   clock : float ref;  (** The health monitor's clock. *)
   health : Health.t;
   flight : Forensics.Flight.t;
+  mutable unclean_phases : string list;
+      (** Phases with no fault armed that rolled back, newest first. *)
 }
 
 (** [flight_capacity] bounds the bundles the recorder keeps (default
@@ -363,7 +368,7 @@ let observe ?flight_capacity trace =
   let sandbox = Sandbox.create () in
   Faults.set_observer (fun _ -> Health.fault health);
   { market = market ~sandbox ~trace ~health ~flight (); trace; sandbox; clock;
-    health; flight }
+    health; flight; unclean_phases = [] }
 
 (** Move the monitor's clock past its window: every incident so far
     ages out. *)
@@ -375,13 +380,25 @@ let incident_rate = 0.08
 
 (** One health phase: [txns] transactions of [seed]'s script, all
     valid; with [faulted], the swap sites armed at {!incident_rate}
-    under schedule [seed].  Returns the verdict after it. *)
+    under schedule [seed].  Returns the verdict after it.  A phase with
+    no fault armed must commit every transaction ({!violations}). *)
 let phase o ?(faulted = false) ~seed ~apps ~txns () =
   let run () = churn o.market ~seed ~apps ~txns () in
   if faulted then
     with_swap_faults ~seed ~verify:incident_rate ~compile:incident_rate
       ~publish:incident_rate run
-  else run ();
+  else begin
+    let rollbacks () = (Market.stats o.market.queue).Market.rollbacks in
+    let before = rollbacks () in
+    run ();
+    if rollbacks () > before then
+      o.unclean_phases <-
+        Printf.sprintf
+          "phase (seed %d) with no fault armed rolled back %d of %d \
+           transactions"
+          seed (rollbacks () - before) txns
+        :: o.unclean_phases
+  end;
   Health.verdict o.health
 
 (** What an observed run whose armed faults fired must show: the
@@ -426,8 +443,8 @@ let incident_violations o ~(during : Health.verdict) ~(after : Health.verdict) =
   List.rev !found
 
 (** Every check of an observed market's run but the incident's: the
-    epoch invariants after each transaction, the ledger's epoch trace
-    and the span trail. *)
+    epoch invariants after each transaction, the ledger's epoch trace,
+    the span trail, and no rollback in a phase with no fault armed. *)
 let violations o =
   let ledger = Market.history o.market.queue in
   List.rev_map
@@ -435,6 +452,7 @@ let violations o =
     o.market.inconsistent
   @ epoch_trace_violations ledger
   @ span_trail_mismatches o.trace ledger
+  @ List.rev o.unclean_phases
 
 let close_observed o =
   Faults.disarm ();

@@ -84,7 +84,39 @@ let test_protected_run_shows_probing () =
     (List.filter (fun d -> d <> "10.1.0.5") l.Forensics.distinct_net_destinations);
   Alcotest.(check bool) "denials visible" true (l.Forensics.denials > 0)
 
+(* Flight recorder ------------------------------------------------------------ *)
+
+let test_flight_keeps_newest () =
+  let fl = Forensics.Flight.create ~capacity:3 () in
+  for i = 0 to 6 do
+    ignore (Forensics.Flight.capture fl ~reason:(string_of_int i) ())
+  done;
+  let bundles = Forensics.Flight.bundles fl in
+  Alcotest.(check (list int)) "newest bundles, oldest first" [ 4; 5; 6 ]
+    (List.map (fun (b : Forensics.Flight.bundle) -> b.Forensics.Flight.bseq)
+       bundles);
+  Alcotest.(check (list string)) "each with its own reason" [ "4"; "5"; "6" ]
+    (List.map (fun (b : Forensics.Flight.bundle) -> b.Forensics.Flight.reason)
+       bundles);
+  Alcotest.(check int) "every capture counted" 7 (Forensics.Flight.captured fl)
+
+let test_flight_diff_names_counter () =
+  let fl = Forensics.Flight.create () in
+  Forensics.Flight.boundary fl ~epoch:3;
+  (match Sdnshield.Vetting.vet_manifest "PERM read_statistics" with
+  | Sdnshield.Vetting.Admitted _ -> ()
+  | _ -> Alcotest.fail "manifest not admitted");
+  let b = Forensics.Flight.capture fl ~reason:"after one admission" () in
+  Alcotest.(check int) "diffed against the boundary" 3
+    b.Forensics.Flight.baseline_epoch;
+  Alcotest.(check (option (float 0.))) "vet-admitted moved by one" (Some 1.)
+    (List.assoc_opt "counter:vet-admitted" b.Forensics.Flight.diff)
+
 let suite =
   [ Alcotest.test_case "summaries (unprotected)" `Quick test_summaries_unprotected;
     Alcotest.test_case "suspicions identify attackers" `Quick test_suspicions_identify_attackers;
-    Alcotest.test_case "protected run shows probing" `Quick test_protected_run_shows_probing ]
+    Alcotest.test_case "protected run shows probing" `Quick test_protected_run_shows_probing;
+    Alcotest.test_case "flight keeps the newest bundles" `Quick
+      test_flight_keeps_newest;
+    Alcotest.test_case "flight diff names a moved counter" `Quick
+      test_flight_diff_names_counter ]

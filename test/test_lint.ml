@@ -297,12 +297,12 @@ let test_counters_reach_telemetry () =
     (count "lint-error:unsatisfiable-filter" >= 1);
   Alcotest.(check bool) "warn counter bumped" true
     (count "lint-warn:vacuous-filter" >= 1);
-  (* The counters are ordinary registry gauges, so they flow into
-     Metrics.gauge_report, Telemetry.snapshot and the Prometheus
+  (* The counters are ordinary registry counters, so they flow into
+     Metrics.counter_report, Telemetry.snapshot and the Prometheus
      export without further wiring. *)
-  let gauges = Metrics.gauge_report () in
-  Alcotest.(check bool) "registered as a gauge" true
-    (List.mem_assoc "lint-error:unsatisfiable-filter" gauges);
+  let counters = Metrics.counter_report () in
+  Alcotest.(check bool) "registered as a counter" true
+    (List.mem_assoc "lint-error:unsatisfiable-filter" counters);
   let snap = Telemetry.snapshot () in
   Alcotest.(check bool) "prometheus export carries lint" true
     (Test_vetting.contains ~affix:"unsatisfiable_filter"

@@ -105,10 +105,39 @@ let test_shutdown_semantics () =
       (Market.stats m).Market.submitted
   | Market.Committed _ -> Alcotest.fail "submit after shutdown must refuse"
 
+(* The transaction span is built only for a trace store or a flight
+   recorder; a market wired to a health monitor alone must still feed
+   it every rollback and stage latency. *)
+let test_health_alone () =
+  let health = Health.create () in
+  let exec (req : Market.request) =
+    match req.Market.kind with
+    | Market.Install ->
+      Market.Committed
+        { epoch = 1; delta = false; republished = [];
+          stages = [ ("vet", 0.002); ("publish", 0.001) ] }
+    | _ ->
+      Market.Rolled_back
+        { stage = "verify"; reason = "refuted"; epoch = 1;
+          stages = [ ("vet", 0.001); ("verify", 0.004) ] }
+  in
+  let m = Market.create ~health ~exec () in
+  ignore (Market.submit m (Market.install "a" ""));
+  ignore (Market.submit m (Market.upgrade "a" ""));
+  ignore (Market.submit m (Market.revoke "a"));
+  Market.shutdown m;
+  let totals = (Health.verdict health).Health.totals in
+  Alcotest.(check (float 0.)) "both rollbacks recorded" 2.
+    (List.assoc "rollbacks" totals);
+  Alcotest.(check (float 1e-12)) "the slowest stage recorded" 0.004
+    (List.assoc "stage-max-s" totals)
+
 let suite =
   [ Alcotest.test_case "serialized commits, ordered ledger" `Quick
       test_serialized_commits;
     Alcotest.test_case "stats and outcome reporting" `Quick
       test_stats_and_outcomes;
     Alcotest.test_case "audit notifications" `Quick test_audit_notifications;
-    Alcotest.test_case "shutdown semantics" `Quick test_shutdown_semantics ]
+    Alcotest.test_case "shutdown semantics" `Quick test_shutdown_semantics;
+    Alcotest.test_case "health alone sees rollbacks and stages" `Quick
+      test_health_alone ]

@@ -240,6 +240,49 @@ let test_telemetry_roundtrip () =
     (Telemetry.to_prometheus snap);
   Metrics.unregister_hist "test:lat"
 
+(* Every monotone count is a counter family, and the queue families
+   hold queues only. *)
+let test_exposition_types_counts () =
+  (match Vetting.vet_manifest "PERM insert_flow LIMITING TCP_DST 80 AND TCP_DST 443" with
+  | Vetting.Admitted m -> ignore (Lint.lint_manifest m)
+  | _ -> Alcotest.fail "manifest not admitted");
+  let epoch = Result.get_ok (Epoch.create ~policy:"" ()) in
+  let market = Epoch.market epoch in
+  let prom =
+    Telemetry.to_prometheus (Telemetry.snapshot ~trace:(Trace.create ()) ())
+  in
+  Market.shutdown market;
+  Epoch.close epoch;
+  let lines = String.split_on_char '\n' prom in
+  let typed typ family =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s is a %s family" family typ)
+      true
+      (List.mem (Printf.sprintf "# TYPE %s %s" family typ) lines)
+  in
+  List.iter (typed "counter")
+    [ "sdnshield_vet_admitted_total"; "sdnshield_verify_certified_total";
+      "sdnshield_lint_error_unsatisfiable_filter_total";
+      "sdnshield_nf_memo_hits_total"; "sdnshield_nf_memo_misses_total";
+      "sdnshield_nf_memo_evictions_total"; "sdnshield_nf_memo_bypasses_total";
+      "sdnshield_inclusion_memo_hits_total";
+      "sdnshield_inclusion_memo_misses_total";
+      "sdnshield_inclusion_memo_evictions_total";
+      "sdnshield_market_committed_total"; "sdnshield_market_rolled_back_total";
+      "sdnshield_market_reconcile_delta_total";
+      "sdnshield_market_reconcile_full_total"; "sdnshield_trace_spans_total";
+      "sdnshield_trace_txn_spans_total" ];
+  List.iter (typed "gauge")
+    [ "sdnshield_queue_depth"; "sdnshield_market_epoch"; "sdnshield_market_apps" ];
+  List.iter
+    (fun line ->
+      if String.starts_with ~prefix:"sdnshield_queue_" line then
+        check_contains "queue sample" ~sub:"{queue=\"queue:" line)
+    lines;
+  match Telemetry.validate_prometheus prom with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "Prometheus exposition invalid: %s" e
+
 let test_json_parser_rejects_garbage () =
   List.iter
     (fun s ->
@@ -829,6 +872,8 @@ let suite =
     Alcotest.test_case "histogram merge laws" `Quick test_histogram_merge_laws;
     Alcotest.test_case "histogram edges" `Quick test_histogram_edges;
     Alcotest.test_case "telemetry roundtrip" `Quick test_telemetry_roundtrip;
+    Alcotest.test_case "exposition types counts as counters" `Quick
+      test_exposition_types_counts;
     Alcotest.test_case "json parser rejects garbage" `Quick
       test_json_parser_rejects_garbage;
     Alcotest.test_case "lifecycle txn spans" `Quick test_txn_spans_lifecycle;

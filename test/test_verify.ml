@@ -302,11 +302,11 @@ let test_counters_reach_telemetry () =
   let s = Verify.stats () in
   Alcotest.(check int) "one certified" 1 s.Verify.certified_n;
   Alcotest.(check int) "one refuted" 1 s.Verify.refuted_n;
-  let gauges = Metrics.gauge_report () in
+  let counters = Metrics.counter_report () in
   List.iter
     (fun name ->
-      Alcotest.(check bool) (name ^ " gauge registered") true
-        (List.mem_assoc name gauges))
+      Alcotest.(check bool) (name ^ " counter registered") true
+        (List.mem_assoc name counters))
     [ "verify-certified"; "verify-refuted"; "verify-unverified";
       "verify-minimal"; "verify-slack"; "verify-unknown-minimality" ]
 
