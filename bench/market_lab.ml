@@ -5,7 +5,7 @@
    subsystem's contract:
 
    1. {e Churn ground truth} — a seeded 1k-app lifecycle script
-      ([Churn_gen]) runs through the {!Market} queue with faults
+      ([Churn_gen]) runs through the {!Market} with faults
       disarmed while reader domains hammer a probe app's live checker
       under CBench-style flow-mod traffic.  Checks: the commit /
       rollback ledger matches the generator's own model {e exactly}

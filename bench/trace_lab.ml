@@ -20,8 +20,7 @@ open Sdnshield
 module Drill = Shield_workload.Drill
 
 (** Process-CPU seconds that [f] takes: on a small CI box the
-    runtime's thread pipeline (and the market's worker) timeshares the
-    cores, so wall clock measures the scheduler; CPU time ([Sys.time],
+    runtime's thread pipeline timeshares the cores, so wall clock measures the scheduler; CPU time ([Sys.time],
     getrusage-backed, all threads) measures the work — which is what
     tracing adds. *)
 let cpu_time f =

@@ -617,11 +617,11 @@ let market_demo_cmd =
 (* telemetry ------------------------------------------------------------------ *)
 
 (* The churn phase of `telemetry --market` and `timeline`, recorded
-   into [trace]; the closed market keeps its ledger and epoch. *)
+   into [trace].  The market stays open, its metrics registered, until
+   the caller closes it; a closed market keeps its ledger and epoch. *)
 let traced_churn ~trace ?health ~txns ~apps ~invalid ~seed () =
   let m = Drill.market ~trace ?health () in
   Drill.churn m ~seed ~apps ~invalid ~txns ();
-  Drill.close m;
   m
 
 let committed_epochs ledger =
@@ -643,7 +643,10 @@ let telemetry_cmd =
              ())
       else None
     in
+    (* The snapshot is taken while the market is open, so it carries
+       the market's metrics. *)
     let snap = Drill.traced_calls ~trace ~health ~events () in
+    Option.iter Drill.close market;
     let market_json (m : Drill.market) =
       let ledger = Market.history m.Drill.queue in
       J.Obj
@@ -730,16 +733,19 @@ let telemetry_cmd =
           ~doc:
             "Also run a seeded churn script through the live-update market \
              (sharing the trace store and health monitor) and render its \
-             transaction ledger and epoch history as an extra section — \
-             the snapshot then carries the $(b,lat:stage:*) histograms \
-             and the market gauges too.")
+             transaction ledger and epoch history as an extra section.  \
+             The snapshot is taken before the market closes, so it also \
+             carries the $(b,lat:stage:*) histograms, the \
+             $(b,market:committed), $(b,market:rolled-back) and \
+             $(b,market:reconcile:delta|full) counters and the \
+             $(b,market:epoch) and $(b,market:apps) gauges.")
   in
   Cmd.v
     (Cmd.info "telemetry"
        ~doc:
          "Run a small traced workload on the isolated runtime and emit the \
-          unified telemetry snapshot — latency histograms, cache counters, \
-          queue gauges, fault counters, span accounting and the health \
+          unified telemetry snapshot — latency histograms, registry \
+          counters, queue gauges, fault counters, span accounting and the health \
           verdict — as JSON, Prometheus text exposition, or a \
           human-readable report; $(b,--market) adds the churn ledger and \
           epoch history (docs/OBSERVABILITY.md)")
@@ -756,7 +762,7 @@ let timeline_cmd =
   let run events txns apps invalid seed out =
     let trace = Trace.create ~capacity:8192 ~txn_capacity:(max 1024 txns) () in
     ignore (Drill.traced_calls ~trace ~events ());
-    ignore (traced_churn ~trace ~txns ~apps ~invalid ~seed ());
+    Drill.close (traced_churn ~trace ~txns ~apps ~invalid ~seed ());
     let doc = Timeline.to_string trace in
     (match out with
     | None -> print_string doc

@@ -14,8 +14,8 @@
    tracked so runtimes can report worst-case queue depths.
 
    Spin-then-park (docs/RUNTIME.md §6).  A waiter whose counterpart
-   runs on another domain may pass [~spin:true] to {!pop} or
-   {!Ivar.read}, and {!Ivar.read_timeout} always spins: the waiter
+   runs on another domain may pass [~spin:true] to {!pop}, and
+   {!Ivar.read} and {!Ivar.read_timeout} always spin: the waiter
    first spins on an [Atomic] hint for at most [spin_ns], and only
    then parks on the condition as before.  A
    Mutex+Condition wake costs 15–20 µs on a 2-vCPU VM, an atomic
@@ -188,8 +188,8 @@ module Ivar = struct
       Condition.broadcast t.filled;
       Mutex.unlock t.mutex)
 
-  let read ?(spin = false) t =
-    if spin then spin_while t.value None;
+  let read t =
+    spin_while t.value None;
     Mutex.lock t.mutex;
     let rec wait () =
       match Atomic.get t.value with

@@ -14,8 +14,8 @@
     primitives is documented in docs/RUNTIME.md.
 
     Spin-then-park: a waiter whose counterpart runs on another domain
-    may pass [~spin:true] to {!pop} or {!Ivar.read}, and
-    {!Ivar.read_timeout} always spins.  Such a waiter spins on an
+    may pass [~spin:true] to {!pop}, and {!Ivar.read} and
+    {!Ivar.read_timeout} always spin.  Such a waiter spins on an
     atomic hint for at most {!spin_ns} before parking on the condition
     as usual, so a reply that lands while the waiter still runs skips
     the OS wake.  Waits
@@ -73,9 +73,10 @@ module Ivar : sig
   val fill : 'a t -> 'a -> unit
   (** @raise Invalid_argument when already filled. *)
 
-  val read : ?spin:bool -> 'a t -> 'a
-  (** Block until filled; [~spin:true] (default [false]) spins
-      first. *)
+  val read : 'a t -> 'a
+  (** Block until filled.  Meant for a value filled from another
+      domain: the reader spins before it parks, so a reader on the
+      filler's own domain holds up the filler for the spin bound. *)
 
   val read_timeout : 'a t -> float -> 'a option
   (** [read_timeout t d] — the value, or [None] if none arrives within

@@ -160,8 +160,10 @@ module Flight = struct
             changed, as [(name, delta)]. *)
   }
 
+  (* The call spans copied into each bundle. *)
+  let calls_around = 8
+
   type t = {
-    calls_around : int;
     trace : Trace.t option;
     ring : bundle Trace.ring;
     mutable baseline : (int * Telemetry.snapshot) option;
@@ -169,14 +171,13 @@ module Flight = struct
   }
 
   (** [create ()] — a recorder keeping the last [capacity] (default
-      16) incident bundles; [calls_around] (default 8) bounds the call
-      spans copied into each.  [trace], when given, supplies both the
-      surrounding call spans and (via the caller) transaction spans. *)
-  let create ?(capacity = 16) ?(calls_around = 8) ?trace () =
+      16) incident bundles, each with the last 8 call spans.  [trace],
+      when given, supplies both the surrounding call spans and (via the
+      caller) transaction spans. *)
+  let create ?(capacity = 16) ?trace () =
     if capacity <= 0 then
       invalid_arg "Flight.create: capacity must be > 0";
-    { calls_around = Stdlib.max 0 calls_around;
-      trace;
+    { trace;
       ring = Trace.ring capacity;
       baseline = None;
       mutex = Mutex.create () }
@@ -226,8 +227,8 @@ module Flight = struct
       | Some tr ->
         let all = Trace.spans tr in
         let n = List.length all in
-        if n <= t.calls_around then all
-        else List.filteri (fun i _ -> i >= n - t.calls_around) all
+        if n <= calls_around then all
+        else List.filteri (fun i _ -> i >= n - calls_around) all
     in
     Mutex.lock t.mutex;
     let baseline_epoch, diff =

@@ -1,8 +1,8 @@
-(* The app-market update queue (docs/CHURN.md).
+(* The app-market update ledger (docs/CHURN.md).
 
-   Lifecycle requests (install / upgrade / revoke) are serialized
-   through a bounded channel into a single worker thread that runs each
-   as one staged transaction via the pluggable executor.  The module is
+   Lifecycle requests (install / upgrade / revoke) run one at a time,
+   each as one staged transaction via the pluggable executor, in the
+   submitting thread under the market's mutex.  The module is
    deliberately generic — requests are app names and manifest source
    text, outcomes are epoch numbers — so the controller library stays
    independent of the SDNShield core, exactly as [Runtime] is generic
@@ -51,11 +51,8 @@ type txn = { id : int; request : request; outcome : outcome }
 
 type stats = { submitted : int; commits : int; rollbacks : int }
 
-type item = Job of int * request * outcome Channel.Ivar.t
-
 type t = {
   exec : request -> outcome;
-  chan : item Channel.t;
   sandbox : Sandbox.t option;
   trace : Trace.t option;
       (** Transaction spans land here (docs/OBSERVABILITY.md), along
@@ -63,31 +60,20 @@ type t = {
   health : Health.t option;  (** Rollbacks and stage latencies feed it. *)
   flight : Forensics.Flight.t option;
       (** Commit boundaries and rollback captures. *)
-  mutable worker : Thread.t option;
-  mutex : Mutex.t;  (** Guards [ledger], [next_id] and [completed]. *)
-  done_cond : Condition.t;
+  mutex : Mutex.t;
+      (** Held for a whole transaction: serializes them, and guards
+          [ledger], [next_id] and [shut]. *)
   mutable ledger : txn list;  (** Newest first. *)
   mutable next_id : int;
-  mutable completed : int;
   commits : int Atomic.t;
   rollbacks : int Atomic.t;
   mutable shut : bool;
 }
 
-(* Metric names are fixed: one market per process is the deployment
-   shape (like the runtime's queue:ksd-reqs), and registration
-   replaces, so sequential markets — the bench pattern — don't grow
-   the registries. *)
-let register_metrics t =
-  Metrics.register_gauge "queue:market" (fun () ->
-      { Metrics.depth = Channel.length t.chan;
-        hwm = Channel.high_water t.chan });
-  Metrics.register_counter "market:committed" t.commits;
-  Metrics.register_counter "market:rolled-back" t.rollbacks
-
-let unregister_metrics () =
-  Metrics.unregister_gauge "queue:market";
-  List.iter Metrics.unregister_counter [ "market:committed"; "market:rolled-back" ]
+(* Counter names are fixed: one market per process is the deployment
+   shape, and registration replaces, so sequential markets — the bench
+   pattern — don't grow the registry. *)
+let counters = [ "market:committed"; "market:rolled-back" ]
 
 let audit t (req : request) (outcome : outcome) =
   match t.sandbox with
@@ -183,107 +169,63 @@ let observe t id req outcome ~timing =
                 (kind_to_string req.kind) req.app stage reason)
            ()))
 
-let complete t id req outcome ivar ~timing =
-  (match outcome with
-  | Committed _ -> Atomic.incr t.commits
-  | Rolled_back _ -> Atomic.incr t.rollbacks);
-  audit t req outcome;
-  observe t id req outcome ~timing;
-  Mutex.lock t.mutex;
-  t.ledger <- { id; request = req; outcome } :: t.ledger;
-  t.completed <- t.completed + 1;
-  Condition.broadcast t.done_cond;
-  Mutex.unlock t.mutex;
-  Channel.Ivar.fill ivar outcome
-
-let worker t () =
-  let rec loop () =
-    match Channel.pop t.chan with
-    | None -> ()
-    | Some (Job (id, req, ivar)) ->
-      let t0 = Metrics.now () in
-      let outcome =
-        (* The worker's exception barrier: an executor that raises
-           outside its own stage handling must not kill the market —
-           the transaction reports as rolled back and the queue keeps
-           serving.  (Staged failures never get here: the executor
-           converts them to [Rolled_back] itself, with the real stage
-           and the still-current epoch.) *)
-        try t.exec req
-        with exn ->
-          Rolled_back
-            { stage = "apply"; reason = Printexc.to_string exn; epoch = -1;
-              stages = [] }
-      in
-      let dur = Metrics.now () -. t0 in
-      complete t id req outcome ivar ~timing:(Some (t0, dur));
-      loop ()
-  in
-  loop ()
-
-let create ?capacity ?sandbox ?trace ?health ?flight ~exec () : t =
+let create ?sandbox ?trace ?health ?flight ~exec () : t =
   let t =
-    { exec; chan = Channel.create ?capacity (); sandbox; trace; health;
-      flight; worker = None; mutex = Mutex.create ();
-      done_cond = Condition.create (); ledger = []; next_id = 0;
-      completed = 0; commits = Atomic.make 0; rollbacks = Atomic.make 0;
-      shut = false }
+    { exec; sandbox; trace; health; flight; mutex = Mutex.create ();
+      ledger = []; next_id = 0; commits = Atomic.make 0;
+      rollbacks = Atomic.make 0; shut = false }
   in
-  t.worker <- Some (Thread.create (worker t) ());
-  register_metrics t;
+  List.iter2 Metrics.register_counter counters [ t.commits; t.rollbacks ];
   t
 
 let refused =
   Rolled_back
     { stage = "queue"; reason = "market shut down"; epoch = -1; stages = [] }
 
-let submit_async t req =
-  let ivar = Channel.Ivar.create () in
-  Mutex.lock t.mutex;
-  t.next_id <- t.next_id + 1;
-  let id = t.next_id in
-  Mutex.unlock t.mutex;
-  (match Channel.push t.chan (Job (id, req, ivar)) with
-  | () -> ()
-  | exception Channel.Closed ->
-    (* The id was allocated but the job refused: account it completed
-       so [drain] still converges. *)
-    complete t id req refused ivar ~timing:None);
-  ivar
+let submit t req =
+  Mutex.protect t.mutex (fun () ->
+      t.next_id <- t.next_id + 1;
+      let id = t.next_id in
+      let outcome, timing =
+        if t.shut then (refused, None)
+        else
+          let t0 = Metrics.now () in
+          let outcome =
+            (* The market's exception barrier: an executor that raises
+               outside its own stage handling must not kill the market —
+               the transaction reports as rolled back and the market
+               keeps serving.  (Staged failures never get here: the
+               executor converts them to [Rolled_back] itself, with the
+               real stage and the still-current epoch.) *)
+            try t.exec req
+            with exn ->
+              Rolled_back
+                { stage = "apply"; reason = Printexc.to_string exn;
+                  epoch = -1; stages = [] }
+          in
+          (outcome, Some (t0, Metrics.now () -. t0))
+      in
+      Atomic.incr (if committed outcome then t.commits else t.rollbacks);
+      audit t req outcome;
+      observe t id req outcome ~timing;
+      t.ledger <- { id; request = req; outcome } :: t.ledger;
+      outcome)
 
-(* The worker is a thread of the caller's domain, so this wait parks
-   without spinning (docs/RUNTIME.md §6). *)
-let submit t req = Channel.Ivar.read (submit_async t req)
-
-let history t =
-  Mutex.lock t.mutex;
-  let l = List.rev t.ledger in
-  Mutex.unlock t.mutex;
-  l
+let history t = Mutex.protect t.mutex (fun () -> List.rev t.ledger)
 
 let stats t =
-  Mutex.lock t.mutex;
-  let submitted = t.next_id in
-  Mutex.unlock t.mutex;
-  { submitted; commits = Atomic.get t.commits;
-    rollbacks = Atomic.get t.rollbacks }
-
-let drain t =
-  Mutex.lock t.mutex;
-  while t.completed < t.next_id do
-    Condition.wait t.done_cond t.mutex
-  done;
-  Mutex.unlock t.mutex
+  Mutex.protect t.mutex (fun () ->
+      { submitted = t.next_id; commits = Atomic.get t.commits;
+        rollbacks = Atomic.get t.rollbacks })
 
 let shutdown t =
-  if not t.shut then begin
-    t.shut <- true;
-    drain t;
-    Channel.close t.chan;
-    (match t.worker with Some th -> Thread.join th | None -> ());
-    t.worker <- None;
-    unregister_metrics ()
-  end
+  let first =
+    Mutex.protect t.mutex (fun () ->
+        let first = not t.shut in
+        t.shut <- true;
+        first)
+  in
+  if first then List.iter Metrics.unregister_counter counters
 
 let pp_outcome ppf = function
   | Committed { epoch; delta; republished; stages } ->

@@ -1,20 +1,20 @@
-(** The app-market update queue (docs/CHURN.md).
+(** The app-market update ledger (docs/CHURN.md).
 
     An SDN app market installs, upgrades and revokes apps {e while
     traffic flows}.  This module is the controller-side half of the
-    live-update subsystem: a serialized, supervised queue of lifecycle
-    requests, each executed as one staged transaction by a pluggable
-    executor, with a transaction ledger, commit/rollback counters and
-    sandbox audit notifications.
+    live-update subsystem: lifecycle requests, each executed as one
+    staged transaction by a pluggable executor, with a transaction
+    ledger, commit/rollback counters and sandbox audit notifications.
 
     The executor is supplied by the deployment layer
-    ({!Sdnshield.Epoch.executor} wires the full
+    ({!Sdnshield.Epoch.market} wires the full
     vet → reconcile → lint → verify → compile → publish pipeline); the
-    queue itself is generic, mirroring how {!Runtime} accepts any
-    {!Api.checker}.  Exactly one worker thread drains the queue, so
-    transactions are serialized — the epoch stores the executor
-    publishes into need no cross-transaction locking, and a rollback
-    can only ever race with readers, never with another writer. *)
+    market itself is generic, mirroring how {!Runtime} accepts any
+    {!Api.checker}.  {!submit} runs the transaction in the calling
+    thread under the market's mutex, so transactions are serialized —
+    the epoch stores the executor publishes into need no
+    cross-transaction locking, and a rollback can only ever race with
+    readers, never with another writer. *)
 
 type kind = Install | Upgrade | Revoke
 
@@ -81,7 +81,6 @@ type stats = {
 type t
 
 val create :
-  ?capacity:int ->
   ?sandbox:Sandbox.t ->
   ?trace:Trace.t ->
   ?health:Health.t ->
@@ -89,13 +88,11 @@ val create :
   exec:(request -> outcome) ->
   unit ->
   t
-(** [create ~exec ()] starts the market worker.  [exec] runs one
+(** [create ~exec ()] — a market over [exec], which runs one
     lifecycle transaction to completion and must be fail-safe: stage
     failures are reported as [Rolled_back], not raised (a raise is
-    still contained — the worker converts it to a [Rolled_back] with
-    stage ["apply"] and keeps serving).  [capacity] bounds the update
-    queue (default unbounded; full queues block the submitter —
-    lifecycle updates have exactly-once semantics).  [sandbox], when
+    still contained — {!submit} converts it to a [Rolled_back] with
+    stage ["apply"] and the market keeps serving).  [sandbox], when
     given, receives an audit entry per transaction: ["market-commit"]
     (allowed) or ["market-rollback"] (denied), the notification channel
     {!Forensics.fault_log} surfaces.
@@ -109,30 +106,24 @@ val create :
     {!Forensics.Flight.capture} (with the transaction span) on each
     rollback.
 
-    Registers the [queue:market] depth gauge and the
-    [market:committed] / [market:rolled-back] {!Metrics} counters;
-    {!shutdown} unregisters them. *)
+    Registers the [market:committed] / [market:rolled-back] {!Metrics}
+    counters; {!shutdown} unregisters them. *)
 
 val submit : t -> request -> outcome
-(** Enqueue and wait for the transaction's outcome.
-    After {!shutdown}: [Rolled_back] with stage ["queue"]. *)
-
-val submit_async : t -> request -> outcome Channel.Ivar.t
-(** Enqueue without waiting; the ivar fills when the transaction
-    completes.  After {!shutdown} the ivar is already filled with a
-    stage-["queue"] [Rolled_back]. *)
+(** Run the transaction in the calling thread and return its outcome.
+    Submissions from several threads wait for each other: one
+    transaction runs at a time, and ids follow the order in which
+    they took the market's mutex.  After {!shutdown}: [Rolled_back]
+    with stage ["queue"] (still given an id and a ledger entry). *)
 
 val history : t -> txn list
 (** Completed transactions, oldest first. *)
 
 val stats : t -> stats
 
-val drain : t -> unit
-(** Block until every submitted transaction has completed. *)
-
 val shutdown : t -> unit
-(** Drain, stop the worker, unregister the gauge and counters.
-    Idempotent. *)
+(** Wait for the transaction in flight, refuse every later {!submit},
+    unregister the counters.  Idempotent. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_txn : Format.formatter -> txn -> unit

@@ -346,7 +346,7 @@ let checked_txn t inst ~deputy sc calls =
    The deputy runs on another domain, so the wait spins first. *)
 let await_reply t ivar ~on_deadline =
   match t.config.call_deadline with
-  | None -> Channel.Ivar.read ~spin:true ivar
+  | None -> Channel.Ivar.read ivar
   | Some d -> (
     match Channel.Ivar.read_timeout ivar d with
     | Some r -> r

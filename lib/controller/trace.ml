@@ -62,7 +62,7 @@ type txn_span = {
   verdict : txn_verdict;
   epoch_before : int;  (** Global epoch when the transaction started. *)
   epoch_after : int;  (** Epoch after: [epoch_before + 1] on commit, unchanged on rollback. *)
-  txn_start : float;  (** {!Metrics.now} at worker pickup. *)
+  txn_start : float;  (** {!Metrics.now} when the executor started. *)
   txn_total : float;  (** Whole-transaction duration, seconds. *)
   stages : stage_span list;  (** Execution order. *)
 }

@@ -36,6 +36,7 @@ type spent = {
 }
 
 exception Exhausted of { stage : string; reason : string; spent : spent }
+exception Too_large
 
 type t = {
   limits : limits;
@@ -119,6 +120,31 @@ let note reason =
   match current () with
   | None -> ()
   | Some t -> if not (List.mem reason t.notes) then t.notes <- reason :: t.notes
+
+type failure = { stage : string; reason : string; spent : spent }
+
+(* The one table of what an escaping exception means to an admission
+   analysis: every class fails closed, with its own reason. *)
+let failure exn =
+  let stage, spent =
+    match current () with
+    | Some t -> (t.stage, spent t)
+    | None ->
+      ("?", { steps = 0; clauses = 0; nodes = 0; depth_hwm = 0; elapsed = 0. })
+  in
+  let because reason = { stage; reason; spent } in
+  match exn with
+  | Exhausted { stage; reason; spent } ->
+    { stage; reason = "budget exhausted: " ^ reason; spent }
+  | Too_large -> because "normal form too large"
+  | Stack_overflow -> because "stack overflow (unbudgeted recursion)"
+  | Out_of_memory -> because "out of memory (unbudgeted allocation)"
+  | Shield_controller.Faults.Injected site ->
+    because ("injected fault at " ^ site)
+  | Invalid_argument m | Failure m -> because m
+  | exn -> because ("internal error: " ^ Printexc.to_string exn)
+
+let absorb f = match f () with v -> Ok v | exception exn -> Error (failure exn)
 
 let pp_spent ppf (s : spent) =
   Fmt.pf ppf "steps=%d clauses=%d nodes=%d depth=%d elapsed=%.3fs" s.steps

@@ -49,6 +49,11 @@ exception Exhausted of { stage : string; reason : string; spent : spent }
     the last {!set_stage} label ("parse", "expand", "normalize",
     "reconcile", …). *)
 
+exception Too_large
+(** Raised by the normal-form conversion past its clause or width cap
+    (re-exported as [Nf.Too_large]).  A caller with a conservative
+    answer catches it; every other caller leaves it to {!absorb}. *)
+
 type t
 
 val create : ?limits:limits -> unit -> t
@@ -95,5 +100,27 @@ val note : string -> unit
 (** Record that a conservative fallback was taken (e.g. a normal-form
     conversion blew past [max_clauses] and the caller answered
     fail-closed).  Deduplicated. *)
+
+(** {1 The exception barrier} *)
+
+type failure = {
+  stage : string;  (** The {!set_stage} label when the failure struck. *)
+  reason : string;
+  spent : spent;  (** Resources consumed up to the failure. *)
+}
+
+val absorb : (unit -> 'a) -> ('a, failure) result
+(** [absorb f] runs [f] and turns any exception it raises into a
+    fail-closed [Error]: the one barrier of the admission analyses
+    (vetting, lint, verify, diff and each transaction stage).  The
+    reason names the class: ["budget exhausted: <limit>"] for
+    {!Exhausted} (whose own stage and spent it keeps), ["normal form
+    too large"] for {!Too_large}, ["stack overflow (unbudgeted
+    recursion)"] and ["out of memory (unbudgeted allocation)"] for the
+    two the analyses are built never to hit, ["injected fault at
+    <site>"] for an armed fault site, the message of an
+    [Invalid_argument] or [Failure] (a refusal that says why), and
+    ["internal error: <exception>"] for anything else.  Outside a
+    scope the stage is ["?"] and nothing is spent. *)
 
 val pp_spent : Format.formatter -> spent -> unit

@@ -297,20 +297,14 @@ let dedup ?(cap = 8) xs =
   in
   go [] [] 0 xs
 
-(* The fail-closed absorption shared by both verdicts: budget
-   exhaustion, normal-form blow-ups and internal errors all answer
-   [Unknown], never [Empty] (the direction table in docs/VETTING.md;
-   pinned by test/test_diff.ml).  The spent budget stays spent, so a
-   caller folding many differences degrades each remaining query at
-   its first tick instead of looping. *)
+(* The fail-closed absorption shared by both verdicts: whatever
+   {!Budget.absorb} catches answers [Unknown], never [Empty] (the
+   direction table in docs/VETTING.md; pinned by test/test_diff.ml).
+   The spent budget stays spent, so a caller folding many differences
+   degrades each remaining query at its first tick instead of
+   looping. *)
 let guarded (f : unit -> verdict) : verdict =
-  match f () with
-  | v -> v
-  | exception Budget.Exhausted { reason; _ } ->
-    Unknown ("budget exhausted: " ^ reason)
-  | exception Nf.Too_large -> Unknown "normal form too large; diff degraded"
-  | exception Stack_overflow -> Unknown "stack overflow during diff"
-  | exception exn -> Unknown ("internal error: " ^ Printexc.to_string exn)
+  match Budget.absorb f with Ok v -> v | Error { reason; _ } -> Unknown reason
 
 let witnesses_over (p : Perm.manifest) ~(max_witnesses : int)
     (search : Perm.t -> witness option) : witness list =

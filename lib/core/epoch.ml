@@ -47,7 +47,6 @@ type t = {
   policy : Policy.t;
   sdeps : (Policy.stmt * deps) list;  (* policy order, one entry per stmt *)
   limits : Budget.limits option;
-  strict_verify : bool;
   topo : Topology.t option;
   ownership : Ownership.t;
   mutex : Mutex.t;  (* serializes transactions; readers never take it *)
@@ -138,14 +137,14 @@ let close (_ : t) =
   List.iter Metrics.unregister_counter
     [ "market:reconcile:delta"; "market:reconcile:full" ]
 
-let create ?limits ?(strict_verify = false) ?topo ~policy () : (t, string) result =
+let create ?limits ?topo ~policy () : (t, string) result =
   match Vetting.vet_policy ?limits policy with
   | Vetting.Rejected r ->
     Error (Printf.sprintf "policy rejected at %s: %s" r.Vetting.stage r.reason)
   | Vetting.Admitted policy | Vetting.Degraded (policy, _) ->
     Ok
       (let t =
-         { policy; sdeps = analyze policy; limits; strict_verify; topo; ownership = Ownership.create ();
+         { policy; sdeps = analyze policy; limits; topo; ownership = Ownership.create ();
            mutex = Mutex.create (); epoch_counter = Atomic.make 0;
            slots = Atomic.make []; originals = []; cookies = [];
            next_cookie = 1; delta_runs = Atomic.make 0;
@@ -243,42 +242,27 @@ let checker t app : Api.checker =
 
 exception Stage_failed of { stage : string; reason : string }
 
-let failed stage reason = raise (Stage_failed { stage; reason })
-
-let failure_reason = function
-  | Faults.Injected site -> "injected fault at " ^ site
-  | Budget.Exhausted { stage; reason; _ } ->
-    Printf.sprintf "budget exhausted (%s): %s" stage reason
-  | Invalid_argument m | Failure m -> m
-  | exn -> Printexc.to_string exn
-
 (* Run one stage: record its wall-clock duration — on failure too, so
    a rolled-back transaction's span still shows where the time went —
-   and convert any escaping exception (injected fault, budget
-   exhaustion, compile rejection) into [Stage_failed] carrying this
-   stage's name. *)
+   and turn whatever {!Budget.absorb} catches into [Stage_failed]
+   carrying this stage's name: a refusal the stage raises with
+   [failwith reason], an injected fault, budget exhaustion, a compile
+   rejection. *)
 let stage stages name f =
   let t0 = Metrics.now () in
   let before = !stages in
-  let record () =
-    (* Entries [f] itself pushed (the publish stage's undo walk) stay
-       *after* this stage's own entry in execution order, i.e. nearer
-       the head of the reversed-accumulation list. *)
-    let rec during l = if l == before then [] else
-        match l with [] -> [] | x :: tl -> x :: during tl
-    in
-    stages := during !stages @ ((name, Metrics.now () -. t0) :: before)
+  let outcome = Budget.absorb f in
+  (* Entries [f] itself pushed (the publish stage's undo walk) stay
+     *after* this stage's own entry in execution order, i.e. nearer
+     the head of the reversed-accumulation list. *)
+  let rec during l =
+    if l == before then []
+    else match l with [] -> [] | x :: tl -> x :: during tl
   in
-  match f () with
-  | v ->
-    record ();
-    v
-  | exception (Stage_failed _ as e) ->
-    record ();
-    raise e
-  | exception exn ->
-    record ();
-    failed name (failure_reason exn)
+  stages := during !stages @ ((name, Metrics.now () -. t0) :: before);
+  match outcome with
+  | Ok v -> v
+  | Error { reason; _ } -> raise (Stage_failed { stage = name; reason })
 
 let published t =
   List.filter_map
@@ -377,16 +361,14 @@ let verify_stage t stages policy' report () =
      truncations were provably minimal — even when the stage then
      fails on the verdict. *)
   stages := ("verify:minimality:" ^ Verify.minimality_label cert, 0.) :: !stages;
-  (match cert.Verify.verdict with
+  match cert.Verify.verdict with
   | Verify.Certified -> ()
   | Verify.Refuted ces ->
-    failed "verify"
+    failwith
       (Printf.sprintf "certificate refuted (%d counterexample%s)"
          (List.length ces)
          (if List.length ces = 1 then "" else "s"))
-  | Verify.Unverified why ->
-    if t.strict_verify then failed "verify" ("unverified: " ^ why));
-  cert
+  | Verify.Unverified _ -> ()
 
 (* Build the records for every app whose manifest the transaction
    publishes.  Nothing shared is touched: a failure here (including an
@@ -433,29 +415,65 @@ let republished ~app records =
     records
   |> List.sort compare
 
+(* The tail every lifecycle transaction shares: verify the reconciled
+   result, compile the records it publishes, swap them in and commit.
+   [admitted] is the vetted manifest of an install or upgrade, [None]
+   for a revoke.  The changed app republishes unless revoked, when its
+   slot goes [Absent] instead; every other live app republishes exactly
+   when its reconciled manifest moved. *)
+let commit t stages ~app ~admitted (policy', report, delta) =
+  stage stages "verify" (verify_stage t stages policy' report);
+  let next_epoch = Atomic.get t.epoch_counter + 1 in
+  let to_publish =
+    List.filter
+      (fun (name, m) ->
+        if name = app then Option.is_some admitted
+        else
+          match List.assoc_opt name (published t) with
+          | Some cur -> not (Perm.equal cur m)
+          | None -> false (* not live: nothing to republish *))
+      report.Reconcile.manifests
+  in
+  let records = stage stages "compile" (compile_stage t ~next_epoch to_publish) in
+  let entries = List.map (fun (name, s) -> (slot_cell_locked t name, s)) records in
+  let entries =
+    match admitted with
+    | Some _ -> entries
+    | None ->
+      (slot_cell_locked t app, Absent { epoch = next_epoch; reason = "revoked" })
+      :: entries
+  in
+  stage stages "publish" (publish_stage t ~next_epoch ~stages entries);
+  let others = List.remove_assoc app t.originals in
+  t.originals <-
+    (match admitted with Some m -> (app, m) :: others | None -> others);
+  Market.Committed
+    { epoch = next_epoch; delta; republished = republished ~app records;
+      stages = List.rev !stages }
+
 (* Install / upgrade. *)
 let apply_admit t ~upgrade ~app ~src stages =
   let manifest =
     stage stages "vet" (fun () ->
         (match (upgrade, List.mem_assoc app t.originals) with
-        | false, true -> failed "vet" ("already installed: " ^ app)
-        | true, false -> failed "vet" ("not installed: " ^ app)
+        | false, true -> failwith ("already installed: " ^ app)
+        | true, false -> failwith ("not installed: " ^ app)
         | _ -> ());
         match Vetting.vet_manifest ?limits:t.limits src with
         | Vetting.Rejected r ->
-          failed "vet"
+          failwith
             (Printf.sprintf "manifest rejected at %s: %s" r.Vetting.stage
                r.reason)
         | Vetting.Admitted m | Vetting.Degraded (m, _) -> m)
   in
-  let policy', report, delta =
+  let ((_, report, _) as reconciled) =
     stage stages "reconcile" (fun () ->
-        let r = reconcile_stage t ~app ~changed:(Some (app, manifest)) () in
-        let _, report, _ = r in
+        let ((_, report, _) as r) =
+          reconcile_stage t ~app ~changed:(Some (app, manifest)) ()
+        in
         (match List.assoc_opt app report.Reconcile.unresolved_macros with
         | Some (_ :: _ as stubs) ->
-          failed "reconcile"
-            ("unresolved developer stubs: " ^ String.concat ", " stubs)
+          failwith ("unresolved developer stubs: " ^ String.concat ", " stubs)
         | _ -> ());
         r)
   in
@@ -467,27 +485,7 @@ let apply_admit t ~upgrade ~app ~src stages =
         Lint.lint_manifest ?limits:t.limits ~label:("app " ^ app)
           (List.assoc app report.Reconcile.manifests))
   in
-  let _cert = stage stages "verify" (verify_stage t stages policy' report) in
-  let next_epoch = Atomic.get t.epoch_counter + 1 in
-  let to_publish =
-    (* The changed app always republishes; under a full reconcile other
-       apps republish exactly when their reconciled manifest moved. *)
-    List.filter
-      (fun (name, m) ->
-        name = app
-        ||
-        match List.assoc_opt name (published t) with
-        | Some cur -> not (Perm.equal cur m)
-        | None -> false (* not live: nothing to republish *))
-      report.Reconcile.manifests
-  in
-  let records = stage stages "compile" (compile_stage t ~next_epoch to_publish) in
-  let entries = List.map (fun (name, s) -> (slot_cell_locked t name, s)) records in
-  stage stages "publish" (publish_stage t ~next_epoch ~stages entries);
-  t.originals <- (app, manifest) :: List.remove_assoc app t.originals;
-  Market.Committed
-    { epoch = next_epoch; delta; republished = republished ~app records;
-      stages = List.rev !stages }
+  commit t stages ~app ~admitted:(Some manifest) reconciled
 
 (* Revoke: publish a fail-closed [Absent] slot for the app (in-flight
    calls finish on the old record they already hold) and re-reconcile
@@ -496,32 +494,9 @@ let apply_admit t ~upgrade ~app ~src stages =
 let apply_revoke t ~app stages =
   stage stages "vet" (fun () ->
       if not (List.mem_assoc app t.originals) then
-        failed "vet" ("not installed: " ^ app));
-  let policy', report, delta =
-    stage stages "reconcile" (reconcile_stage t ~app ~changed:None)
-  in
-  let _cert = stage stages "verify" (verify_stage t stages policy' report) in
-  let next_epoch = Atomic.get t.epoch_counter + 1 in
-  let to_publish =
-    List.filter
-      (fun (name, m) ->
-        name <> app
-        &&
-        match List.assoc_opt name (published t) with
-        | Some cur -> not (Perm.equal cur m)
-        | None -> false)
-      report.Reconcile.manifests
-  in
-  let records = stage stages "compile" (compile_stage t ~next_epoch to_publish) in
-  let entries =
-    (slot_cell_locked t app, Absent { epoch = next_epoch; reason = "revoked" })
-    :: List.map (fun (name, s) -> (slot_cell_locked t name, s)) records
-  in
-  stage stages "publish" (publish_stage t ~next_epoch ~stages entries);
-  t.originals <- List.remove_assoc app t.originals;
-  Market.Committed
-    { epoch = next_epoch; delta; republished = republished ~app records;
-      stages = List.rev !stages }
+        failwith ("not installed: " ^ app));
+  commit t stages ~app ~admitted:None
+    (stage stages "reconcile" (reconcile_stage t ~app ~changed:None))
 
 let apply t (req : Market.request) : Market.outcome =
   Mutex.lock t.mutex;
@@ -543,8 +518,8 @@ let apply t (req : Market.request) : Market.outcome =
           { stage; reason; epoch = Atomic.get t.epoch_counter;
             stages = List.rev !stages })
 
-let market ?capacity ?sandbox ?trace ?health ?flight t =
-  Market.create ?capacity ?sandbox ?trace ?health ?flight ~exec:(apply t) ()
+let market ?sandbox ?trace ?health ?flight t =
+  Market.create ?sandbox ?trace ?health ?flight ~exec:(apply t) ()
 
 (* Invariants --------------------------------------------------------------- *)
 

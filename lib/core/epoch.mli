@@ -51,7 +51,6 @@ type t
 
 val create :
   ?limits:Budget.limits ->
-  ?strict_verify:bool ->
   ?topo:Topology.t ->
   policy:string ->
   unit ->
@@ -59,10 +58,9 @@ val create :
 (** Build a deployment around a policy (vetted once, by
     {!Vetting.vet_policy}; [Error] when it is rejected).  [limits]
     budget every transaction stage; [topo] is passed to each admitted
-    app's {!Engine.create}.
-    [strict_verify] (default [false]) additionally rolls a transaction
-    back when its certificate is [Unverified] (budget ran out) rather
-    than only on [Refuted].
+    app's {!Engine.create}.  The verify stage rolls a transaction back
+    on a [Refuted] certificate; an [Unverified] one (the budget ran
+    out) commits.
 
     Registers the [market:epoch] and [market:apps] gauges and the
     [market:reconcile:delta] and [market:reconcile:full] {!Metrics}
@@ -70,21 +68,20 @@ val create :
 
 val apply : t -> Market.request -> Market.outcome
 (** Run one lifecycle transaction to completion.  Serialized by an
-    internal mutex (the {!Market} worker is the intended single
-    caller; direct calls are safe too).  Never raises: every stage
+    internal mutex ({!Market.submit} is the intended caller; direct
+    calls are safe too).  Each stage runs under {!Budget.absorb}.  Never raises: every stage
     failure becomes [Rolled_back] with the stage name and the still-
     current epoch.  Install of a present app and upgrade/revoke of an
     absent one roll back at stage ["vet"]. *)
 
 val market :
-  ?capacity:int ->
   ?sandbox:Sandbox.t ->
   ?trace:Trace.t ->
   ?health:Health.t ->
   ?flight:Forensics.Flight.t ->
   t ->
   Market.t
-(** [Market.create ~exec:(apply t)] — the update queue wired to this
+(** [Market.create ~exec:(apply t)] — the market wired to this
     deployment.  The optional observability hooks are passed through
     to {!Market.create}: [trace] records a transaction span (with the
     vet…publish stage children this executor times) per lifecycle

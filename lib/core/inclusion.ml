@@ -118,33 +118,12 @@ let lit_includes (a : literal) (b : literal) =
        [singleton_disjoint]), so [false] is the only sound answer. *)
     false
 
-(* Clause degeneracy -------------------------------------------------------- *)
-
-(** A disjunctive clause that provably covers everything: contains
-    complementary literals. *)
-let disj_clause_tautological (c : clause) =
-  List.exists
-    (fun l ->
-      List.exists
-        (fun l' -> l.positive <> l'.positive && l.atom = l'.atom)
-        c)
-    c
-
-(** A conjunctive clause that provably denotes the empty set: it
-    contains complementary literals.  (Range-disjoint positive pairs do
-    NOT qualify — dimension-less calls satisfy both.) *)
-let conj_clause_contradictory (c : clause) =
-  List.exists
-    (fun l ->
-      List.exists
-        (fun l' -> l.positive <> l'.positive && l.atom = l'.atom)
-        c)
-    c
-
-(* Step 2 of Algorithm 1: disjunctive clause a ⊇ conjunctive clause x. *)
+(* Step 2 of Algorithm 1: disjunctive clause a ⊇ conjunctive clause x.
+   A tautological [a] or a contradictory [x] (each: a complementary
+   pair, {!Nf.has_complementary}) settles it outright. *)
 let clause_includes (a : clause) (x : clause) =
-  disj_clause_tautological a
-  || conj_clause_contradictory x
+  Nf.has_complementary a
+  || Nf.has_complementary x
   || List.exists (fun ai -> List.exists (fun xj -> lit_includes ai xj) x) a
 
 (** Conjunctive-clause inclusion: DNF clause [a] ⊇ DNF clause [x] —
@@ -153,7 +132,7 @@ let clause_includes (a : clause) (x : clause) =
     empty (True) clause; a contradictory [x] is included by
     anything.  The lint shadowed-clause rule builds on this. *)
 let conj_clause_includes (a : clause) (x : clause) =
-  conj_clause_contradictory x
+  Nf.has_complementary x
   || List.for_all (fun ai -> List.exists (fun xj -> lit_includes ai xj) x) a
 
 (* Inclusion queries repeat heavily during reconciliation (every
@@ -234,7 +213,7 @@ let filter_satisfiable ?(max_clauses = 4096) (e : Filter.expr) =
   | exception Too_large ->
     Budget.note "satisfiability: fell back to TRUE past max_clauses";
     true
-  | clauses -> List.exists (fun c -> not (conj_clause_contradictory c)) clauses
+  | clauses -> List.exists (fun c -> not (Nf.has_complementary c)) clauses
 
 (* Manifest-level relations ------------------------------------------------- *)
 

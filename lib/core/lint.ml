@@ -8,11 +8,11 @@
 
    Fail-degraded discipline: each entry point installs its own
    {!Budget} scope (nested scopes are fine — the vetting pipeline's
-   budget is not charged for advisory work), and every rule is run
-   under an exception barrier.  A rule whose analysis exceeds the
-   budget ([Nf.Too_large], [Budget.Exhausted], even a stray
-   [Stack_overflow]) reports one [Info] "unverified" finding and the
-   remaining rules still run.  Lint never raises and never rejects. *)
+   budget is not charged for advisory work), and every rule runs under
+   {!Budget.absorb}.  A rule whose analysis fails (a normal-form
+   blow-up, an exhausted budget, any stray exception) reports one
+   [Info] "unverified" finding naming the reason, and the remaining
+   rules still run.  Lint never raises and never rejects. *)
 
 module M = Shield_controller.Metrics
 module Json = Shield_controller.Telemetry.Json
@@ -181,25 +181,10 @@ let run_rules ~rules ~limits
           (fun (rule, fallback_loc, check) ->
             if not (List.mem rule rules) then []
             else
-              match check () with
-              | fs -> fs
-              | exception Nf.Too_large ->
-                [ unverified rule fallback_loc
-                    "normal form too large under the lint budget; rule \
-                     skipped" ]
-              | exception Budget.Exhausted { reason; _ } ->
-                [ unverified rule fallback_loc
-                    ("lint budget exhausted (" ^ reason ^ "); rule skipped")
-                ]
-              | exception Stack_overflow ->
-                [ unverified rule fallback_loc
-                    "stack overflow during analysis; rule skipped" ]
-              | exception Out_of_memory ->
-                [ unverified rule fallback_loc
-                    "out of memory during analysis; rule skipped" ]
-              | exception exn ->
-                [ unverified rule fallback_loc
-                    ("internal error: " ^ Printexc.to_string exn) ])
+              match Budget.absorb check with
+              | Ok fs -> fs
+              | Error { reason; _ } ->
+                [ unverified rule fallback_loc (reason ^ "; rule skipped") ])
           checks)
   in
   count_findings findings;
@@ -222,9 +207,6 @@ let per_perm rule ~label (m : Perm.manifest)
 
 (* Literal-level conflict predicates ----------------------------------------- *)
 
-let complementary (a : Nf.literal) (b : Nf.literal) =
-  a.Nf.positive <> b.Nf.positive && a.Nf.atom = b.Nf.atom
-
 (* First offending pair in a conjunctive clause: complementary
    literals, or two positive singletons that are range-disjoint on the
    same dimension (Inclusion.singleton_disjoint — deliberately NOT
@@ -236,7 +218,7 @@ let conj_conflict (c : Nf.clause) : (Nf.literal * Nf.literal) option =
       match
         List.find_opt
           (fun l' ->
-            complementary l l'
+            Nf.complementary l l'
             || (l.Nf.positive && l'.Nf.positive
                && Inclusion.singleton_disjoint l.Nf.atom l'.Nf.atom))
           rest
@@ -245,9 +227,6 @@ let conj_conflict (c : Nf.clause) : (Nf.literal * Nf.literal) option =
       | None -> go rest)
   in
   go c
-
-let disj_tautology (c : Nf.clause) =
-  List.exists (fun l -> List.exists (complementary l) c) c
 
 (* Rule 1: unsatisfiable filter ---------------------------------------------- *)
 
@@ -284,7 +263,7 @@ let vacuous_perm loc (p : Perm.t) =
   if Filter.size p.Perm.filter <= 1 then []
   else
     let clauses = Nf.cnf p.Perm.filter in
-    if clauses = [] || List.for_all disj_tautology clauses then
+    if clauses = [] || List.for_all Nf.has_complementary clauses then
       [ finding Vacuous_filter Warn loc
           (Printf.sprintf
              "filter %s is always true after normalisation: the refinement \
@@ -299,7 +278,7 @@ let vacuous_perm loc (p : Perm.t) =
         (List.mapi
            (fun i c ->
              Budget.step ();
-             if disj_tautology c then
+             if Nf.has_complementary c then
                let loc =
                  if many then Printf.sprintf "%s, clause %d" loc (i + 1)
                  else loc

@@ -27,10 +27,13 @@
 type literal = { positive : bool; atom : Filter.singleton }
 type clause = literal list
 
-exception Too_large
+exception Too_large = Budget.Too_large
 
 let pos atom = { positive = true; atom }
 let negl atom = { positive = false; atom }
+
+let complementary a b = a.positive <> b.positive && a.atom = b.atom
+let has_complementary c = List.exists (fun l -> List.exists (complementary l) c) c
 
 let pp_literal ppf l =
   if l.positive then Filter.pp_singleton ppf l.atom

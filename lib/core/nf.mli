@@ -6,9 +6,9 @@ type literal = { positive : bool; atom : Filter.singleton }
 type clause = literal list
 
 exception Too_large
-(** Raised when distribution exceeds [max_clauses] (clause count) or
-    [max_width] (literals per clause); callers fall back to a
-    conservative answer.  The guard is incremental: at most
+(** {!Budget.Too_large}, re-exported: raised when distribution exceeds
+    [max_clauses] (clause count) or [max_width] (literals per clause);
+    callers fall back to a conservative answer.  The guard is incremental: at most
     [max_clauses] merged clauses exist when it fires — the full
     cross-product intermediate is never materialized. *)
 
@@ -17,6 +17,16 @@ val default_max_width : int
 
 val pos : Filter.singleton -> literal
 val negl : Filter.singleton -> literal
+
+val complementary : literal -> literal -> bool
+(** The same singleton under opposite polarities. *)
+
+val has_complementary : clause -> bool
+(** The clause holds a {!complementary} pair: as a disjunctive (CNF)
+    clause it covers everything, as a conjunctive (DNF) clause it
+    denotes the empty set.  (Range-disjoint positive pairs do not
+    count: a call lacking the dimension satisfies both.) *)
+
 val pp_literal : Format.formatter -> literal -> unit
 
 val cnf : ?max_clauses:int -> ?max_width:int -> Filter.expr -> clause list

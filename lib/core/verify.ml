@@ -325,16 +325,9 @@ let check_minimality env (repairs : Reconcile.violation list) : minimality =
         (* [Diff.diff] never raises, but recomputing the least repair
            ([Env.manifest_of], [Perm_ops.meet]/[subtract]) ticks the
            budget and normalizes filters. *)
-        match analyze () with
-        | () -> ()
-        | exception Budget.Exhausted { reason; _ } ->
-          note_unknown ("budget exhausted: " ^ reason)
-        | exception Nf.Too_large ->
-          note_unknown "normal form too large; minimality degraded"
-        | exception Stack_overflow ->
-          note_unknown "stack overflow during minimality analysis"
-        | exception exn ->
-          note_unknown ("internal error: " ^ Printexc.to_string exn)))
+        match Budget.absorb analyze with
+        | Ok () -> ()
+        | Error { reason; _ } -> note_unknown reason))
     repairs;
   match Diff.dedup ~cap:8 !slack with
   | _ :: _ as ws -> Slack ws
@@ -507,110 +500,91 @@ let empty_crosscheck note =
     infer_traced = 0;
     crosscheck_notes = [ note ] }
 
+(* One certificate, inside [b]'s scope: each obligation, the minimality
+   check and the cross-check fail closed on their own, so one failing
+   analysis leaves the others' results standing. *)
+let certify b ~repairs ~apps (policy : Policy.t) () : certificate =
+  Budget.set_stage "verify";
+  let env = Reconcile.Env.create ~apps policy in
+  let guarded check =
+    match Budget.absorb check with
+    | Ok s -> s
+    | Error { reason; _ } -> Unknown reason
+  in
+  let obligations =
+    List.mapi (fun i stmt -> (i, stmt)) policy
+    |> List.filter_map (fun (index, stmt) ->
+           match stmt with
+           | Policy.Let _ -> None
+           | Policy.Assert ae ->
+             let status =
+               guarded (fun () ->
+                   match eval3 env stmt ae with
+                   | T -> Holds
+                   | F c -> Refuted_by c
+                   | U r -> Unknown r)
+             in
+             Some { index; stmt; status }
+           | Policy.Assert_exclusive (p1, p2) ->
+             let status = guarded (fun () -> check_exclusive env stmt p1 p2) in
+             Some { index; stmt; status })
+  in
+  Budget.set_stage "minimality";
+  let minimality =
+    match Budget.absorb (fun () -> check_minimality env repairs) with
+    | Ok m -> m
+    | Error { reason; _ } -> Unknown_minimality reason
+  in
+  Budget.set_stage "crosscheck";
+  let extra = match minimality with Slack ws -> ws | _ -> [] in
+  let crosscheck =
+    match Budget.absorb (fun () -> run_crosscheck ~apps ~obligations ~extra) with
+    | Ok cc -> cc
+    | Error { reason; _ } -> empty_crosscheck ("cross-check aborted: " ^ reason)
+  in
+  let refuted =
+    List.concat_map
+      (fun o -> match o.status with Refuted_by cs -> cs | _ -> [])
+      obligations
+  in
+  let unknowns =
+    List.filter_map
+      (fun o ->
+        match o.status with
+        | Unknown r -> Some (Fmt.str "obligation %d: %s" o.index r)
+        | _ -> None)
+      obligations
+  in
+  let verdict =
+    if refuted <> [] then Refuted refuted
+    else
+      match unknowns with
+      | r :: _ -> Unverified r
+      | [] ->
+        if not crosscheck.checkers_agree then
+          Unverified "checker cross-check failed (see notes)"
+        else if not crosscheck.infer_consistent then
+          Unverified "least-privilege inference cross-check failed"
+        else Certified
+  in
+  { verdict;
+    minimality;
+    obligations;
+    crosscheck;
+    spent = Budget.spent b;
+    notes = Budget.notes b }
+
 let verify ?limits ?(repairs = []) ~(apps : (string * Perm.manifest) list)
     (policy : Policy.t) : certificate =
   let b = Budget.create ?limits () in
   let cert =
     match
       Budget.with_scope b (fun () ->
-          Budget.set_stage "verify";
-          let env = Reconcile.Env.create ~apps policy in
-          let obligations =
-            List.mapi (fun i stmt -> (i, stmt)) policy
-            |> List.filter_map (fun (index, stmt) ->
-                   let guarded check =
-                     match check () with
-                     | s -> s
-                     | exception Budget.Exhausted { reason; _ } ->
-                       Unknown ("budget exhausted: " ^ reason)
-                     | exception Nf.Too_large ->
-                       Unknown "normal form too large; check degraded"
-                     | exception Stack_overflow ->
-                       Unknown "stack overflow during obligation check"
-                     | exception exn ->
-                       Unknown ("internal error: " ^ Printexc.to_string exn)
-                   in
-                   match stmt with
-                   | Policy.Let _ -> None
-                   | Policy.Assert ae ->
-                     let status =
-                       guarded (fun () ->
-                           match eval3 env stmt ae with
-                           | T -> Holds
-                           | F c -> Refuted_by c
-                           | U r -> Unknown r)
-                     in
-                     Some { index; stmt; status }
-                   | Policy.Assert_exclusive (p1, p2) ->
-                     let status =
-                       guarded (fun () -> check_exclusive env stmt p1 p2)
-                     in
-                     Some { index; stmt; status })
-          in
-          Budget.set_stage "minimality";
-          let minimality =
-            match check_minimality env repairs with
-            | m -> m
-            | exception Budget.Exhausted { reason; _ } ->
-              Unknown_minimality ("budget exhausted: " ^ reason)
-            | exception exn ->
-              Unknown_minimality
-                ("internal error: " ^ Printexc.to_string exn)
-          in
-          Budget.set_stage "crosscheck";
-          let extra = match minimality with Slack ws -> ws | _ -> [] in
-          let crosscheck =
-            match run_crosscheck ~apps ~obligations ~extra with
-            | cc -> cc
-            | exception Budget.Exhausted { reason; _ } ->
-              empty_crosscheck ("budget exhausted during cross-check: " ^ reason)
-            | exception exn ->
-              empty_crosscheck
-                ("internal error during cross-check: " ^ Printexc.to_string exn)
-          in
-          let refuted =
-            List.concat_map
-              (fun o ->
-                match o.status with Refuted_by cs -> cs | _ -> [])
-              obligations
-          in
-          let unknowns =
-            List.filter_map
-              (fun o ->
-                match o.status with
-                | Unknown r -> Some (Fmt.str "obligation %d: %s" o.index r)
-                | _ -> None)
-              obligations
-          in
-          let verdict =
-            if refuted <> [] then Refuted refuted
-            else
-              match unknowns with
-              | r :: _ -> Unverified r
-              | [] ->
-                if not crosscheck.checkers_agree then
-                  Unverified "checker cross-check failed (see notes)"
-                else if not crosscheck.infer_consistent then
-                  Unverified "least-privilege inference cross-check failed"
-                else Certified
-          in
-          { verdict;
-            minimality;
-            obligations;
-            crosscheck;
-            spent = Budget.spent b;
-            notes = Budget.notes b })
+          Budget.absorb (certify b ~repairs ~apps policy))
     with
-    | cert -> cert
-    | exception Budget.Exhausted { reason; _ } ->
-      { verdict = Unverified ("budget exhausted: " ^ reason);
-        minimality = Unknown_minimality "verification aborted";
-        obligations = [];
-        crosscheck = empty_crosscheck "verification aborted";
-        spent = Budget.spent b;
-        notes = Budget.notes b }
-    | exception exn ->
-      { verdict = Unverified ("internal error: " ^ Printexc.to_string exn);
+    | Ok cert -> cert
+    | Error { reason; _ } ->
+      { verdict = Unverified reason;
         minimality = Unknown_minimality "verification aborted";
         obligations = [];
         crosscheck = empty_crosscheck "verification aborted";

@@ -8,17 +8,17 @@
    exercises is exactly what the runtime will execute later.
 
    Never-raises discipline: every entry point funnels through [run],
-   which installs a fresh {!Budget} scope and converts
-   [Budget.Exhausted] — and, belt-and-braces, any other exception —
-   into a structured [Rejected].  [Stack_overflow] and [Out_of_memory]
-   are caught too: they should be unreachable (conversions are CPS,
-   structural walks are work-list based, allocation is budgeted), but
-   an admission pipeline must not let a miss in that analysis take the
-   controller down. *)
+   which installs a fresh {!Budget} scope and runs the pipeline under
+   {!Budget.absorb}, so budget exhaustion and any other escaping
+   exception become a structured [Rejected]. *)
 
 module M = Shield_controller.Metrics
 
-type rejection = { stage : string; reason : string; spent : Budget.spent }
+type rejection = Budget.failure = {
+  stage : string;
+  reason : string;
+  spent : Budget.spent;
+}
 
 type 'a verdict =
   | Admitted of 'a
@@ -82,32 +82,10 @@ let reset_stats () =
 
 let run ?limits (f : Budget.t -> ('a, rejection) result) : 'a verdict =
   let b = Budget.create ?limits () in
-  let outcome =
-    Budget.with_scope b (fun () ->
-      match f b with
-      | r -> r
-      | exception Budget.Exhausted { stage; reason; spent } ->
-        Error { stage; reason; spent }
-      | exception Stack_overflow ->
-        Error
-          { stage = Budget.stage ();
-            reason = "stack overflow (unbudgeted recursion)";
-            spent = Budget.spent b }
-      | exception Out_of_memory ->
-        Error
-          { stage = Budget.stage ();
-            reason = "out of memory (unbudgeted allocation)";
-            spent = Budget.spent b }
-      | exception exn ->
-        Error
-          { stage = Budget.stage ();
-            reason = "internal error: " ^ Printexc.to_string exn;
-            spent = Budget.spent b })
-  in
   count_verdict
-    (match outcome with
-    | Error r -> Rejected r
-    | Ok v -> (
+    (match Budget.with_scope b (fun () -> Budget.absorb (fun () -> f b)) with
+    | Error r | Ok (Error r) -> Rejected r
+    | Ok (Ok v) -> (
       match Budget.notes b with
       | [] -> Admitted v
       | notes -> Degraded (v, notes)))

@@ -26,7 +26,7 @@
     [vet-rejected:<stage>]) so operators can see admission pressure
     next to memo and queue metrics. *)
 
-type rejection = {
+type rejection = Budget.failure = {
   stage : string;
       (** Pipeline stage that cut the input off: ["parse"],
           ["structure"], ["expand"], ["normalize"] or ["reconcile"]. *)

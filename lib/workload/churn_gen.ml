@@ -28,21 +28,42 @@ let manifest_src rng ~complexity =
   let focus = if Prng.bool rng then `Insert else `Stats in
   Sdnshield.Perm.to_string (Perm_gen.generate ~seed ~complexity ~focus ())
 
-(** [script ~length ()] — a deterministic lifecycle script of [length]
-    requests over a pool of [apps] app names, starting from a
-    deployment whose live apps are [live] (default none).
-    [invalid_fraction] (default 0) of the requests are built to roll
-    back; [complexity] sizes the generated manifests (paper's
+(** A script's generator: the seeded draw and its model of which apps
+    are live.  Entries come one at a time ({!next}), so a harness can
+    {!resync} the model when the deployment refuses a valid entry. *)
+type t = {
+  rng : Prng.t;
+  apps : int;
+  live : (string, unit) Hashtbl.t;
+  invalid_per_mille : int;
+  complexity : Perm_gen.complexity;
+}
+
+(** Reset the model's live set to [live], the apps the deployment
+    actually holds. *)
+let resync t live =
+  Hashtbl.reset t.live;
+  List.iter (fun name -> Hashtbl.replace t.live name ()) live
+
+(** [create ()] — a generator over a pool of [apps] app names,
+    starting from a deployment whose live apps are [live] (default
+    none).  [invalid_fraction] (default 0) of the requests are built to
+    roll back; [complexity] sizes the generated manifests (paper's
     Small/Medium/Large). *)
-let script ?(seed = 11) ?(apps = 100) ?(live = []) ?(invalid_fraction = 0.)
-    ?(complexity = Perm_gen.Small) ~length () : entry list =
+let create ?(seed = 11) ?(apps = 100) ?(live = []) ?(invalid_fraction = 0.)
+    ?(complexity = Perm_gen.Small) () =
   let apps = max 1 apps in
-  let rng = Prng.of_int seed in
-  let live =
-    let t = Hashtbl.create apps in
-    List.iter (fun name -> Hashtbl.replace t name ()) live;
-    t
+  let t =
+    { rng = Prng.of_int seed; apps; live = Hashtbl.create apps;
+      invalid_per_mille = int_of_float ((invalid_fraction *. 1000.) +. 0.5);
+      complexity }
   in
+  resync t live;
+  t
+
+(** The next entry of the script, advancing the model. *)
+let next t : entry =
+  let rng = t.rng and apps = t.apps and complexity = t.complexity in
   let pick_app pred =
     (* Uniform-ish pick of an app name satisfying [pred]; linear probe
        from a random start so the scan stays bounded. *)
@@ -55,11 +76,8 @@ let script ?(seed = 11) ?(apps = 100) ?(live = []) ?(invalid_fraction = 0.)
     in
     go 0
   in
-  let pick_live () = pick_app (Hashtbl.mem live) in
-  let pick_absent () = pick_app (fun n -> not (Hashtbl.mem live n)) in
-  let invalid_per_mille =
-    int_of_float (invalid_fraction *. 1000. +. 0.5)
-  in
+  let pick_live () = pick_app (Hashtbl.mem t.live) in
+  let pick_absent () = pick_app (fun n -> not (Hashtbl.mem t.live n)) in
   let valid_entry () =
     match
       (pick_absent (), pick_live (), Prng.int rng 4)
@@ -67,17 +85,17 @@ let script ?(seed = 11) ?(apps = 100) ?(live = []) ?(invalid_fraction = 0.)
     (* Bias toward installs while the pool fills, upgrades at steady
        state; revokes keep the pool turning over. *)
     | Some absent, _, (0 | 1) ->
-      Hashtbl.replace live absent ();
+      Hashtbl.replace t.live absent ();
       { request = Market.install absent (manifest_src rng ~complexity);
         valid = true }
     | _, Some name, (0 | 1 | 2) ->
       { request = Market.upgrade name (manifest_src rng ~complexity);
         valid = true }
     | _, Some name, _ ->
-      Hashtbl.remove live name;
+      Hashtbl.remove t.live name;
       { request = Market.revoke name; valid = true }
     | Some absent, None, _ ->
-      Hashtbl.replace live absent ();
+      Hashtbl.replace t.live absent ();
       { request = Market.install absent (manifest_src rng ~complexity);
         valid = true }
     | None, None, _ -> assert false (* pool is nonempty *)
@@ -102,11 +120,12 @@ let script ?(seed = 11) ?(apps = 100) ?(live = []) ?(invalid_fraction = 0.)
             "PERM frobnicate_the_dataplane";
         valid = false }
   in
-  List.init length (fun _ ->
-      if Prng.int rng 1000 < invalid_per_mille then invalid_entry ()
-      else valid_entry ())
+  if Prng.int rng 1000 < t.invalid_per_mille then invalid_entry ()
+  else valid_entry ()
 
-let expected_commits entries =
-  List.length (List.filter (fun e -> e.valid) entries)
-
-let requests entries = List.map (fun e -> e.request) entries
+(** [script ~length ()] — the first [length] entries of {!create}'s
+    generator, from an empty deployment: a deterministic lifecycle
+    script whose model assumes every valid entry commits. *)
+let script ?seed ?apps ?invalid_fraction ?complexity ~length () : entry list =
+  let t = create ?seed ?apps ?invalid_fraction ?complexity () in
+  List.init length (fun _ -> next t)

@@ -11,11 +11,11 @@
      breaches its MAX_PRIORITY bound, so traces carry explained
      denials (`obs-smoke`, `sdnshield telemetry` and `timeline`).
    - {e Churn}: seeded lifecycle scripts through an epoch deployment's
-     market queue, the epoch invariants checked after every
-     transaction; observed, with a span trail, a manual-clock health
-     monitor and a flight recorder (`market-smoke`, `health-smoke`,
-     `sdnshield market-demo` and `health`; docs/CHURN.md,
-     docs/OBSERVABILITY.md). *)
+     market, the epoch invariants checked after every transaction and
+     only injected faults allowed to roll a valid entry back;
+     observed, with a span trail, a manual-clock health monitor and a
+     flight recorder (`market-smoke`, `health-smoke`, `sdnshield
+     market-demo` and `health`; docs/CHURN.md, docs/OBSERVABILITY.md). *)
 
 open Shield_openflow
 open Shield_net
@@ -228,13 +228,16 @@ let traced_calls ~trace ?health ~events () =
 
 (* Churn -------------------------------------------------------------------- *)
 
-(** An epoch deployment behind its market queue. *)
+(** An epoch deployment behind its market. *)
 type market = {
   epoch : Epoch.t;
   queue : Market.t;
   mutable inconsistent : int list;
       (** Transactions after which {!Epoch.consistent} failed, newest
           first. *)
+  mutable unexplained : string list;
+      (** Valid entries that rolled back for a reason other than an
+          injected fault, newest first. *)
 }
 
 (** A deployment of [policy] (default none) whose market is wired to
@@ -245,27 +248,49 @@ let market ?(policy = "") ?sandbox ?trace ?health ?flight () =
   | Error e -> failwith ("drill: policy rejected: " ^ e)
   | Ok epoch ->
     { epoch; queue = Epoch.market ?sandbox ?trace ?health ?flight epoch;
-      inconsistent = [] }
+      inconsistent = []; unexplained = [] }
 
-(** Submit [entries] one at a time, checking the deployment's epoch
-    invariants after each transaction. *)
-let submit m (entries : Churn_gen.entry list) =
-  List.iter
-    (fun (e : Churn_gen.entry) ->
-      let id = (Market.stats m.queue).Market.submitted + 1 in
-      ignore (Market.submit m.queue e.Churn_gen.request);
-      if not (Epoch.consistent m.epoch) then
-        m.inconsistent <- id :: m.inconsistent)
-    entries
+(** Submit one entry and return its outcome, checking the deployment's
+    epoch invariants after the transaction and noting a valid entry
+    that rolled back for any reason but an injected fault. *)
+let submit_entry m (e : Churn_gen.entry) =
+  let id = (Market.stats m.queue).Market.submitted + 1 in
+  let outcome = Market.submit m.queue e.Churn_gen.request in
+  if not (Epoch.consistent m.epoch) then m.inconsistent <- id :: m.inconsistent;
+  (match outcome with
+  | Market.Rolled_back { stage; reason; _ }
+    when e.Churn_gen.valid
+         && not (String.starts_with ~prefix:"injected fault at " reason) ->
+    let req = e.Churn_gen.request in
+    m.unexplained <-
+      Printf.sprintf "valid txn %d (%s %s) rolled back at %s: %s" id
+        (Market.kind_to_string req.Market.kind)
+        req.Market.app stage reason
+      :: m.unexplained
+  | _ -> ());
+  outcome
+
+(** Submit [entries] one at a time, as {!submit_entry}. *)
+let submit m entries = List.iter (fun e -> ignore (submit_entry m e)) entries
+
+let live_apps m = List.map fst (Epoch.apps m.epoch)
 
 (** [txns] transactions of [seed]'s script over [apps] apps, starting
     from the apps the deployment holds, an [invalid] fraction of them
-    built to roll back. *)
+    built to roll back.  When an injected fault rolls back a valid
+    entry, the generator's model resyncs to the deployment, so later
+    entries target the apps actually live. *)
 let churn m ~seed ~apps ?(invalid = 0.) ~txns () =
-  submit m
-    (Churn_gen.script ~seed ~apps
-       ~live:(List.map fst (Epoch.apps m.epoch))
-       ~invalid_fraction:invalid ~length:txns ())
+  let gen =
+    Churn_gen.create ~seed ~apps ~live:(live_apps m) ~invalid_fraction:invalid
+      ()
+  in
+  for _ = 1 to txns do
+    let e = Churn_gen.next gen in
+    let committed = Market.committed (submit_entry m e) in
+    if e.Churn_gen.valid && not committed then
+      Churn_gen.resync gen (live_apps m)
+  done
 
 let close m =
   Market.shutdown m.queue;
@@ -355,8 +380,6 @@ type observed = {
   clock : float ref;  (** The health monitor's clock. *)
   health : Health.t;
   flight : Forensics.Flight.t;
-  mutable unclean_phases : string list;
-      (** Phases with no fault armed that rolled back, newest first. *)
 }
 
 (** [flight_capacity] bounds the bundles the recorder keeps (default
@@ -368,7 +391,7 @@ let observe ?flight_capacity trace =
   let sandbox = Sandbox.create () in
   Faults.set_observer (fun _ -> Health.fault health);
   { market = market ~sandbox ~trace ~health ~flight (); trace; sandbox; clock;
-    health; flight; unclean_phases = [] }
+    health; flight }
 
 (** Move the monitor's clock past its window: every incident so far
     ages out. *)
@@ -380,25 +403,14 @@ let incident_rate = 0.08
 
 (** One health phase: [txns] transactions of [seed]'s script, all
     valid; with [faulted], the swap sites armed at {!incident_rate}
-    under schedule [seed].  Returns the verdict after it.  A phase with
-    no fault armed must commit every transaction ({!violations}). *)
+    under schedule [seed].  Returns the verdict after it.  Only an
+    injected fault may roll a transaction back ({!violations}). *)
 let phase o ?(faulted = false) ~seed ~apps ~txns () =
   let run () = churn o.market ~seed ~apps ~txns () in
   if faulted then
     with_swap_faults ~seed ~verify:incident_rate ~compile:incident_rate
       ~publish:incident_rate run
-  else begin
-    let rollbacks () = (Market.stats o.market.queue).Market.rollbacks in
-    let before = rollbacks () in
-    run ();
-    if rollbacks () > before then
-      o.unclean_phases <-
-        Printf.sprintf
-          "phase (seed %d) with no fault armed rolled back %d of %d \
-           transactions"
-          seed (rollbacks () - before) txns
-        :: o.unclean_phases
-  end;
+  else run ();
   Health.verdict o.health
 
 (** What an observed run whose armed faults fired must show: the
@@ -444,7 +456,8 @@ let incident_violations o ~(during : Health.verdict) ~(after : Health.verdict) =
 
 (** Every check of an observed market's run but the incident's: the
     epoch invariants after each transaction, the ledger's epoch trace,
-    the span trail, and no rollback in a phase with no fault armed. *)
+    the span trail, and no valid entry rolled back but by an injected
+    fault. *)
 let violations o =
   let ledger = Market.history o.market.queue in
   List.rev_map
@@ -452,7 +465,7 @@ let violations o =
     o.market.inconsistent
   @ epoch_trace_violations ledger
   @ span_trail_mismatches o.trace ledger
-  @ List.rev o.unclean_phases
+  @ List.rev o.market.unexplained
 
 let close_observed o =
   Faults.disarm ();

@@ -21,8 +21,8 @@ let insert ?(dpid = 1) ?(nw_dst = "10.1.0.1") () =
 
 let stats_call = Api.Read_stats (Stats.request Stats.Flow_level)
 
-let deploy ?strict_verify ?(policy = "") () =
-  match Epoch.create ?strict_verify ~policy () with
+let deploy ?(policy = "") () =
+  match Epoch.create ~policy () with
   | Ok t -> t
   | Error e -> Alcotest.failf "deployment rejected: %s" e
 

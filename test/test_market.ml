@@ -1,8 +1,8 @@
-(* Market update-queue tests: the generic controller-side half of the
-   live-update subsystem (docs/CHURN.md).  The executor here is a toy —
-   the full staged pipeline is exercised in test_epoch.ml — so these
-   tests pin the queue's own contract: serialization, the ledger,
-   commit/rollback accounting, the worker's exception barrier, audit
+(* Market tests: the generic controller-side half of the live-update
+   subsystem (docs/CHURN.md).  The executor here is a toy — the full
+   staged pipeline is exercised in test_epoch.ml — so these tests pin
+   the market's own contract: serialization, the ledger,
+   commit/rollback accounting, the exception barrier, audit
    notifications and shutdown semantics. *)
 
 open Shield_controller
@@ -10,29 +10,60 @@ open Shield_controller
 let commit epoch =
   Market.Committed { epoch; delta = false; republished = []; stages = [] }
 
-let test_serialized_commits () =
-  (* The executor is deliberately race-detectable: concurrent entries
-     would interleave [inside] increments. *)
-  let inside = ref 0 and overlapped = ref false and n = Atomic.make 0 in
-  let exec (_ : Market.request) =
-    incr inside;
-    if !inside > 1 then overlapped := true;
-    Thread.yield ();
-    decr inside;
-    commit (Atomic.fetch_and_add n 1 + 1)
+(* Four domains submit at once.  The executor is race-detectable: two
+   transactions inside it at the same time would both see [inside]
+   raised.  The ledger must hold every submission once, ids 1..n in
+   ledger order, in the order the executor ran them. *)
+let test_concurrent_submitters () =
+  let submitters = 4 and per_submitter = 10 in
+  let inside = Atomic.make 0 and overlapped = Atomic.make false in
+  let ran = ref [] in
+  let exec (req : Market.request) =
+    if Atomic.fetch_and_add inside 1 > 0 then Atomic.set overlapped true;
+    ran := req.Market.app :: !ran;
+    for _ = 1 to 1_000 do Domain.cpu_relax () done;
+    Atomic.decr inside;
+    commit (List.length !ran)
   in
   let m = Market.create ~exec () in
-  let ivars =
-    List.init 20 (fun i -> Market.submit_async m (Market.install (string_of_int i) ""))
+  let domains =
+    List.init submitters (fun d ->
+        Domain.spawn (fun () ->
+            for i = 1 to per_submitter do
+              ignore (Market.submit m (Market.install (Printf.sprintf "%d-%d" d i) ""))
+            done))
   in
-  List.iter (fun iv -> ignore (Channel.Ivar.read iv)) ivars;
-  Market.shutdown m;
-  Alcotest.(check bool) "transactions never overlapped" false !overlapped;
+  List.iter Domain.join domains;
+  let n = submitters * per_submitter in
+  Alcotest.(check bool) "executor calls never overlapped" false
+    (Atomic.get overlapped);
   let h = Market.history m in
-  Alcotest.(check int) "all in the ledger" 20 (List.length h);
-  Alcotest.(check (list int)) "ledger in submission order"
-    (List.init 20 (fun i -> i + 1))
-    (List.map (fun (t : Market.txn) -> t.Market.id) h)
+  Alcotest.(check (list int)) "ids 1..n in ledger order"
+    (List.init n (fun i -> i + 1))
+    (List.map (fun (t : Market.txn) -> t.Market.id) h);
+  let apps = List.map (fun (t : Market.txn) -> t.Market.request.Market.app) h in
+  Alcotest.(check (list string)) "the ledger is the order the executor ran"
+    (List.rev !ran) apps;
+  Alcotest.(check (list string)) "every submission landed once"
+    (List.sort compare
+       (List.concat
+          (List.init submitters (fun d ->
+               List.init per_submitter (fun i -> Printf.sprintf "%d-%d" d (i + 1))))))
+    (List.sort compare apps);
+  Alcotest.(check int) "all committed" n (Market.stats m).Market.commits;
+  Market.shutdown m;
+  match Market.submit m (Market.install "late" "") with
+  | Market.Rolled_back { stage; _ } ->
+    Alcotest.(check string) "a submit after shutdown is refused at the queue"
+      "queue" stage;
+    Alcotest.(check (list int)) "the refusal lands in the ledger with the next id"
+      [ n + 1 ]
+      (List.filter_map
+         (fun (t : Market.txn) ->
+           if t.Market.request.Market.app = "late" then Some t.Market.id
+           else None)
+         (Market.history m))
+  | Market.Committed _ -> Alcotest.fail "submit after shutdown must refuse"
 
 let test_stats_and_outcomes () =
   let exec (req : Market.request) =
@@ -50,13 +81,13 @@ let test_stats_and_outcomes () =
     Alcotest.(check string) "stage reported" "verify" stage;
     Alcotest.(check int) "pre-transaction epoch reported" 1 epoch
   | Market.Committed _ -> Alcotest.fail "expected rollback");
-  (* The worker's exception barrier: a raising executor is contained as
-     a stage-"apply" rollback and the queue keeps serving. *)
+  (* The market's exception barrier: a raising executor is contained as
+     a stage-"apply" rollback and the market keeps serving. *)
   (match Market.submit m (Market.revoke "a") with
   | Market.Rolled_back { stage; _ } ->
     Alcotest.(check string) "barrier stage" "apply" stage
   | Market.Committed _ -> Alcotest.fail "expected contained crash");
-  Alcotest.(check bool) "worker survived the crash" true
+  Alcotest.(check bool) "the market survived the crash" true
     (Market.committed (Market.submit m (Market.install "b" "")));
   let s = Market.stats m in
   Alcotest.(check int) "submitted" 4 s.Market.submitted;
@@ -133,8 +164,8 @@ let test_health_alone () =
     (List.assoc "stage-max-s" totals)
 
 let suite =
-  [ Alcotest.test_case "serialized commits, ordered ledger" `Quick
-      test_serialized_commits;
+  [ Alcotest.test_case "concurrent submitters, one ledger" `Quick
+      test_concurrent_submitters;
     Alcotest.test_case "stats and outcome reporting" `Quick
       test_stats_and_outcomes;
     Alcotest.test_case "audit notifications" `Quick test_audit_notifications;

@@ -248,9 +248,13 @@ let test_exposition_types_counts () =
   | _ -> Alcotest.fail "manifest not admitted");
   let epoch = Result.get_ok (Epoch.create ~policy:"" ()) in
   let market = Epoch.market epoch in
+  (* The market runs no queue of its own: a queue gauge stands in for
+     the runtime's. *)
+  Metrics.register_gauge "queue:test" (fun () -> { Metrics.depth = 0; hwm = 3 });
   let prom =
     Telemetry.to_prometheus (Telemetry.snapshot ~trace:(Trace.create ()) ())
   in
+  Metrics.unregister_gauge "queue:test";
   Market.shutdown market;
   Epoch.close epoch;
   let lines = String.split_on_char '\n' prom in

@@ -85,6 +85,54 @@ let test_budget_exhaustion_rejected () =
   Alcotest.(check bool) "reason names the budget" true
     (contains ~affix:"step budget" r.Vetting.reason)
 
+(* The one exception barrier: every class an admission analysis can
+   raise comes back as a fail-closed reason, never as a raise. *)
+let test_budget_barrier_absorbs_every_class () =
+  let limits = { Budget.default_limits with Budget.max_steps = 4 } in
+  let absorbed what raise_it =
+    Budget.with_scope (Budget.create ~limits ()) (fun () ->
+        Budget.set_stage "probe";
+        match Budget.absorb raise_it with
+        | Ok () -> Alcotest.failf "%s: absorbed as a success" what
+        | Error f -> f
+        | exception exn ->
+          Alcotest.failf "%s escaped the barrier: %s" what
+            (Printexc.to_string exn))
+  in
+  let reason_of what raise_it = (absorbed what raise_it).Budget.reason in
+  let exhausted =
+    absorbed "exhaustion" (fun () ->
+        Budget.set_stage "normalize";
+        for _ = 1 to 10 do Budget.step () done)
+  in
+  Alcotest.(check string) "exhaustion keeps its stage" "normalize"
+    exhausted.Budget.stage;
+  Alcotest.(check bool) "exhaustion keeps its spent budget" true
+    (exhausted.Budget.spent.Budget.steps > 4);
+  Alcotest.(check string) "exhaustion"
+    "budget exhausted: step budget exceeded (4)" exhausted.Budget.reason;
+  Alcotest.(check string) "normal-form blow-up" "normal form too large"
+    (reason_of "Nf.Too_large" (fun () -> raise Nf.Too_large));
+  Alcotest.(check string) "stack overflow"
+    "stack overflow (unbudgeted recursion)"
+    (reason_of "Stack_overflow" (fun () -> raise Stack_overflow));
+  Alcotest.(check string) "out of memory" "out of memory (unbudgeted allocation)"
+    (reason_of "Out_of_memory" (fun () -> raise Out_of_memory));
+  Alcotest.(check string) "injected fault" "injected fault at swap-verify"
+    (reason_of "Injected"
+       (fun () -> raise (Shield_controller.Faults.Injected "swap-verify")));
+  Alcotest.(check string) "a refusal keeps its message" "not installed: a"
+    (reason_of "Failure" (fun () -> failwith "not installed: a"));
+  let other = absorbed "Not_found" (fun () -> raise Not_found) in
+  Alcotest.(check string) "anything else" "internal error: Not_found"
+    other.Budget.reason;
+  Alcotest.(check string) "the failure names the scope's stage" "probe"
+    other.Budget.stage;
+  match Budget.absorb (fun () -> raise Exit) with
+  | Error f ->
+    Alcotest.(check string) "no scope, no stage" "?" f.Budget.stage
+  | Ok () -> Alcotest.fail "Exit absorbed as a success"
+
 let test_never_raises_without_scope () =
   (* Production code paths must stay untouched when no budget scope is
      installed: a plain parse of a (small) bomb fails with Error, not
@@ -308,6 +356,8 @@ let suite =
     Alcotest.test_case "cross bomb degrades" `Quick test_cross_bomb_degraded;
     Alcotest.test_case "budget exhaustion rejects" `Quick
       test_budget_exhaustion_rejected;
+    Alcotest.test_case "budget barrier absorbs every class" `Quick
+      test_budget_barrier_absorbs_every_class;
     Alcotest.test_case "unscoped paths unaffected" `Quick
       test_never_raises_without_scope;
     Alcotest.test_case "macro chains expand to fixed point" `Quick
