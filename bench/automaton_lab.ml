@@ -19,7 +19,7 @@
 open Shield_workload
 open Sdnshield
 module Api = Shield_controller.Api
-module J = Bench_util.Json
+module J = Shield_controller.Telemetry.Json
 
 let manifest () = Perm_gen.generate ~complexity:Perm_gen.Large ~focus:`Insert ()
 
@@ -119,15 +119,15 @@ let workload_section ~title ~label ~trace m =
        measured);
   J.Obj
     [ ("workload", J.Str label);
-      ("accesses", J.Int (Array.length trace));
+      ("accesses", J.Num (float (Array.length trace)));
       ( "checkers",
         J.Arr
           (List.map
              (fun (name, ops) ->
                J.Obj
                  [ ("checker", J.Str name);
-                   ("mops", J.Float (ops /. 1e6));
-                   ("vs_filter_eval", J.Float (ops /. base)) ])
+                   ("mops", J.Num (ops /. 1e6));
+                   ("vs_filter_eval", J.Num (ops /. base)) ])
              measured) ) ]
 
 (** Ops/s over [trace] cut into [batch]-sized chunks, producing one
@@ -196,20 +196,20 @@ let batch_sweep m trace =
       (List.map
          (fun (batch, ops, loop, rel) ->
            J.Obj
-             [ ("batch", J.Int batch);
-               ("mops", J.Float (ops /. 1e6));
-               ("per_call_loop_mops", J.Float (loop /. 1e6));
-               ("vs_per_call", J.Float rel) ])
+             [ ("batch", J.Num (float batch));
+               ("mops", J.Num (ops /. 1e6));
+               ("per_call_loop_mops", J.Num (loop /. 1e6));
+               ("vs_per_call", J.Num rel) ])
          rows),
-    J.Float (per_call /. 1e6) )
+    J.Num (per_call /. 1e6) )
 
 let build_stats_json m =
   let s = Automaton.build_stats (Automaton.of_manifest m) in
   J.Obj
-    [ ("nodes", J.Int s.Automaton.nodes);
-      ("shared", J.Int s.Automaton.shared);
-      ("collapsed", J.Int s.Automaton.collapsed);
-      ("tokens", J.Int s.Automaton.tokens) ]
+    [ ("nodes", J.Num (float s.Automaton.nodes));
+      ("shared", J.Num (float s.Automaton.shared));
+      ("collapsed", J.Num (float s.Automaton.collapsed));
+      ("tokens", J.Num (float s.Automaton.tokens)) ]
 
 let run () =
   Bench_util.hr "Automaton: decision-DAG checking vs the Filter_eval oracle";

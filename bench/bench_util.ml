@@ -61,90 +61,16 @@ let timed f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* JSON emission ----------------------------------------------------------
-
-   The labs persist their measurements as BENCH_*.json artifacts at the
-   repo root so the perf trajectory is part of the tree, not just of a
-   terminal scrollback.  No JSON library in the dependency set, so a
-   minimal emitter lives here; every lab shares it. *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  let escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | '\r' -> Buffer.add_string b "\\r"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let number f =
-    (* JSON has no NaN/Infinity; a lab that produced one has a bug, but
-       the artifact must still parse. *)
-    if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-
-  let rec pp ?(indent = 0) ppf t =
-    let pad n = String.make n ' ' in
-    match t with
-    | Null -> Fmt.string ppf "null"
-    | Bool b -> Fmt.pf ppf "%b" b
-    | Int i -> Fmt.pf ppf "%d" i
-    | Float f -> Fmt.string ppf (number f)
-    | Str s -> Fmt.pf ppf "\"%s\"" (escape s)
-    | Arr [] -> Fmt.string ppf "[]"
-    | Arr items ->
-      Fmt.pf ppf "[";
-      List.iteri
-        (fun i item ->
-          Fmt.pf ppf "%s@\n%s%a"
-            (if i = 0 then "" else ",")
-            (pad (indent + 2))
-            (pp ~indent:(indent + 2))
-            item)
-        items;
-      Fmt.pf ppf "@\n%s]" (pad indent)
-    | Obj [] -> Fmt.string ppf "{}"
-    | Obj fields ->
-      Fmt.pf ppf "{";
-      List.iteri
-        (fun i (k, v) ->
-          Fmt.pf ppf "%s@\n%s\"%s\": %a"
-            (if i = 0 then "" else ",")
-            (pad (indent + 2))
-            (escape k)
-            (pp ~indent:(indent + 2))
-            v)
-        fields;
-      Fmt.pf ppf "@\n%s}" (pad indent)
-
-  let to_string t = Fmt.str "%a" (pp ~indent:0) t
-end
-
-(** Persist a lab's measurements.  [path] is relative to the directory
-    the bench was launched from — the repo root for `dune exec
-    bench/main.exe`. *)
-let write_json path (j : Json.t) =
+(** Persist a lab's measurements as a BENCH_*.json artifact, so the
+    perf trajectory is part of the tree, not just of a terminal
+    scrollback.  [path] is relative to the directory the bench was
+    launched from — the repo root for `dune exec bench/main.exe`. *)
+let write_json path (j : Shield_controller.Telemetry.Json.t) =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc (Json.to_string j);
+      output_string oc (Shield_controller.Telemetry.Json.to_string j);
       output_char oc '\n');
   Fmt.pr "@.wrote %s@." path
 

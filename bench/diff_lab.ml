@@ -25,7 +25,7 @@
 
 open Sdnshield
 module Hostile = Shield_workload.Hostile_gen
-module J = Bench_util.Json
+module J = Shield_controller.Telemetry.Json
 
 let fail = Bench_util.fail
 
@@ -244,19 +244,19 @@ let emit_json ~gate ~slack_cert ~clean_dt ~repaired_dt ~slack_dt =
          ("corpus", J.Str "examples/verify clean/dirty/overtruncated");
          ( "minimality",
            J.Obj
-             [ ("minimal", J.Int s.Verify.minimal_n);
-               ("slack", J.Int s.Verify.slack_n);
-               ("unknown", J.Int s.Verify.unknown_minimality_n) ] );
-         ("slack_witnesses", J.Int slack_witnesses);
+             [ ("minimal", J.Num (float s.Verify.minimal_n));
+               ("slack", J.Num (float s.Verify.slack_n));
+               ("unknown", J.Num (float s.Verify.unknown_minimality_n)) ] );
+         ("slack_witnesses", J.Num (float slack_witnesses));
          ( "slack_witness_replays",
-           J.Int slack_cert.Verify.crosscheck.Verify.replayed );
+           J.Num (float slack_cert.Verify.crosscheck.Verify.replayed) );
          ( "checkers_agree",
            J.Bool slack_cert.Verify.crosscheck.Verify.checkers_agree );
          ( "timings_us",
            J.Obj
-             [ ("clean", J.Float (clean_dt *. 1e6));
-               ("dirty_repaired", J.Float (repaired_dt *. 1e6));
-               ("overtruncated", J.Float (slack_dt *. 1e6)) ] ) ])
+             [ ("clean", J.Num (clean_dt *. 1e6));
+               ("dirty_repaired", J.Num (repaired_dt *. 1e6));
+               ("overtruncated", J.Num (slack_dt *. 1e6)) ] ) ])
 
 let run_checks ~gate ~hostile_seeds =
   Verify.reset_stats ();

@@ -1,4 +1,4 @@
-(* §IX-B1 effectiveness experiments.
+(* §IX-B1 effectiveness experiments, both run by [Shield_apps.Threats].
 
    1. The four proof-of-concept malicious apps run on the original
       (unprotected) controller and on the SDNShield-enabled controller
@@ -6,88 +6,43 @@
       is vulnerable to all the attacks, while SDNShield-enabled
       Floodlight is immune to all of them."
 
-   2. Reconciliation effectiveness: over-privileged manifests are
-      checked against attack-pattern security policies.  Paper: "the
-      over-privilege problem can be effectively prevented ... the only
-      exception is apps that essentially require access to the
-      resources that enable certain attacks." *)
+   2. Reconciliation effectiveness: an over-privileged manifest is
+      checked against one attack-pattern policy template per class.
+      Paper: "the over-privilege problem can be effectively prevented
+      ... the only exception is apps that essentially require access
+      to the resources that enable certain attacks."  A threat counts
+      as removed when shield-verify refutes the raw manifest and
+      certifies the reconciled one. *)
 
-open Sdnshield
+open Shield_apps
 
 let run_attacks () =
   Bench_util.hr "Effectiveness: PoC malicious apps (baseline vs SDNShield)";
   let rows =
     List.map
-      (fun (name, run_class) ->
-        [ name;
-          Attack_lab.outcome_name (run_class Attack_lab.No_defense);
-          Attack_lab.outcome_name (run_class Attack_lab.Sdnshield_scenario) ])
-      Attack_lab.classes
+      (fun cls ->
+        [ Threats.class_name cls;
+          Threats.outcome_name (Threats.run cls Threats.No_defense).outcome;
+          Threats.outcome_name (Threats.run cls Threats.Sdnshield_scenario).outcome ])
+      Threats.classes
   in
   Bench_util.table [ "attack"; "original controller"; "SDNShield" ] rows;
   Fmt.pr "@.paper: baseline vulnerable to all four; SDNShield immune to all.@."
-
-(* Over-privileged manifest × per-attack-class policy templates. *)
-
-let greedy_manifest =
-  Perm_parser.manifest_exn
-    "PERM read_flow_table\nPERM insert_flow\nPERM delete_flow\nPERM flow_event\n\
-     PERM visible_topology\nPERM read_statistics\nPERM read_payload\n\
-     PERM send_pkt_out\nPERM pkt_in_event\nPERM host_network\nPERM file_system\n\
-     PERM process_runtime"
-
-let templates =
-  [ ( "class1: no remote packet injection",
-      "ASSERT EITHER { PERM host_network } OR { PERM send_pkt_out }",
-      (* The combination that had to disappear. *)
-      [ Token.Host_network; Token.Send_pkt_out ] );
-    ( "class2: no exfiltration channel",
-      "ASSERT EITHER { PERM host_network } OR { PERM read_payload }",
-      [ Token.Host_network; Token.Read_payload ] );
-    ( "class3: confined rule writers",
-      "LET appPerm = APP greedy\n\
-       LET bound = {\n\
-       PERM insert_flow LIMITING ACTION FORWARD AND OWN_FLOWS AND MAX_PRIORITY 400\n\
-       PERM delete_flow LIMITING OWN_FLOWS\n\
-       PERM visible_topology\nPERM flow_event\nPERM pkt_in_event\n\
-       PERM read_payload\nPERM send_pkt_out\nPERM read_flow_table\n\
-       PERM read_statistics\n\
-       }\n\
-       ASSERT appPerm <= bound",
-      [] );
-    ( "class4: no tunnel endpoints",
-      "LET appPerm = APP greedy\n\
-       LET bound = {\n\
-       PERM insert_flow LIMITING ACTION FORWARD AND OWN_FLOWS\n\
-       PERM delete_flow LIMITING OWN_FLOWS\n\
-       PERM read_flow_table LIMITING OWN_FLOWS\n\
-       PERM visible_topology\nPERM flow_event\nPERM pkt_in_event\n\
-       PERM read_payload\nPERM send_pkt_out\nPERM read_statistics\n\
-       PERM host_network\nPERM file_system\nPERM process_runtime\n\
-       }\n\
-       ASSERT appPerm <= bound",
-      [] ) ]
 
 let run_reconciliation () =
   Bench_util.hr
     "Effectiveness: reconciliation of over-privileged manifests";
   let rows =
     List.map
-      (fun (name, policy_src, forbidden_pair) ->
-        let policy = Policy_parser.of_string_exn policy_src in
-        let report = Reconcile.run ~apps:[ ("greedy", greedy_manifest) ] policy in
-        let final = List.assoc "greedy" report.Reconcile.manifests in
-        let pair_removed =
-          match forbidden_pair with
-          | [ a; b ] ->
-            not (Perm.grants_token final a && Perm.grants_token final b)
-          | _ -> true
-        in
-        [ name;
-          string_of_int (List.length report.Reconcile.violations);
-          Printf.sprintf "%d -> %d" (List.length greedy_manifest) (List.length final);
-          (if pair_removed then "yes" else "NO") ])
-      templates
+      (fun (t : Threats.template) ->
+        let r = Threats.reconcile_template t in
+        [ t.label;
+          string_of_int (List.length r.report.violations);
+          Printf.sprintf "%d -> %d"
+            (List.length Threats.greedy_manifest)
+            (List.length r.reconciled);
+          (if Threats.threat_removed r then "yes" else "NO") ])
+      Threats.templates
   in
   Bench_util.table
     [ "policy template"; "violations"; "tokens before -> after"; "threat removed?" ]

@@ -26,30 +26,30 @@ module Drill = Shield_workload.Drill
     [mode] with all three fault sites armed, record the violated
     invariants, and return the mode's measurements for
     BENCH_FAULTS.json. *)
-let run_mode ~mode ~events : Bench_util.Json.t =
+let run_mode ~mode ~events : Telemetry.Json.t =
   let r = Drill.fault_run ~seed:7 ~mode ~events in
   Bench_util.subhr (Drill.mode_name mode);
   Fmt.pr "%a" Drill.pp_fault_run r;
   List.iter (Bench_util.fail "%s") r.Drill.violations;
-  let module J = Bench_util.Json in
+  let module J = Telemetry.Json in
   J.Obj
     [ ("mode", J.Str (Drill.mode_name mode));
-      ("events", J.Int (events * r.Drill.apps));
-      ("handled", J.Int r.Drill.handled);
-      ("done", J.Int r.Drill.done_);
-      ("denied", J.Int r.Drill.denied);
-      ("failed", J.Int r.Drill.failed);
-      ("delivered", J.Int r.Drill.delivered);
-      ("suppressed", J.Int r.Drill.suppressed);
-      ("restarts", J.Int r.Drill.report.Runtime.restarts);
-      ("deputy_faults", J.Int (List.assoc "deputy-kill" r.Drill.injected)) ]
+      ("events", J.Num (float (events * r.Drill.apps)));
+      ("handled", J.Num (float r.Drill.handled));
+      ("done", J.Num (float r.Drill.done_));
+      ("denied", J.Num (float r.Drill.denied));
+      ("failed", J.Num (float r.Drill.failed));
+      ("delivered", J.Num (float r.Drill.delivered));
+      ("suppressed", J.Num (float r.Drill.suppressed));
+      ("restarts", J.Num (float r.Drill.report.Runtime.restarts));
+      ("deputy_faults", J.Num (float (List.assoc "deputy-kill" r.Drill.injected))) ]
 
 let modes = [ Runtime.Isolated { ksd_threads = 4 };
               Runtime.Isolated { ksd_threads = 2 } ]
 
 let run_gate ~gate ~events =
   let per_mode = List.map (fun mode -> run_mode ~mode ~events) modes in
-  let module J = Bench_util.Json in
+  let module J = Telemetry.Json in
   Bench_util.write_json "BENCH_FAULTS.json"
     (J.Obj [ ("bench", J.Str gate); ("modes", J.Arr per_mode) ])
 

@@ -162,14 +162,14 @@ let run_checks ~gate ~seeds ~trace_n =
   check_budget_degradation ();
   Fmt.pr "@.lint counters:@.";
   List.iter (fun (name, n) -> Fmt.pr "  %-36s %d@." name n) (Lint.stats ());
-  let module J = Bench_util.Json in
+  let module J = Shield_controller.Telemetry.Json in
   Bench_util.write_json "BENCH_LINT.json"
     (J.Obj
        [ ("bench", J.Str gate);
          ("corpus", J.Str "examples/lint dirty/clean + hostile seeds");
          ( "rule_counters",
-           J.Obj (List.map (fun (name, n) -> (name, J.Int n)) (Lint.stats ())) );
-         ("failures", J.Int (List.length !Bench_util.failures)) ]);
+           J.Obj (List.map (fun (name, n) -> (name, J.Num (float n))) (Lint.stats ())) );
+         ("failures", J.Num (float (List.length !Bench_util.failures))) ]);
   Bench_util.report gate ~detail:": rule coverage, clean corpus and renderers hold"
 
 let run () =

@@ -110,7 +110,7 @@ let reader ?pairs ~(live : Api.checker) ~stop ~tally () =
 (* Phase 1+2: scripted churn with concurrent probe readers ---------------- *)
 
 let run_churn ~apps ~script_len ~flips ~quiescent_probes ~readers :
-    Bench_util.Json.t =
+    Telemetry.Json.t =
   let dm = Drill.market ~policy:lab_policy ~sandbox:(Sandbox.create ()) () in
   let t = dm.Drill.epoch and m = dm.Drill.queue in
   (* Probe app in, then the quiescent latency baseline: same reader
@@ -220,31 +220,31 @@ let run_churn ~apps ~script_len ~flips ~quiescent_probes ~readers :
     (Bench_util.fmt_us (Metrics.Histogram.percentile churn_h 50.))
     (Bench_util.fmt_us p99_c) (Bench_util.fmt_us p99_q)
     (Bench_util.fmt_us bound);
-  let module J = Bench_util.Json in
+  let module J = Telemetry.Json in
   let json =
     J.Obj
       [ ("phase", J.Str "churn");
-        ("apps", J.Int apps);
-        ("script", J.Int script_len);
-        ("submitted", J.Int stats.Market.submitted);
-        ("commits", J.Int stats.Market.commits);
-        ("rollbacks", J.Int stats.Market.rollbacks);
-        ("final_epoch", J.Int (Epoch.epoch t));
-        ("live_apps", J.Int (List.length (Epoch.apps t)));
-        ("reconcile_delta", J.Int deltas);
-        ("reconcile_full", J.Int fulls);
-        ("probe_pairs", J.Int (Atomic.get tally.probes));
-        ("torn", J.Int (Atomic.get tally.torn));
-        ("p99_quiescent_us", J.Float (p99_q *. 1e6));
-        ("p99_churn_us", J.Float (p99_c *. 1e6));
-        ("p99_bound_us", J.Float (bound *. 1e6)) ]
+        ("apps", J.Num (float apps));
+        ("script", J.Num (float script_len));
+        ("submitted", J.Num (float stats.Market.submitted));
+        ("commits", J.Num (float stats.Market.commits));
+        ("rollbacks", J.Num (float stats.Market.rollbacks));
+        ("final_epoch", J.Num (float (Epoch.epoch t)));
+        ("live_apps", J.Num (float (List.length (Epoch.apps t))));
+        ("reconcile_delta", J.Num (float deltas));
+        ("reconcile_full", J.Num (float fulls));
+        ("probe_pairs", J.Num (float (Atomic.get tally.probes)));
+        ("torn", J.Num (float (Atomic.get tally.torn)));
+        ("p99_quiescent_us", J.Num (p99_q *. 1e6));
+        ("p99_churn_us", J.Num (p99_c *. 1e6));
+        ("p99_bound_us", J.Num (bound *. 1e6)) ]
   in
   Drill.close dm;
   json
 
 (* Phase 3: fault-armed churn --------------------------------------------- *)
 
-let run_faulted ~apps ~script_len : Bench_util.Json.t =
+let run_faulted ~apps ~script_len : Telemetry.Json.t =
   let o = Drill.observe (Trace.create ()) in
   let dm = o.Drill.market in
   let t = dm.Drill.epoch and m = dm.Drill.queue in
@@ -298,17 +298,17 @@ let run_faulted ~apps ~script_len : Bench_util.Json.t =
        (List.filter
           (fun (e : Sandbox.audit_entry) -> e.Sandbox.action = "market-rollback")
           (Forensics.fault_log o.Drill.sandbox)));
-  let module J = Bench_util.Json in
+  let module J = Telemetry.Json in
   let json =
     J.Obj
       [ ("phase", J.Str "faulted");
-        ("script", J.Int script_len);
-        ("commits", J.Int stats.Market.commits);
-        ("rollbacks", J.Int stats.Market.rollbacks);
-        ("injected_verify", J.Int (Faults.injected Faults.Swap_verify));
-        ("injected_compile", J.Int (Faults.injected Faults.Swap_compile));
-        ("injected_publish", J.Int (Faults.injected Faults.Swap_publish));
-        ("final_epoch", J.Int (Epoch.epoch t)) ]
+        ("script", J.Num (float script_len));
+        ("commits", J.Num (float stats.Market.commits));
+        ("rollbacks", J.Num (float stats.Market.rollbacks));
+        ("injected_verify", J.Num (float (Faults.injected Faults.Swap_verify)));
+        ("injected_compile", J.Num (float (Faults.injected Faults.Swap_compile)));
+        ("injected_publish", J.Num (float (Faults.injected Faults.Swap_publish)));
+        ("final_epoch", J.Num (float (Epoch.epoch t))) ]
   in
   Drill.close_observed o;
   json
@@ -320,7 +320,7 @@ let run_all ~gate ~apps ~script_len ~flips ~quiescent_probes ~faulted_len =
     run_churn ~apps ~script_len ~flips ~quiescent_probes ~readers:2
   in
   let fault_json = run_faulted ~apps:100 ~script_len:faulted_len in
-  let module J = Bench_util.Json in
+  let module J = Telemetry.Json in
   Bench_util.write_json "BENCH_MARKET.json"
     (J.Obj [ ("bench", J.Str gate); ("phases", J.Arr [ churn_json; fault_json ]) ]);
   Bench_util.report gate

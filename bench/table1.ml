@@ -4,26 +4,19 @@
    Paper claim: traffic isolation protects none of the four classes
    when attacker and victim apps share a slice; network state analysis
    detects (only) the rule-manipulation classes; SDNShield, with proper
-   permissions, protects all four. *)
+   permissions, protects all four.  The cells come from
+   [Shield_apps.Threats.table]; test/test_attacks.ml asserts them. *)
 
-let defenses =
-  Attack_lab.
-    [ No_defense; Slicing; State_analysis; Sdnshield_scenario ]
+open Shield_apps
 
 let run () =
   Bench_util.hr "Table I: attack protection coverage";
-  let rows =
-    List.map
-      (fun (name, run_class) ->
-        name
-        :: List.map
-             (fun d -> Attack_lab.outcome_name (run_class d))
-             defenses)
-      Attack_lab.classes
-  in
   Bench_util.table
-    ("attack class" :: List.map Attack_lab.defense_name defenses)
-    rows;
+    ("attack class" :: List.map Threats.defense_name Threats.defenses)
+    (List.map
+       (fun (cls, outcomes) ->
+         Threats.class_name cls :: List.map Threats.outcome_name outcomes)
+       (Threats.table ()));
   Fmt.pr
     "@.paper: slicing covers none of the four (same-slice attacker);@.";
   Fmt.pr "       state analysis flags only classes 3-4; SDNShield covers all.@."

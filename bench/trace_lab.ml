@@ -245,7 +245,7 @@ let churn_section ~trials ~txns ~apps () =
 (* BENCH_OBS.json: the lab's measurements as a repo-root artifact, so
    the observability-overhead trajectory is part of the tree. *)
 let emit_json ~gate ~call_rows ~churn ~churn_txns =
-  let module J = Bench_util.Json in
+  let module J = Telemetry.Json in
   Bench_util.write_json "BENCH_OBS.json"
     (J.Obj
        [ ("gate", J.Str gate);
@@ -254,13 +254,13 @@ let emit_json ~gate ~call_rows ~churn ~churn_txns =
              (List.map
                 (fun (sampling, events, pairs, pct) ->
                   J.Obj
-                    [ ("sampling", J.Float sampling);
-                      ("events", J.Int events);
+                    [ ("sampling", J.Num sampling);
+                      ("events", J.Num (float events));
                       ( "untraced_us_per_event",
-                        J.Float (median_us_per_event ~events pairs fst) );
+                        J.Num (median_us_per_event ~events pairs fst) );
                       ( "traced_us_per_event",
-                        J.Float (median_us_per_event ~events pairs snd) );
-                      ("overhead_pct", J.Float pct) ])
+                        J.Num (median_us_per_event ~events pairs snd) );
+                      ("overhead_pct", J.Num pct) ])
                 call_rows) );
          ( "churn_tracing",
            let pairs, pct = churn in
@@ -268,11 +268,11 @@ let emit_json ~gate ~call_rows ~churn ~churn_txns =
              median (List.map sel pairs) /. float_of_int churn_txns *. 1e3
            in
            J.Obj
-             [ ("txns", J.Int churn_txns);
-               ("trials", J.Int (List.length pairs));
-               ("untraced_ms_per_txn", J.Float (per_txn fst));
-               ("traced_ms_per_txn", J.Float (per_txn snd));
-               ("overhead_pct", J.Float pct) ] ) ])
+             [ ("txns", J.Num (float churn_txns));
+               ("trials", J.Num (float (List.length pairs)));
+               ("untraced_ms_per_txn", J.Num (per_txn fst));
+               ("traced_ms_per_txn", J.Num (per_txn snd));
+               ("overhead_pct", J.Num pct) ] ) ])
 
 let export_section trace =
   Bench_util.subhr "telemetry export";

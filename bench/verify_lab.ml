@@ -21,7 +21,7 @@
 
 open Sdnshield
 module Hostile = Shield_workload.Hostile_gen
-module J = Bench_util.Json
+module J = Shield_controller.Telemetry.Json
 
 let fail = Bench_util.fail
 
@@ -150,21 +150,21 @@ let emit_json ~gate ~raw ~raw_dt ~rep_dt ~clean_dt =
          ("corpus", J.Str "examples/verify dirty/clean");
          ( "verdicts",
            J.Obj
-             [ ("certified", J.Int s.Verify.certified_n);
-               ("refuted", J.Int s.Verify.refuted_n);
-               ("unverified", J.Int s.Verify.unverified_n) ] );
-         ("dirty_counterexamples", J.Int (List.length cexs));
+             [ ("certified", J.Num (float s.Verify.certified_n));
+               ("refuted", J.Num (float s.Verify.refuted_n));
+               ("unverified", J.Num (float s.Verify.unverified_n)) ] );
+         ("dirty_counterexamples", J.Num (float (List.length cexs)));
          ( "dirty_witness_replays",
-           J.Int raw.Verify.crosscheck.Verify.replayed );
+           J.Num (float raw.Verify.crosscheck.Verify.replayed) );
          ( "checkers_agree",
            J.Bool raw.Verify.crosscheck.Verify.checkers_agree );
          ( "infer_consistent",
            J.Bool raw.Verify.crosscheck.Verify.infer_consistent );
          ( "timings_us",
            J.Obj
-             [ ("dirty_raw", J.Float (raw_dt *. 1e6));
-               ("dirty_reconciled", J.Float (rep_dt *. 1e6));
-               ("clean", J.Float (clean_dt *. 1e6)) ] ) ])
+             [ ("dirty_raw", J.Num (raw_dt *. 1e6));
+               ("dirty_reconciled", J.Num (rep_dt *. 1e6));
+               ("clean", J.Num (clean_dt *. 1e6)) ] ) ])
 
 let run_checks ~gate ~hostile_seeds =
   Verify.reset_stats ();

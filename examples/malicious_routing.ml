@@ -11,13 +11,14 @@
 
    — the routing duty works while rule-manipulation attacks are denied.
 
-   Part A pairs the malicious routing app with its own benign routes
-   and shows the route-hijack payload failing; Part B pairs a security
-   (firewall) app with a tunnelling payload and shows the dynamic-flow
-   tunnel failing.  (OWN_FLOWS deliberately prevents *any* overlap with
-   another app's rules, so apps that must layer rules over each other —
-   e.g. routing over a firewall's catch-all — belong in different
-   priority bands via MAX/MIN_PRIORITY filters instead; see
+   Part A pairs the benign routing app with a route-hijack payload and
+   shows the hijack failing; Part B pairs a security (firewall) app
+   with a tunnelling payload and shows the dynamic-flow tunnel failing.
+   Both are the SDNShield column of Table I ([Threats.run]), on the
+   isolated runtime.  (OWN_FLOWS deliberately prevents *any* overlap
+   with another app's rules, so apps that must layer rules over each
+   other — e.g. routing over a firewall's catch-all — belong in
+   different priority bands via MAX/MIN_PRIORITY filters instead; see
    examples/policy_templates.exe.)
 
    Run with: dune exec examples/malicious_routing.exe *)
@@ -25,84 +26,46 @@
 open Shield_net
 open Shield_controller
 open Shield_apps
-open Sdnshield
 
-let checker ~topo ~ownership name cookie src =
-  Engine.checker
-    (Engine.create ~topo ~ownership ~app_name:name ~cookie
-       (Perm_parser.manifest_exn src))
-
-let print_denials kernel =
+let print_denials (r : Threats.run) =
   Fmt.pr "@.--- Why (audit log) ---@.";
   List.iter
     (fun (e : Sandbox.audit_entry) ->
       if not e.Sandbox.allowed then
         Fmt.pr "  [%s] denied: %s@." e.Sandbox.app_name e.Sandbox.action)
-    (Sandbox.audit_log kernel.Kernel.sandbox)
+    (Sandbox.audit_log r.kernel.Kernel.sandbox)
+
+let verdict (r : Threats.run) =
+  if r.outcome = Threats.Succeeded then "SUCCEEDED" else "BLOCKED"
 
 let () =
   Fmt.pr "=== Scenario 2: malicious routing app ===@.@.";
   Fmt.pr "--- Permissions ---@.%s@." Routing.manifest_src;
 
-  (* Part A: the routing app does its job; its hijack payload dies. *)
+  (* Part A: the routing app does its job; the hijack payload dies. *)
   Fmt.pr "================ Part A: route hijack ================@.";
-  let topo = Topology.linear 3 in
-  let dp = Dataplane.create topo in
-  let kernel = Kernel.create dp in
-  let ownership = Ownership.create () in
-  let routing = Routing.create () in
-  let h1 = Option.get (Topology.host_by_name topo "h1") in
-  let h2 = Option.get (Topology.host_by_name topo "h2") in
-  let h3 = Option.get (Topology.host_by_name topo "h3") in
-  let hijacker =
-    Attacks.route_hijacker ~name:"routing_evil" ~victim_dst_ip:h3.Topology.ip
-      ~mitm_host:"h2" ()
-  in
-  let rt =
-    Runtime.create ~mode:Runtime.Monolithic kernel
-      [ (Routing.app routing, checker ~topo ~ownership "routing" 1 Routing.manifest_src);
-        (hijacker.Attacks.app, checker ~topo ~ownership "routing_evil" 2 Routing.manifest_src) ]
-  in
-  Fmt.pr "routing rules installed: %d@." !(routing.Routing.rules_installed);
-  (match Dataplane.probe dp ~src:h1 ~dst:h3 ~tp_dst:80 () with
+  let r = Threats.run Threats.Route_hijack Threats.Sdnshield_scenario in
+  let h1 = Threats.host r.topo "h1" and h3 = Threats.host r.topo "h3" in
+  Fmt.pr "route hijack (divert h1->h3 into h2): %s@." (verdict r);
+  (match Dataplane.probe r.dataplane ~src:h1 ~dst:h3 ~tp_dst:80 () with
   | Dataplane.Delivered_to (who, path) ->
     Fmt.pr "h1 -> h3: delivered to %s via s%a@." who
       Fmt.(list ~sep:(any "->s") int)
       path
   | _ -> Fmt.pr "h1 -> h3: NOT delivered@.");
-  Runtime.feed_sync rt Attacks.tick_event;
-  Runtime.shutdown rt;
-  Fmt.pr "route hijack (divert h1->h3 into h2): %s@."
-    (if Attacks.hijack_succeeded dp ~src:h1 ~dst:h3 ~mitm:h2 then "SUCCEEDED"
-     else "BLOCKED");
-  print_denials kernel;
+  print_denials r;
 
   (* Part B: a firewall app guards the network; a tunnelling payload
      with Scenario-2 permissions cannot pierce it. *)
   Fmt.pr "@.================ Part B: dynamic-flow tunnel ================@.";
-  let topo = Topology.linear 3 in
-  let dp = Dataplane.create topo in
-  let kernel = Kernel.create dp in
-  let ownership = Ownership.create () in
-  let firewall = Firewall.create () in
-  let tunnel = Attacks.tunnel_app ~name:"tunnel_evil" ~src_host:"h1" ~dst_host:"h3" () in
-  let rt =
-    Runtime.create ~mode:Runtime.Monolithic kernel
-      [ (Firewall.app firewall, checker ~topo ~ownership "firewall" 1 Firewall.manifest_src);
-        (tunnel.Attacks.app, checker ~topo ~ownership "tunnel_evil" 2 Routing.manifest_src) ]
-  in
-  let h1 = Option.get (Topology.host_by_name topo "h1") in
-  let h3 = Option.get (Topology.host_by_name topo "h3") in
-  Fmt.pr "firewall rules installed: %d@." !(firewall.Firewall.rules_installed);
-  Runtime.feed_sync rt Attacks.tick_event;
-  Runtime.shutdown rt;
+  let r = Threats.run Threats.Flow_tunnel Threats.Sdnshield_scenario in
+  let h1 = Threats.host r.topo "h1" and h3 = Threats.host r.topo "h3" in
   Fmt.pr "dynamic-flow tunnel (telnet through port-80 firewall): %s@."
-    (if Attacks.tunnel_succeeded dp ~src:h1 ~dst:h3 () then "SUCCEEDED"
-     else "BLOCKED");
-  (match Dataplane.probe dp ~src:h1 ~dst:h3 ~tp_dst:80 () with
+    (verdict r);
+  (match Dataplane.probe r.dataplane ~src:h1 ~dst:h3 ~tp_dst:80 () with
   | Dataplane.Delivered_to _ -> Fmt.pr "HTTP h1->h3 still flows@."
   | _ -> Fmt.pr "HTTP h1->h3 broken!@.");
-  (match Dataplane.probe dp ~src:h1 ~dst:h3 ~tp_dst:23 () with
+  (match Dataplane.probe r.dataplane ~src:h1 ~dst:h3 ~tp_dst:23 () with
   | Dataplane.Dropped_ -> Fmt.pr "telnet h1->h3 still dropped by the firewall@."
   | _ -> Fmt.pr "telnet h1->h3 escaped the firewall!@.");
-  print_denials kernel
+  print_denials r

@@ -2,73 +2,33 @@
    (§II) — the paper suggests distributing exactly such templates "so
    as to lower the hurdle to have basic protection" (§III).
 
-   The example applies each template to a deliberately over-privileged
-   manifest and prints what reconciliation does to it.
+   The example applies each template of [Threats.templates] to a
+   deliberately over-privileged manifest, prints what reconciliation
+   does to it, and how shield-verify judges the manifest before and
+   after the repair.
 
    Run with: dune exec examples/policy_templates.exe *)
 
+open Shield_apps
 open Sdnshield
 
-(* An app that asked for everything. *)
-let greedy_manifest_src =
-  "PERM read_flow_table\nPERM insert_flow\nPERM delete_flow\nPERM flow_event\n\
-   PERM visible_topology\nPERM read_statistics\nPERM read_payload\n\
-   PERM send_pkt_out\nPERM pkt_in_event\nPERM host_network\nPERM file_system\n\
-   PERM process_runtime"
-
-let templates =
-  [ ( "class1-data-plane-intrusion",
-      "Prevent remote-controlled packet injection: an app may talk to the\n\
-       outside world or inject packets, never both.",
-      "ASSERT EITHER { PERM host_network } OR { PERM send_pkt_out }" );
-    ( "class2-information-leakage",
-      "Prevent exfiltration of network state: outside connectivity and\n\
-       payload/statistics visibility are mutually exclusive.",
-      "ASSERT EITHER { PERM host_network } OR { PERM read_payload }\n\
-       ASSERT EITHER { PERM host_network } OR { PERM read_statistics }" );
-    ( "class3-rule-manipulation",
-      "Confine rule writers: writes must be forwarding-only, on the app's\n\
-       own flows, below the security apps' priority band.",
-      "LET writerBound = {\n\
-       PERM insert_flow LIMITING ACTION FORWARD AND OWN_FLOWS AND MAX_PRIORITY 400\n\
-       PERM delete_flow LIMITING OWN_FLOWS\n\
-       PERM visible_topology\nPERM flow_event\nPERM pkt_in_event\n\
-       PERM read_payload\nPERM send_pkt_out\nPERM read_flow_table\n\
-       PERM read_statistics\n\
-       }\n\
-       LET appPerm = APP greedy\n\
-       ASSERT appPerm <= writerBound" );
-    ( "class4-app-interference",
-      "Protect security apps: no app may rewrite headers (tunnel endpoints)\n\
-       or touch other apps' rules.",
-      "LET noTunnel = {\n\
-       PERM insert_flow LIMITING ACTION FORWARD AND OWN_FLOWS\n\
-       PERM delete_flow LIMITING OWN_FLOWS\n\
-       PERM read_flow_table LIMITING OWN_FLOWS\n\
-       PERM visible_topology\nPERM flow_event\nPERM pkt_in_event\n\
-       PERM read_payload\nPERM send_pkt_out\nPERM read_statistics\n\
-       PERM host_network\nPERM file_system\nPERM process_runtime\n\
-       }\n\
-       LET appPerm = APP greedy\n\
-       ASSERT appPerm <= noTunnel" ) ]
-
 let () =
-  let greedy = Perm_parser.manifest_exn greedy_manifest_src in
+  let greedy = Threats.greedy_manifest in
   Fmt.pr "=== Over-privileged manifest ===@.%a@.@." Perm.pp greedy;
   List.iter
-    (fun (name, blurb, policy_src) ->
+    (fun (t : Threats.template) ->
+      let r = Threats.reconcile_template t in
       Fmt.pr "==================================================@.";
-      Fmt.pr "Template: %s@.%s@.@." name blurb;
-      Fmt.pr "--- Policy ---@.%s@.@." policy_src;
-      match Policy_parser.of_string policy_src with
-      | Error e -> Fmt.pr "policy parse error: %s@." e
-      | Ok policy ->
-        let report = Reconcile.run ~apps:[ ("greedy", greedy) ] policy in
-        List.iter
-          (fun v -> Fmt.pr "violation: %s@." v.Reconcile.message)
-          report.Reconcile.violations;
-        let final = List.assoc "greedy" report.Reconcile.manifests in
-        Fmt.pr "@.--- Reconciled manifest ---@.%a@.@." Perm.pp final;
-        (* Sanity: the reconciled result is within the template's intent. *)
-        Fmt.pr "tokens kept: %d of %d@.@." (List.length final) (List.length greedy))
-    templates
+      Fmt.pr "Template: %s@.%s@.@." t.label t.intent;
+      Fmt.pr "--- Policy ---@.%s@.@." t.policy_src;
+      List.iter
+        (fun v -> Fmt.pr "violation: %s@." v.Reconcile.message)
+        r.report.violations;
+      Fmt.pr "@.--- Reconciled manifest ---@.%a@.@." Perm.pp r.reconciled;
+      Fmt.pr "tokens kept: %d of %d@." (List.length r.reconciled)
+        (List.length greedy);
+      Fmt.pr "verify: raw %s, reconciled %s, repair %s@.@."
+        (Verify.verdict_label r.raw)
+        (Verify.verdict_label r.certificate)
+        (Verify.minimality_label r.certificate))
+    Threats.templates

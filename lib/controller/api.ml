@@ -78,8 +78,6 @@ type result =
   | Denied of string
   | Failed of string
 
-let is_denied = function Denied _ -> true | _ -> false
-
 (* Decisions produced by a permission checker. *)
 type decision = Allow | Deny of string
 

@@ -6,12 +6,10 @@
    queues.
 
    A channel created without [capacity] behaves as before: pushes never
-   block.  With a capacity, a full channel applies its overflow
-   [policy]: [Block] parks the pusher until a consumer makes room
-   (backpressure — a flooding producer saturates its own queue instead
-   of the heap), [Reject] raises [Full] so the caller can turn the
-   overflow into an application-level error.  The high-water mark is
-   tracked so runtimes can report worst-case queue depths.
+   block.  With a capacity, a full channel parks the pusher until a
+   consumer makes room (backpressure — a flooding producer saturates
+   its own queue instead of the heap).  The high-water mark is tracked
+   so runtimes can report worst-case queue depths.
 
    Spin-then-park (docs/RUNTIME.md §6).  A waiter whose counterpart
    runs on another domain may pass [~spin:true] to {!pop}, and
@@ -40,17 +38,12 @@ let spin_while hint idle =
     Domain.cpu_relax ()
   done
 
-type policy =
-  | Block  (** Full channel: park the pusher until space frees up. *)
-  | Reject  (** Full channel: raise {!Full} immediately. *)
-
 type 'a t = {
   queue : 'a Queue.t;
   mutex : Mutex.t;
   nonempty : Condition.t;
   nonfull : Condition.t;
   capacity : int option;  (** [None] = unbounded. *)
-  policy : policy;
   mutable high_water : int;
   mutable closed : bool;
   depth : int Atomic.t;  (** Queue length, written under [mutex]. *)
@@ -59,17 +52,16 @@ type 'a t = {
           one popper spins; cleared only under [mutex]. *)
 }
 
-let create ?capacity ?(policy = Block) () =
+let create ?capacity () =
   (match capacity with
   | Some c when c <= 0 -> invalid_arg "Channel.create: capacity must be > 0"
   | _ -> ());
   { queue = Queue.create (); mutex = Mutex.create ();
     nonempty = Condition.create (); nonfull = Condition.create ();
-    capacity; policy; high_water = 0; closed = false; depth = Atomic.make 0;
+    capacity; high_water = 0; closed = false; depth = Atomic.make 0;
     spinner = Atomic.make false }
 
 exception Closed
-exception Full
 
 let is_full t =
   match t.capacity with
@@ -77,9 +69,8 @@ let is_full t =
   | None -> false
 
 (** Push [v]; raises [Closed] after [close].  On a full bounded channel
-    the overflow policy applies: [Block] waits (and still raises
-    [Closed] if the channel closes while waiting), [Reject] raises
-    [Full]. *)
+    the pusher waits (and still raises [Closed] if the channel closes
+    while waiting). *)
 let push t v =
   Mutex.lock t.mutex;
   let rec wait () =
@@ -87,14 +78,10 @@ let push t v =
       Mutex.unlock t.mutex;
       raise Closed
     end
-    else if is_full t then
-      match t.policy with
-      | Reject ->
-        Mutex.unlock t.mutex;
-        raise Full
-      | Block ->
-        Condition.wait t.nonfull t.mutex;
-        wait ()
+    else if is_full t then begin
+      Condition.wait t.nonfull t.mutex;
+      wait ()
+    end
     else begin
       Queue.push v t.queue;
       let n = Queue.length t.queue in

@@ -6,12 +6,10 @@
     queues.
 
     Without [capacity] a channel is unbounded and pushes never block.
-    With one, a full channel applies its overflow {!policy}: [Block]
-    parks the pusher until a consumer makes room (backpressure — a
-    flooding producer saturates its own queue instead of the heap),
-    [Reject] raises {!Full} so the caller can turn the overflow into an
-    application-level error.  The failure model built on these
-    primitives is documented in docs/RUNTIME.md.
+    With one, a full channel parks the pusher until a consumer makes
+    room (backpressure — a flooding producer saturates its own queue
+    instead of the heap).  The failure model built on these primitives
+    is documented in docs/RUNTIME.md.
 
     Spin-then-park: a waiter whose counterpart runs on another domain
     may pass [~spin:true] to {!pop}, and {!Ivar.read} and
@@ -28,22 +26,16 @@
 val spin_ns : int
 (** The spin bound, in nanoseconds of wall-clock time (10 µs). *)
 
-type policy =
-  | Block  (** Full channel: park the pusher until space frees up. *)
-  | Reject  (** Full channel: raise {!Full} immediately. *)
-
 type 'a t
 
 exception Closed
-exception Full
 
-val create : ?capacity:int -> ?policy:policy -> unit -> 'a t
-(** [capacity] bounds the queue ([None] = unbounded; must be > 0);
-    [policy] (default [Block]) selects the overflow behaviour. *)
+val create : ?capacity:int -> unit -> 'a t
+(** [capacity] bounds the queue ([None] = unbounded; must be > 0). *)
 
 val push : 'a t -> 'a -> unit
-(** Enqueue; raises [Closed] after {!close} (including while blocked on
-    a full channel), [Full] on a full [Reject]-policy channel. *)
+(** Enqueue, parking while the channel is full; raises [Closed] after
+    {!close} (including while parked on a full channel). *)
 
 val pop : ?spin:bool -> 'a t -> 'a option
 (** Block until an element is available; [None] once the channel is

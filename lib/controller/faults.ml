@@ -111,7 +111,6 @@ let configure ?(seed = 1) ?(checker = 0.) ?(kernel = 0.) ?(deputy = 0.)
   Atomic.set armed true
 
 let disarm () = Atomic.set armed false
-let is_armed () = Atomic.get armed
 
 let reset_counts () = Array.iter (fun c -> Atomic.set c 0) counters
 

@@ -297,26 +297,3 @@ let pp_summary ppf s =
 
 let pp_suspicion ppf s =
   Fmt.pf ppf "@[<h>[class %d] %s: %s@]" s.attack_class s.suspect s.evidence
-
-let pp_incident_report ppf (r : incident_report) =
-  Fmt.pf ppf "activity summaries:@.";
-  List.iter (fun s -> Fmt.pf ppf "  %a@." pp_summary s) r.summaries;
-  (match r.suspicions with
-  | [] -> Fmt.pf ppf "no suspicions raised@."
-  | ss ->
-    Fmt.pf ppf "suspicions:@.";
-    List.iter (fun s -> Fmt.pf ppf "  %a@." pp_suspicion s) ss);
-  (match r.faults with
-  | [] -> ()
-  | faults ->
-    Fmt.pf ppf "runtime faults (%d):@." (List.length faults);
-    List.iter
-      (fun (e : Sandbox.audit_entry) ->
-        Fmt.pf ppf "  %s: %s (%s)@." e.Sandbox.app_name e.Sandbox.action
-          e.Sandbox.detail)
-      faults);
-  match r.explained_denials with
-  | [] -> ()
-  | denials ->
-    Fmt.pf ppf "explained denials (%d):@." (List.length denials);
-    List.iter (fun s -> Fmt.pf ppf "  %a@." Trace.pp_span s) denials

@@ -30,22 +30,18 @@ let status_severity = function Healthy -> 0 | Degraded -> 1 | Unhealthy -> 2
 (* Signals are keyed by name so rules stay declarative data.  Counters
    sum across the window; water marks ("queue-hwm", "stage-max-s")
    take the window max. *)
-let signals =
-  [ "denials"; "faults"; "rollbacks"; "deadline-expiries"; "queue-hwm";
-    "stage-max-s" ]
-
 type rule = {
   signal : string;
   degraded : float;  (** Windowed value >= this: at least Degraded. *)
   unhealthy : float;  (** Windowed value >= this: Unhealthy. *)
 }
 
-(** Conservative defaults, sized for the bundled demos and labs:
+(** Conservative thresholds, sized for the bundled demos and labs:
     injected faults degrade immediately, background rollbacks (an app
     market refusing invalid submissions is the system working) only
     degrade in bulk, and a stage that takes more than a second is
-    news regardless of volume.  Operators pass their own list. *)
-let default_rules =
+    news regardless of volume. *)
+let rules =
   [ { signal = "faults"; degraded = 1.; unhealthy = 25. };
     { signal = "rollbacks"; degraded = 20.; unhealthy = 200. };
     { signal = "denials"; degraded = 500.; unhealthy = 5000. };
@@ -80,38 +76,28 @@ type bucket = {
 type t = {
   clock : unit -> float;
   origin : float;
-  span : float;  (** One bucket's length, seconds. *)
   buckets : bucket array;
-  rules : rule list;
   mutex : Mutex.t;
 }
 
-let window t = t.span *. float_of_int (Array.length t.buckets)
+(** The window length, seconds, covered by [slots] ring buckets of
+    [span] seconds each. *)
+let window = 60.
 
-(** [create ()] — a monitor covering the last [window] seconds
-    (default 60) in [buckets] ring slots (default 12, i.e. 5s
-    granularity at the default window).  [rules] are checked against
-    windowed totals by {!verdict}; unknown signal names are rejected
-    here rather than silently never firing.  [clock] (default
+let slots = 12
+let span = window /. float_of_int slots
+
+(** [create ()] — a monitor covering the last {!window} seconds,
+    judged against {!rules} by {!verdict}.  [clock] (default
     {!Metrics.now}) exists for deterministic tests and demos. *)
-let create ?clock ?(window = 60.) ?(buckets = 12) ?(rules = default_rules) ()
-    =
-  if not (window > 0.) then invalid_arg "Health.create: window must be > 0";
-  if buckets <= 0 then invalid_arg "Health.create: buckets must be > 0";
-  List.iter
-    (fun r ->
-      if not (List.mem r.signal signals) then
-        invalid_arg ("Health.create: unknown signal " ^ r.signal))
-    rules;
+let create ?clock () =
   let clock = match clock with Some f -> f | None -> Metrics.now in
   { clock;
     origin = clock ();
-    span = window /. float_of_int buckets;
     buckets =
-      Array.init buckets (fun _ ->
+      Array.init slots (fun _ ->
           { stamp = -1; denials = 0; faults = 0; rollbacks = 0;
             deadlines = 0; queue_hwm = 0; stage_max = 0. });
-    rules;
     mutex = Mutex.create () }
 
 (* The bucket for "now", recycled lazily: a slot whose stamp is not
@@ -119,7 +105,7 @@ let create ?clock ?(window = 60.) ?(buckets = 12) ?(rules = default_rules) ()
    is reset in place.  Caller holds the lock. *)
 let current_abs t =
   let dt = t.clock () -. t.origin in
-  if dt <= 0. then 0 else int_of_float (dt /. t.span)
+  if dt <= 0. then 0 else int_of_float (dt /. span)
 
 let slot t =
   let a = current_abs t in
@@ -153,8 +139,8 @@ let queue_depth t d =
 let stage_latency t s =
   with_slot t (fun b -> if s > b.stage_max then b.stage_max <- s)
 
-(** Windowed value per signal, in {!signals} order.  Counters sum over
-    the live buckets; water marks take the max. *)
+(** Windowed value per signal.  Counters sum over the live buckets;
+    water marks take the max. *)
 let totals t =
   Mutex.lock t.mutex;
   let a = current_abs t in
@@ -186,19 +172,17 @@ let verdict t : verdict =
   let causes =
     List.filter_map
       (fun r ->
-        match List.assoc_opt r.signal totals with
-        | None -> None
-        | Some v ->
-          if v >= r.unhealthy then
-            Some
-              { cause_signal = r.signal; observed = v;
-                threshold = r.unhealthy; level = Unhealthy }
-          else if v >= r.degraded then
-            Some
-              { cause_signal = r.signal; observed = v;
-                threshold = r.degraded; level = Degraded }
-          else None)
-      t.rules
+        let v = List.assoc r.signal totals in
+        if v >= r.unhealthy then
+          Some
+            { cause_signal = r.signal; observed = v; threshold = r.unhealthy;
+              level = Unhealthy }
+        else if v >= r.degraded then
+          Some
+            { cause_signal = r.signal; observed = v; threshold = r.degraded;
+              level = Degraded }
+        else None)
+      rules
   in
   let causes =
     List.stable_sort
@@ -211,7 +195,7 @@ let verdict t : verdict =
         if status_severity c.level > status_severity acc then c.level else acc)
       Healthy causes
   in
-  { status; causes; window = window t; totals }
+  { status; causes; window; totals }
 
 let pp_cause ppf c =
   Fmt.pf ppf "%s: %s %g >= %g" (status_to_string c.level) c.cause_signal

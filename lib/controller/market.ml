@@ -62,9 +62,10 @@ type t = {
       (** Commit boundaries and rollback captures. *)
   mutex : Mutex.t;
       (** Held for a whole transaction: serializes them, and guards
-          [ledger], [next_id] and [shut]. *)
-  mutable ledger : txn list;  (** Newest first. *)
-  mutable next_id : int;
+          [shut].  [ledger] and [submitted] are written under it and
+          read without it, so a reader never waits for an admission. *)
+  ledger : txn list Atomic.t;  (** Newest first. *)
+  submitted : int Atomic.t;  (** Also the last id handed out. *)
   commits : int Atomic.t;
   rollbacks : int Atomic.t;
   mutable shut : bool;
@@ -172,8 +173,8 @@ let observe t id req outcome ~timing =
 let create ?sandbox ?trace ?health ?flight ~exec () : t =
   let t =
     { exec; sandbox; trace; health; flight; mutex = Mutex.create ();
-      ledger = []; next_id = 0; commits = Atomic.make 0;
-      rollbacks = Atomic.make 0; shut = false }
+      ledger = Atomic.make []; submitted = Atomic.make 0;
+      commits = Atomic.make 0; rollbacks = Atomic.make 0; shut = false }
   in
   List.iter2 Metrics.register_counter counters [ t.commits; t.rollbacks ];
   t
@@ -184,8 +185,7 @@ let refused =
 
 let submit t req =
   Mutex.protect t.mutex (fun () ->
-      t.next_id <- t.next_id + 1;
-      let id = t.next_id in
+      let id = Atomic.fetch_and_add t.submitted 1 + 1 in
       let outcome, timing =
         if t.shut then (refused, None)
         else
@@ -208,15 +208,15 @@ let submit t req =
       Atomic.incr (if committed outcome then t.commits else t.rollbacks);
       audit t req outcome;
       observe t id req outcome ~timing;
-      t.ledger <- { id; request = req; outcome } :: t.ledger;
+      Atomic.set t.ledger
+        ({ id; request = req; outcome } :: Atomic.get t.ledger);
       outcome)
 
-let history t = Mutex.protect t.mutex (fun () -> List.rev t.ledger)
+let history t = List.rev (Atomic.get t.ledger)
 
 let stats t =
-  Mutex.protect t.mutex (fun () ->
-      { submitted = t.next_id; commits = Atomic.get t.commits;
-        rollbacks = Atomic.get t.rollbacks })
+  { submitted = Atomic.get t.submitted; commits = Atomic.get t.commits;
+    rollbacks = Atomic.get t.rollbacks }
 
 let shutdown t =
   let first =

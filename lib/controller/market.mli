@@ -117,9 +117,12 @@ val submit : t -> request -> outcome
     with stage ["queue"] (still given an id and a ledger entry). *)
 
 val history : t -> txn list
-(** Completed transactions, oldest first. *)
+(** Completed transactions, oldest first.  Takes no lock: a reader
+    never waits for the transaction in flight. *)
 
 val stats : t -> stats
+(** Takes no lock.  [submitted] already counts a transaction in
+    flight; [commits] and [rollbacks] count completed ones. *)
 
 val shutdown : t -> unit
 (** Wait for the transaction in flight, refuse every later {!submit},

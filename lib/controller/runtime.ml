@@ -29,7 +29,7 @@ type mode = Monolithic | Isolated of { ksd_threads : int }
 (* Failure model (docs/RUNTIME.md): every request gets a reply, no lock
    survives an exception, and a fault in one app's call path never
    wedges another app.  [config] sets the three knobs: deputy restart
-   budget, per-call deadline, and queue bounds/overflow policy. *)
+   budget, per-call deadline, and queue bounds. *)
 
 type config = {
   call_deadline : float option;
@@ -45,16 +45,14 @@ type config = {
           an [Api.Failed] reply), so the budget only meets faults that
           escape the per-request barrier. *)
   ev_capacity : int option;
-      (** Per-app event queue bound ([None] = unbounded). *)
-  ev_policy : Channel.policy;
-      (** Overflow policy for full event queues: [Block] applies
-          backpressure to the dispatcher, [Reject] drops the delivery
-          (counted, latch still released). *)
+      (** Per-app event queue bound ([None] = unbounded).  A full
+          queue parks the dispatcher: backpressure, never a dropped
+          delivery. *)
   req_capacity : int option;
-      (** KSD request channel bound.  Always [Block]: an API call has
-          exactly-once semantics, so a full request queue parks the
-          calling app thread (saturating its own call loop) rather
-          than dropping the call. *)
+      (** KSD request channel bound.  An API call has exactly-once
+          semantics, so a full request queue parks the calling app
+          thread (saturating its own call loop) rather than dropping
+          the call. *)
   trace : Trace.t option;
       (** Span store for end-to-end call tracing.  [None] (default)
           records nothing; with a store, every sampled call records a
@@ -69,7 +67,7 @@ type config = {
 
 let default_config =
   { call_deadline = None; restart_budget = 8; ev_capacity = None;
-    ev_policy = Channel.Block; req_capacity = None; trace = None;
+    req_capacity = None; trace = None;
     health = None }
 
 (* The reference monitor's counters and how often the safety nets
@@ -84,8 +82,7 @@ type counters = {
   ksd_restarts : int Atomic.t;  (** Supervisor restarts of dead deputies. *)
   deadline_expiries : int Atomic.t;  (** Calls abandoned at the deadline. *)
   backpressure_rejections : int Atomic.t;
-      (** Deliveries dropped by a full [Reject] queue, plus calls
-          refused against a closed/rejecting request channel. *)
+      (** Deliveries and calls refused against a closed channel. *)
 }
 
 type fault_report = {
@@ -366,10 +363,9 @@ let submit t req ivar ~on_deadline ~refused =
     | Some h -> Health.queue_depth h (Channel.length t.reqs)
     | None -> ());
     await_reply t ivar ~on_deadline
-  | exception Channel.Closed -> refused "runtime shut down"
-  | exception Channel.Full ->
+  | exception Channel.Closed ->
     Atomic.incr t.counters.backpressure_rejections;
-    refused "backpressure: request queue full"
+    refused "runtime shut down"
 
 (* The trace sampler runs where the call is issued, before any
    timestamp, so a sampled-out call pays one atomic increment. *)
@@ -482,15 +478,12 @@ let dispatch_one ?pre t inst ev latch =
     | Isolated _ -> (
       (* The increment precedes the push, so a failed push must undo it
          or [drain] waits forever on a delivery that never happened.
-         [Closed] is the shutdown race (events injected after [close]);
-         [Full] is a bounded [Reject]-policy queue shedding load. *)
+         [Closed] is the shutdown race (events injected after [close]). *)
       inflight_incr t;
       match Channel.push inst.ev_chan (Deliver (ev, latch)) with
       | () -> ()
-      | exception (Channel.Closed | Channel.Full as e) ->
-        (match e with
-        | Channel.Full -> Atomic.incr t.counters.backpressure_rejections
-        | _ -> ());
+      | exception Channel.Closed ->
+        Atomic.incr t.counters.backpressure_rejections;
         inflight_decr t;
         (match latch with Some l -> Channel.Latch.count_down l | None -> ())))
 
@@ -836,9 +829,7 @@ let create ?(load_check = Skip_load_check) ?(config = default_config) ~mode
     List.mapi
       (fun i (app, checker) ->
         { app; checker; cookie = i + 1;
-          ev_chan =
-            Channel.create ?capacity:config.ev_capacity
-              ~policy:config.ev_policy ();
+          ev_chan = Channel.create ?capacity:config.ev_capacity ();
           thread = None; ctx = None;
           lat_app =
             Option.map

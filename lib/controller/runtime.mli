@@ -36,11 +36,8 @@ type config = {
       (** Times the supervisor restarts a crashed deputy before
           retiring it (default 8). *)
   ev_capacity : int option;
-      (** Per-app event queue bound ([None] = unbounded). *)
-  ev_policy : Channel.policy;
-      (** Overflow policy for full event queues: [Block] applies
-          backpressure to the dispatcher, [Reject] drops the delivery
-          (counted; any completion latch is still released). *)
+      (** Per-app event queue bound ([None] = unbounded); a full queue
+          parks the dispatcher (backpressure). *)
   req_capacity : int option;
       (** KSD request channel bound; always blocking on full, so a
           flooding app parks its own call loop. *)
@@ -67,8 +64,8 @@ type fault_report = {
   restarts : int;  (** Supervisor restarts of crashed deputies. *)
   deadlines : int;  (** Calls abandoned at the deadline. *)
   rejections : int;
-      (** Deliveries dropped by a full [Reject] queue, plus calls
-          refused against a closed or full request channel. *)
+      (** Event deliveries and calls refused against a closed channel:
+          work that arrived after (or raced) {!shutdown}. *)
 }
 
 type t
@@ -129,7 +126,7 @@ val stats : t -> int * int * int * int
 
 val fault_report : t -> fault_report
 (** Snapshot of the fault-tolerance counters: barrier conversions,
-    deputy restarts, deadline expiries, backpressure rejections. *)
+    deputy restarts, deadline expiries, closed-channel refusals. *)
 
 val pp_fault_report : Format.formatter -> fault_report -> unit
 

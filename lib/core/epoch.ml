@@ -179,14 +179,6 @@ let slot_cell t app =
 
 let epoch t = Atomic.get t.epoch_counter
 
-let slot_of t app =
-  match find_cell t app with
-  | Some c -> Atomic.get c
-  | None -> Absent { epoch = 0; reason = "never installed" }
-
-let current t app =
-  match slot_of t app with Active r -> Some r | Absent _ -> None
-
 let apps t =
   List.filter_map
     (fun (name, c) ->
@@ -545,7 +537,3 @@ let consistent t =
   in
   let installed = List.sort compare (List.map fst t.originals) in
   records_ok && live = installed
-
-let pp_slot ppf = function
-  | Active r -> Fmt.pf ppf "active@@%d" r.epoch
-  | Absent { epoch; reason } -> Fmt.pf ppf "absent@@%d (%s)" epoch reason

@@ -100,10 +100,6 @@ val checker : t -> string -> Api.checker
 val epoch : t -> int
 (** Current global epoch (0 before the first commit). *)
 
-val slot_of : t -> string -> slot
-val current : t -> string -> record option
-(** [current t app] is the app's record, [None] when absent. *)
-
 val apps : t -> (string * int) list
 (** Live apps with the epoch each was last published at. *)
 
@@ -124,5 +120,3 @@ val consistent : t -> bool
     the global epoch, its manifest is macro-free, its key matches its
     [app] field, and exactly the live apps are tracked as installed.
     A rollback bug (torn publish, counter drift) trips this. *)
-
-val pp_slot : Format.formatter -> slot -> unit

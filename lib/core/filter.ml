@@ -139,8 +139,6 @@ let disj_list = function
 let ip_subnet field addr mask =
   Atom (Pred { field; value = V_ip addr; mask = Some mask })
 
-let ip_exact field addr = Atom (Pred { field; value = V_ip addr; mask = None })
-let int_field field v = Atom (Pred { field; value = V_int v; mask = None })
 let own_flows = Atom (Owner Own_flows)
 let all_flows = Atom (Owner All_flows)
 
@@ -201,6 +199,9 @@ let macros expr =
 
 let has_macros expr = macros expr <> []
 
+let max_chain = 64
+let max_nodes = 200_000
+
 (** Substitute macro atoms using [lookup], expanding to fixed point:
     a macro whose replacement itself contains macros keeps expanding,
     so [LET] chains (A -> B -> C) resolve fully instead of silently
@@ -211,7 +212,7 @@ let has_macros expr = macros expr <> []
     total nodes visited/built — a doubling macro bomb degrades to
     unexpanded stubs instead of exhausting memory.  Ticks the ambient
     {!Budget} per node. *)
-let expand_macros ?(max_chain = 64) ?(max_nodes = 200_000) lookup expr =
+let expand_macros lookup expr =
   let remaining = ref max_nodes in
   let rec go stack chain e =
     if !remaining <= 0 then begin

@@ -102,8 +102,6 @@ val disj_list : expr list -> expr
 val ip_subnet : field -> ipv4 -> ipv4 -> expr
 (** [ip_subnet f addr mask] — predicate filter [f addr MASK mask]. *)
 
-val ip_exact : field -> ipv4 -> expr
-val int_field : field -> int -> expr
 val own_flows : expr
 val all_flows : expr
 
@@ -135,17 +133,15 @@ val macros : expr -> string list
 
 val has_macros : expr -> bool
 
-val expand_macros :
-  ?max_chain:int -> ?max_nodes:int -> (string -> expr option) -> expr -> expr
+val expand_macros : (string -> expr option) -> expr -> expr
 (** Substitute macro atoms using the lookup, expanding to fixed point:
     macros whose replacements contain macros keep expanding, so [LET]
     chains resolve fully.  Cyclic chains stop at the cycle and leave
     the inner occurrence unexpanded (it then reports as an unresolved
-    stub — fail closed).  [max_chain] (default 64) caps substitution
-    chain depth; [max_nodes] (default 200k) caps total nodes visited,
-    degrading a doubling macro bomb to unexpanded stubs instead of
-    exhausting memory.  Ticks the ambient {!Budget} per node.
-    Unresolved macros remain. *)
+    stub — fail closed).  Substitution chains are capped at 64 deep
+    and the nodes visited at 200k, degrading a doubling macro bomb to
+    unexpanded stubs instead of exhausting memory.  Ticks the ambient
+    {!Budget} per node.  Unresolved macros remain. *)
 
 val size : expr -> int
 (** Node count (explicit work list — safe on adversarially deep

@@ -123,8 +123,6 @@ let tokenize_positioned src : (token * int) list =
   in
   go 0 []
 
-let tokenize src = List.map fst (tokenize_positioned src)
-
 (* Token-stream cursor used by the recursive-descent parsers. *)
 type stream = { mutable toks : (token * int) list }
 

@@ -31,13 +31,11 @@ exception Lex_error of string
 
 val pp_token : Format.formatter -> token -> unit
 
-val tokenize : string -> token list
-(** @raise Lex_error on malformed input.
-    @raise Budget.Exhausted past the ambient budget, if installed. *)
-
 val tokenize_positioned : string -> (token * int) list
-(** Like {!tokenize}, pairing each token with its 1-based source line
-    (the EOF token carries the last line). *)
+(** The tokens of the source, each paired with its 1-based source line
+    (the EOF token carries the last line).
+    @raise Lex_error on malformed input.
+    @raise Budget.Exhausted past the ambient budget, if installed. *)
 
 (** {1 Token-stream cursor} for the recursive-descent parsers. *)
 

@@ -12,8 +12,8 @@
    - DNF: dual — empty list = False; an empty clause = True.
 
    Distribution can explode exponentially; conversion raises
-   [Too_large] past [max_clauses] (clause count) or [max_width]
-   (literals per clause) and callers fall back to a conservative
+   [Too_large] past [max_clauses] (clause count) or [max_width] (1024
+   literals per clause) and callers fall back to a conservative
    answer.
 
    Inputs may be adversarial (untrusted manifests, docs/VETTING.md), so
@@ -67,10 +67,10 @@ let to_nnf ~negated (e : Filter.expr) : nnf =
   in
   go e negated Fun.id
 
-(** Default cap on literals per merged clause.  Width explosions are
-    the dual of clause-count explosions: a single 100k-literal clause
-    is as hostile as 100k clauses. *)
-let default_max_width = 1_024
+(* Cap on literals per merged clause.  Width explosions are the dual
+   of clause-count explosions: a single 100k-literal clause is as
+   hostile as 100k clauses. *)
+let max_width = 1_024
 
 let guard ~max_clauses clauses =
   if List.length clauses > max_clauses then raise Too_large else clauses
@@ -79,7 +79,7 @@ let guard ~max_clauses clauses =
    The guard is incremental — [Too_large] fires the moment the product
    passes [max_clauses] merged clauses or [max_width] literals in one
    clause, so the full |xs|·|ys| product is never allocated. *)
-let cross ~max_clauses ~max_width xs ys =
+let cross ~max_clauses xs ys =
   let ys = List.map (fun y -> (y, List.length y)) ys in
   let count = ref 0 in
   let acc = ref [] in
@@ -98,7 +98,7 @@ let cross ~max_clauses ~max_width xs ys =
   List.rev !acc
 
 (* Distribution, also CPS: the nnf tree mirrors the input depth. *)
-let cnf_uncached ~max_clauses ~max_width (e : Filter.expr) : clause list =
+let cnf_uncached ~max_clauses (e : Filter.expr) : clause list =
   let rec go n k =
     Budget.step ();
     match n with
@@ -108,11 +108,11 @@ let cnf_uncached ~max_clauses ~max_width (e : Filter.expr) : clause list =
     | N_and (a, b) ->
       go a (fun ca -> go b (fun cb -> k (guard ~max_clauses (ca @ cb))))
     | N_or (a, b) ->
-      go a (fun ca -> go b (fun cb -> k (cross ~max_clauses ~max_width ca cb)))
+      go a (fun ca -> go b (fun cb -> k (cross ~max_clauses ca cb)))
   in
   go (to_nnf ~negated:false e) Fun.id
 
-let dnf_uncached ~max_clauses ~max_width (e : Filter.expr) : clause list =
+let dnf_uncached ~max_clauses (e : Filter.expr) : clause list =
   let rec go n k =
     Budget.step ();
     match n with
@@ -122,7 +122,7 @@ let dnf_uncached ~max_clauses ~max_width (e : Filter.expr) : clause list =
     | N_or (a, b) ->
       go a (fun ca -> go b (fun cb -> k (guard ~max_clauses (ca @ cb))))
     | N_and (a, b) ->
-      go a (fun ca -> go b (fun cb -> k (cross ~max_clauses ~max_width ca cb)))
+      go a (fun ca -> go b (fun cb -> k (cross ~max_clauses ca cb)))
   in
   go (to_nnf ~negated:false e) Fun.id
 
@@ -155,8 +155,8 @@ let memo_max_expr_size = 16_384
 
 let memo_mutex = Mutex.create ()
 
-let cnf_memo : (Filter.expr * int * int, converted) Hashtbl.t = Hashtbl.create 256
-let dnf_memo : (Filter.expr * int * int, converted) Hashtbl.t = Hashtbl.create 256
+let cnf_memo : (Filter.expr * int, converted) Hashtbl.t = Hashtbl.create 256
+let dnf_memo : (Filter.expr * int, converted) Hashtbl.t = Hashtbl.create 256
 
 let memo_hits = M.counter "nf-memo:hits"
 let memo_misses = M.counter "nf-memo:misses"
@@ -170,14 +170,13 @@ let clear_memo () =
   Hashtbl.reset dnf_memo;
   Mutex.unlock memo_mutex
 
-let memoized table ~max_clauses ~max_width convert (e : Filter.expr) :
-    clause list =
+let memoized table ~max_clauses convert (e : Filter.expr) : clause list =
   if Filter.size e > memo_max_expr_size then begin
     Atomic.incr memo_bypasses;
-    convert ~max_clauses ~max_width e
+    convert ~max_clauses e
   end
   else begin
-    let key = (e, max_clauses, max_width) in
+    let key = (e, max_clauses) in
     Mutex.lock memo_mutex;
     let cached = Hashtbl.find_opt table key in
     Mutex.unlock memo_mutex;
@@ -187,7 +186,7 @@ let memoized table ~max_clauses ~max_width convert (e : Filter.expr) :
     | Some Blew_up -> raise Too_large
     | None ->
       let outcome =
-        match convert ~max_clauses ~max_width e with
+        match convert ~max_clauses e with
         | clauses -> Converted clauses
         | exception Too_large -> Blew_up
       in
@@ -203,17 +202,14 @@ let memoized table ~max_clauses ~max_width convert (e : Filter.expr) :
   end
 
 (** CNF clauses of [e].  [[]] = True, a member [[]] = False clause.
-    Memoized on [(e, max_clauses, max_width)], including [Too_large]
-    outcomes. *)
-let cnf ?(max_clauses = 4096) ?(max_width = default_max_width)
-    (e : Filter.expr) : clause list =
-  memoized cnf_memo ~max_clauses ~max_width cnf_uncached e
+    Memoized on [(e, max_clauses)], including [Too_large] outcomes. *)
+let cnf ?(max_clauses = 4096) (e : Filter.expr) : clause list =
+  memoized cnf_memo ~max_clauses cnf_uncached e
 
 (** DNF clauses of [e].  [] = False, a member [] = True clause.
     Memoized like {!cnf}. *)
-let dnf ?(max_clauses = 4096) ?(max_width = default_max_width)
-    (e : Filter.expr) : clause list =
-  memoized dnf_memo ~max_clauses ~max_width dnf_uncached e
+let dnf ?(max_clauses = 4096) (e : Filter.expr) : clause list =
+  memoized dnf_memo ~max_clauses dnf_uncached e
 
 (** Rebuild a filter expression from CNF clauses (for testing and for
     normalisation round-trips). *)

@@ -7,13 +7,10 @@ type clause = literal list
 
 exception Too_large
 (** {!Budget.Too_large}, re-exported: raised when distribution exceeds
-    [max_clauses] (clause count) or [max_width] (literals per clause);
+    [max_clauses] (clause count) or 1024 literals in one clause;
     callers fall back to a conservative answer.  The guard is incremental: at most
     [max_clauses] merged clauses exist when it fires — the full
     cross-product intermediate is never materialized. *)
-
-val default_max_width : int
-(** Default cap on literals per merged clause (1024). *)
 
 val pos : Filter.singleton -> literal
 val negl : Filter.singleton -> literal
@@ -29,20 +26,19 @@ val has_complementary : clause -> bool
 
 val pp_literal : Format.formatter -> literal -> unit
 
-val cnf : ?max_clauses:int -> ?max_width:int -> Filter.expr -> clause list
+val cnf : ?max_clauses:int -> Filter.expr -> clause list
 (** Conjunction of disjunctive clauses.  [[]] = True; a member [[]] is
-    a False clause.  [max_clauses] defaults to 4096, [max_width] to
-    {!default_max_width}.  Conversion is depth-safe (CPS — a 100k-deep
-    expression cannot overflow the stack) and ticks the ambient
-    {!Budget}.  Conversions — including [Too_large] blow-ups — are
-    memoized on [(expr, max_clauses, max_width)] in a bounded
-    process-wide table; expressions are immutable, so results are
-    identical to fresh conversion.  Oversized expressions bypass the
-    table.  Hits, misses, evictions and bypasses are the
+    a False clause.  [max_clauses] defaults to 4096.  Conversion is
+    depth-safe (CPS — a 100k-deep expression cannot overflow the stack)
+    and ticks the ambient {!Budget}.  Conversions — including
+    [Too_large] blow-ups — are memoized on [(expr, max_clauses)] in a
+    bounded process-wide table; expressions are immutable, so results
+    are identical to fresh conversion.  Oversized expressions bypass
+    the table.  Hits, misses, evictions and bypasses are the
     {!Shield_controller.Metrics} counters [nf-memo:hits],
     [nf-memo:misses], [nf-memo:evictions] and [nf-memo:bypasses]. *)
 
-val dnf : ?max_clauses:int -> ?max_width:int -> Filter.expr -> clause list
+val dnf : ?max_clauses:int -> Filter.expr -> clause list
 (** Disjunction of conjunctive clauses.  [[]] = False; a member [] is
     a True clause.  Memoized like {!cnf}. *)
 

@@ -29,8 +29,6 @@ let with_lock t f =
 
 let rules_at_unlocked t dpid = Option.value ~default:[] (Hashtbl.find_opt t.rules dpid)
 
-let rules_at t dpid = with_lock t (fun () -> rules_at_unlocked t dpid)
-
 let all_rules t =
   with_lock t (fun () ->
       Hashtbl.fold (fun d rs acc -> List.map (fun r -> (d, r)) rs @ acc) t.rules [])

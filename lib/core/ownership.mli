@@ -14,7 +14,6 @@ type rule = { match_ : Match_fields.t; priority : int; cookie : int }
 type t
 
 val create : unit -> t
-val rules_at : t -> dpid -> rule list
 val all_rules : t -> (dpid * rule) list
 
 val record : t -> dpid:dpid -> Flow_mod.t -> cookie:int -> unit

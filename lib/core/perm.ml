@@ -39,11 +39,6 @@ let grants_token (m : manifest) token = Option.is_some (find m token)
 
 let tokens (m : manifest) = List.map (fun p -> p.token) m
 
-(** Remove [token] (and its filter) from the manifest — the paper's
-    "truncating the offending permission". *)
-let remove_token (m : manifest) token =
-  List.filter (fun p -> not (Token.equal p.token token)) m
-
 (** All macro stubs still unexpanded anywhere in the manifest. *)
 let macros (m : manifest) =
   List.concat_map (fun p -> Filter.macros p.filter) m |> List.sort_uniq compare

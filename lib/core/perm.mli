@@ -28,10 +28,6 @@ val grants_token : manifest -> Token.t -> bool
 
 val tokens : manifest -> Token.t list
 
-val remove_token : manifest -> Token.t -> manifest
-(** Drop a token entirely — the paper's "truncating the offending
-    permission". *)
-
 val macros : manifest -> string list
 (** All developer stubs still unexpanded anywhere in the manifest. *)
 

@@ -27,8 +27,6 @@ type t = {
   vports : (port_no * Topology.endpoint) list;  (** vport -> physical. *)
 }
 
-let is_member t d = Filter.Int_set.mem d t.members
-
 (** External endpoints of the member set: host attachments plus ports
     linking to non-member switches. *)
 let external_endpoints topo members =

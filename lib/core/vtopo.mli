@@ -17,8 +17,6 @@ type t = {
   vports : (port_no * Topology.endpoint) list;  (** vport -> physical. *)
 }
 
-val is_member : t -> dpid -> bool
-
 val external_endpoints : Topology.t -> Filter.Int_set.t -> Topology.endpoint list
 (** Host attachments plus ports linking outside the member set. *)
 

@@ -50,10 +50,6 @@ let ethernet ?vlan ~src ~dst ~eth_type ?(payload = "") () =
 let arp ~src ~dst ?(payload = "arp") () =
   ethernet ~src ~dst ~eth_type:Eth_arp ~payload ()
 
-(** ARP request broadcast, as emitted by hosts looking up a neighbour.
-    This is the packet shape the CBench-style generator floods with. *)
-let arp_request ~src ~target:_ = arp ~src ~dst:broadcast_mac ()
-
 let ip ?vlan ~src ~dst ~nw_src ~nw_dst ?(proto = Proto_tcp) ?(ttl = 64)
     ?(payload = "") () =
   { dl_src = src; dl_dst = dst; dl_type = Eth_ip; dl_vlan = vlan;

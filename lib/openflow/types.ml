@@ -129,8 +129,6 @@ let broadcast_mac : mac = 0xFFFFFFFFFFFF
 
 (* Pretty-printers -------------------------------------------------------- *)
 
-let pp_dpid ppf d = Fmt.pf ppf "s%d" d
-let pp_port ppf p = Fmt.pf ppf "p%d" p
 let pp_mac ppf m = Fmt.string ppf (mac_to_string m)
 let pp_ipv4 ppf ip = Fmt.string ppf (ipv4_to_string ip)
 

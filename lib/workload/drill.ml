@@ -116,7 +116,6 @@ let fault_run ~seed ~mode ~events =
       Runtime.call_deadline = Some 0.1;
       restart_budget = 1_000;
       ev_capacity = Some 256;
-      ev_policy = Channel.Block;
       req_capacity = Some 1_024 }
   in
   (* Checker faults also fire on the implicit Receive_event check, so
@@ -395,7 +394,7 @@ let observe ?flight_capacity trace =
 
 (** Move the monitor's clock past its window: every incident so far
     ages out. *)
-let slide o = o.clock := !(o.clock) +. Health.window o.health +. 1.
+let slide o = o.clock := !(o.clock) +. Health.window +. 1.
 
 (** The swap fault rate of a faulted health phase, at every swap
     site. *)

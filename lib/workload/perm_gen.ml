@@ -30,7 +30,6 @@ let token_count = function Small -> 1 | Medium -> 5 | Large -> 15
 
 let conforming_subnet = ipv4_of_string "10.0.0.0"
 let conforming_mask = ipv4_of_string "255.0.0.0"
-let violating_subnet = ipv4_of_string "192.168.0.0"
 let max_priority = 60000
 
 (* Random singleton filters used as padding noise. *)
@@ -123,13 +122,6 @@ let generate ?(seed = 7) ~complexity ~focus () : Sdnshield.Perm.manifest =
     (List.map
        (fun token -> permission rng token ~n_filters:(10 + Prng.int rng 11))
        tokens)
-
-(** Total singleton filters in a manifest (reported by the bench). *)
-let filter_count (m : Sdnshield.Perm.manifest) =
-  List.fold_left
-    (fun n (p : Sdnshield.Perm.t) ->
-      n + Sdnshield.Filter.fold_atoms (fun k _ -> k + 1) 0 p.Sdnshield.Perm.filter)
-    0 m
 
 (* Over-privileged manifest/trace pairs --------------------------------------- *)
 

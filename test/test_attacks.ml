@@ -1,89 +1,38 @@
-(* The paper's effectiveness experiment (§IX-B1) as tests: each of the
-   four proof-of-concept malicious apps runs twice —
+(* The paper's threat-model claims as tests, on the runs of
+   [Threats.run] that Table I and the §IX-B1 tables print:
 
-   1. on the unprotected baseline controller (allow-all checker), where
-      the attack must SUCCEED (the "original Floodlight is vulnerable
-      to all the attacks" half of the claim);
-   2. under SDNShield with the Scenario-1/2 permissions, where the
-      attack must FAIL (the "SDNShield-enabled Floodlight is immune"
-      half).
-
-   Plus the defenses of Table I: slicing lets same-slice attacks
-   through; state analysis flags rule manipulation but not sniffing or
-   leakage. *)
+   1. each proof-of-concept malicious app SUCCEEDS on the unprotected
+      baseline controller ("original Floodlight is vulnerable to all
+      the attacks") and FAILS under SDNShield with the Scenario-1/2
+      permissions ("SDNShield-enabled Floodlight is immune");
+   2. Table I's comparison defenses: slicing lets same-slice attacks
+      through; state analysis flags rule manipulation but not sniffing
+      or leakage;
+   3. each per-class policy template cuts the over-privileged manifest
+      back, and shield-verify refutes it before and certifies it
+      after. *)
 
 open Shield_openflow
 open Shield_net
 open Shield_controller
 open Shield_apps
 
-let host topo n = Option.get (Topology.host_by_name topo n)
-
-(* Scenario-1 monitoring-app permissions, reconciled as in §VII: no
-   insert_flow (truncated), network access only to the admin range. *)
-let scenario1_checker ~ownership ~topo ~name ~cookie =
-  match
-    Sdnshield.Reconcile.run_strings ~app_name:name
-      ~manifest_src:Monitoring.manifest_src
-      ~policy_src:
-        (Monitoring.policy_src ~switches:[ 1; 2; 3 ] ~admin_subnet:"10.1.0.0"
-           ~admin_mask:"255.255.0.0")
-  with
-  | Ok (m, _) ->
-    Sdnshield.Engine.checker
-      (Sdnshield.Engine.create ~topo ~ownership ~app_name:name ~cookie m)
-  | Error e -> Alcotest.fail e
-
-(* Scenario-2 routing-app permissions (§VII), for the rule-manipulation
-   attacks embedded in a "routing" app. *)
-let scenario2_checker ~ownership ~topo ~name ~cookie =
-  Test_util.checker_of ~ownership ~topo ~name ~cookie Routing.manifest_src
-
-let setup ?(switches = 3) apps =
-  let topo = Topology.linear switches in
-  let dp = Dataplane.create topo in
-  let kernel = Kernel.create dp in
-  let rt = Runtime.create ~mode:(Runtime.Isolated { ksd_threads = 2 }) kernel apps in
-  (topo, dp, kernel, rt)
-
-let http_pkt_in topo =
-  let h1 = host topo "h1" and h2 = host topo "h2" in
-  Events.Packet_in
-    { Message.dpid = 1; in_port = h1.Topology.attachment.Topology.port;
-      packet =
-        Packet.http_request ~src:h1.Topology.mac ~dst:h2.Topology.mac
-          ~nw_src:h1.Topology.ip ~nw_dst:h2.Topology.ip ~tp_src:5000 ();
-      reason = Message.No_match; buffer_id = None }
+let outcome = Alcotest.testable (Fmt.of_to_string Threats.outcome_name) ( = )
+let host = Test_util.host
 
 (* Class 1: RST injection -------------------------------------------------------- *)
 
 let test_rst_injection_baseline_succeeds () =
-  let atk = Attacks.rst_injector () in
-  let topo, _dp, kernel, rt = setup [ (atk.Attacks.app, Api.allow_all) ] in
-  Runtime.feed_sync rt (http_pkt_in topo);
-  Runtime.shutdown rt;
-  Alcotest.(check int) "attempted" 1 !(atk.Attacks.injections_attempted);
-  Alcotest.(check bool) "RST reached a host" true
-    (Attacks.rst_delivered kernel ~app:"rst_injector")
+  let r = Threats.run Threats.Rst_injection Threats.No_defense in
+  Alcotest.(check int) "attempted" 1 r.attempts;
+  Alcotest.check outcome "RST reached a host" Threats.Succeeded r.outcome
 
 let test_rst_injection_blocked_by_sdnshield () =
-  let atk = Attacks.rst_injector () in
-  let ownership = Sdnshield.Ownership.create () in
-  let topo = Topology.linear 3 in
-  let dp = Dataplane.create topo in
-  let kernel = Kernel.create dp in
-  let checker = scenario1_checker ~ownership ~topo ~name:"rst_injector" ~cookie:1 in
-  let rt =
-    Runtime.create ~mode:(Runtime.Isolated { ksd_threads = 2 }) kernel
-      [ (atk.Attacks.app, checker) ]
-  in
-  Runtime.feed_sync rt (http_pkt_in topo);
-  Runtime.shutdown rt;
+  let r = Threats.run Threats.Rst_injection Threats.Sdnshield_scenario in
   (* Without pkt_in_event the malicious app never even sees the HTTP
      session; no RST leaves the controller. *)
-  Alcotest.(check bool) "no RST delivered" false
-    (Attacks.rst_delivered kernel ~app:"rst_injector");
-  Alcotest.(check int) "attack never ran" 0 !(atk.Attacks.injections_attempted)
+  Alcotest.check outcome "no RST delivered" Threats.Blocked r.outcome;
+  Alcotest.(check int) "attack never ran" 0 r.attempts
 
 let test_rst_injection_blocked_by_pkt_out_filter () =
   (* Even an app that IS allowed to see packet-ins cannot inject
@@ -91,15 +40,13 @@ let test_rst_injection_blocked_by_pkt_out_filter () =
      (FROM_PKT_IN) — the L2-switch least-privilege manifest. *)
   let atk = Attacks.rst_injector () in
   let ownership = Sdnshield.Ownership.create () in
-  let topo = Topology.linear 3 in
-  let dp = Dataplane.create topo in
-  let kernel = Kernel.create dp in
+  let topo, _dp, kernel = Test_util.linear_setup 3 in
   let checker =
     Test_util.checker_of ~ownership ~topo ~name:"rst_injector" ~cookie:1
       L2_switch.manifest_src
   in
   let rt = Runtime.create ~mode:Runtime.Monolithic kernel [ (atk.Attacks.app, checker) ] in
-  Runtime.feed_sync rt (http_pkt_in topo);
+  Runtime.feed_sync rt (Threats.http_pkt_in topo);
   Runtime.shutdown rt;
   Alcotest.(check int) "attack ran" 1 !(atk.Attacks.injections_attempted);
   Alcotest.(check int) "pkt-out denied" 1 !(atk.Attacks.injections_denied);
@@ -109,130 +56,63 @@ let test_rst_injection_blocked_by_pkt_out_filter () =
 (* Class 2: information leakage ---------------------------------------------------- *)
 
 let test_leak_baseline_succeeds () =
-  let atk = Attacks.info_leaker () in
-  let _topo, _dp, kernel, rt = setup [ (atk.Attacks.app, Api.allow_all) ] in
-  Runtime.feed_sync rt Attacks.tick_event;
-  Runtime.shutdown rt;
-  Alcotest.(check bool) "leak reached attacker" true
-    (Attacks.leak_succeeded kernel.Kernel.sandbox ~app:"info_leaker"
-       ~attacker_ip:atk.Attacks.attacker_ip)
+  let r = Threats.run Threats.Info_leak Threats.No_defense in
+  Alcotest.check outcome "leak reached attacker" Threats.Succeeded r.outcome
 
 let test_leak_blocked_by_sdnshield () =
-  let atk = Attacks.info_leaker () in
-  let ownership = Sdnshield.Ownership.create () in
-  let topo = Topology.linear 3 in
-  let kernel = Kernel.create (Dataplane.create topo) in
-  let checker = scenario1_checker ~ownership ~topo ~name:"info_leaker" ~cookie:1 in
-  let rt = Runtime.create ~mode:Runtime.Monolithic kernel [ (atk.Attacks.app, checker) ] in
-  Runtime.feed_sync rt Attacks.tick_event;
-  Runtime.shutdown rt;
+  let r = Threats.run Threats.Info_leak Threats.Sdnshield_scenario in
   (* The app may read its visible topology (that IS its job) but the
      host-network filter confines connections to the admin range: the
      exfiltration socket is denied. *)
-  Alcotest.(check int) "leak attempted" 1 !(atk.Attacks.leaks_attempted);
-  Alcotest.(check bool) "nothing reached the attacker" false
-    (Attacks.leak_succeeded kernel.Kernel.sandbox ~app:"info_leaker"
-       ~attacker_ip:atk.Attacks.attacker_ip);
+  Alcotest.(check int) "leak attempted" 1 r.attempts;
+  Alcotest.check outcome "nothing reached the attacker" Threats.Blocked
+    r.outcome;
   Alcotest.(check bool) "denial audited" true
-    (Sandbox.denied_actions kernel.Kernel.sandbox ~app:"info_leaker" <> [])
+    (Sandbox.denied_actions r.kernel.Kernel.sandbox ~app:"info_leaker" <> [])
 
 (* Class 3: route hijacking ----------------------------------------------------------- *)
 
-let hijack_setup checker_for =
-  (* Benign routing app + the hijacker targeting h1->h3 traffic through
-     the attacker's host h2. *)
-  let ownership = Sdnshield.Ownership.create () in
-  let topo = Topology.linear 3 in
-  let dp = Dataplane.create topo in
-  let kernel = Kernel.create dp in
-  let routing = Routing.create () in
-  let victim = host topo "h3" in
-  let atk =
-    Attacks.route_hijacker ~victim_dst_ip:victim.Topology.ip ~mitm_host:"h2" ()
-  in
-  let rt =
-    Runtime.create ~mode:Runtime.Monolithic kernel
-      [ (Routing.app routing, Test_util.checker_of ~ownership ~topo ~name:"routing" ~cookie:1 Routing.manifest_src);
-        (atk.Attacks.app, checker_for ~ownership ~topo) ]
-  in
-  Runtime.feed_sync rt Attacks.tick_event;
-  Runtime.shutdown rt;
-  (topo, dp, atk)
-
 let test_hijack_baseline_succeeds () =
-  let topo, dp, atk =
-    hijack_setup (fun ~ownership:_ ~topo:_ -> Api.allow_all)
-  in
-  Alcotest.(check bool) "rules were installed" true (!(atk.Attacks.rules_attempted) > 0);
-  Alcotest.(check bool) "traffic diverted to h2" true
-    (Attacks.hijack_succeeded dp ~src:(host topo "h1") ~dst:(host topo "h3")
-       ~mitm:(host topo "h2"))
+  let r = Threats.run Threats.Route_hijack Threats.No_defense in
+  Alcotest.(check bool) "rules were installed" true (r.attempts > 0);
+  Alcotest.check outcome "traffic diverted to h2" Threats.Succeeded r.outcome
 
 let test_hijack_blocked_by_sdnshield () =
   (* Under Scenario-2 permissions (insert_flow LIMITING ACTION FORWARD
      AND OWN_FLOWS) the hijacker cannot shadow the routing app's
      rules. *)
-  let topo, dp, atk =
-    hijack_setup (fun ~ownership ~topo ->
-        scenario2_checker ~ownership ~topo ~name:"route_hijacker" ~cookie:2)
-  in
-  Alcotest.(check bool) "attack attempted" true (!(atk.Attacks.rules_attempted) > 0);
-  Alcotest.(check bool) "traffic NOT diverted" false
-    (Attacks.hijack_succeeded dp ~src:(host topo "h1") ~dst:(host topo "h3")
-       ~mitm:(host topo "h2"));
+  let r = Threats.run Threats.Route_hijack Threats.Sdnshield_scenario in
+  Alcotest.(check bool) "attack attempted" true (r.attempts > 0);
+  Alcotest.check outcome "traffic NOT diverted" Threats.Blocked r.outcome;
   Test_util.check_probe "h1->h3 still routed" "delivered-to h3"
-    (Dataplane.probe dp ~src:(host topo "h1") ~dst:(host topo "h3") ())
+    (Dataplane.probe r.dataplane ~src:(host r.topo "h1")
+       ~dst:(host r.topo "h3") ())
 
 (* Class 4: dynamic-flow tunneling ------------------------------------------------------- *)
 
-let tunnel_setup checker_for =
-  let ownership = Sdnshield.Ownership.create () in
-  let topo = Topology.linear 3 in
-  let dp = Dataplane.create topo in
-  let kernel = Kernel.create dp in
-  let fw = Firewall.create () in
-  let atk = Attacks.tunnel_app ~src_host:"h1" ~dst_host:"h3" () in
-  let rt =
-    Runtime.create ~mode:Runtime.Monolithic kernel
-      [ (Firewall.app fw, Test_util.checker_of ~ownership ~topo ~name:"firewall" ~cookie:1 Firewall.manifest_src);
-        (atk.Attacks.app, checker_for ~ownership ~topo) ]
-  in
-  Runtime.feed_sync rt Attacks.tick_event;
-  Runtime.shutdown rt;
-  (topo, dp, atk)
-
 let test_tunnel_baseline_succeeds () =
-  let topo, dp, atk = tunnel_setup (fun ~ownership:_ ~topo:_ -> Api.allow_all) in
-  Alcotest.(check int) "tunnel endpoints installed" 2 !(atk.Attacks.rules_attempted);
+  let r = Threats.run Threats.Flow_tunnel Threats.No_defense in
+  Alcotest.(check int) "tunnel endpoints installed" 2 r.attempts;
   (* Telnet traverses the port-80-only firewall. *)
-  Alcotest.(check bool) "tunnel works" true
-    (Attacks.tunnel_succeeded dp ~src:(host topo "h1") ~dst:(host topo "h3") ())
+  Alcotest.check outcome "tunnel works" Threats.Succeeded r.outcome
 
 let test_tunnel_blocked_by_sdnshield () =
-  let topo, dp, atk =
-    tunnel_setup (fun ~ownership ~topo ->
-        scenario2_checker ~ownership ~topo ~name:"tunnel_app" ~cookie:2)
-  in
-  Alcotest.(check bool) "attack attempted" true (!(atk.Attacks.rules_attempted) > 0);
+  let r = Threats.run Threats.Flow_tunnel Threats.Sdnshield_scenario in
+  Alcotest.(check bool) "attack attempted" true (r.attempts > 0);
   (* ACTION FORWARD forbids the Set-field rewrites; OWN_FLOWS forbids
      shadowing the firewall's port-80 paths.  Both tunnel ends die. *)
-  Alcotest.(check bool) "tunnel blocked" false
-    (Attacks.tunnel_succeeded dp ~src:(host topo "h1") ~dst:(host topo "h3") ());
+  Alcotest.check outcome "tunnel blocked" Threats.Blocked r.outcome;
   (* And the firewall still does its job. *)
   Test_util.check_probe "telnet still dropped" "dropped"
-    (Dataplane.probe dp ~src:(host topo "h1") ~dst:(host topo "h3") ~tp_dst:23 ())
+    (Dataplane.probe r.dataplane ~src:(host r.topo "h1") ~dst:(host r.topo "h3")
+       ~tp_dst:23 ())
 
 (* Table I comparison defenses ------------------------------------------------------------ *)
 
 let test_slicing_same_slice_attacks_succeed () =
   (* Attacker and victim share a slice: slicing constrains nothing. *)
-  let slice = Defenses.full_slice in
-  let topo, dp, atk =
-    tunnel_setup (fun ~ownership:_ ~topo:_ -> Defenses.slicing_checker slice)
-  in
-  Alcotest.(check bool) "tunnel works under slicing" true
-    (Attacks.tunnel_succeeded dp ~src:(host topo "h1") ~dst:(host topo "h3") ());
-  ignore atk
+  let r = Threats.run Threats.Flow_tunnel Threats.Slicing in
+  Alcotest.check outcome "tunnel works under slicing" Threats.Succeeded r.outcome
 
 let test_slicing_cross_slice_blocked () =
   (* But a write outside the slice's switches is denied. *)
@@ -253,27 +133,56 @@ let test_slicing_cross_slice_blocked () =
 let test_state_analysis_detects_rule_attacks () =
   (* State analysis sees the tunnel's rewrite pair and the hijack's
      shadowing in the rule base... *)
-  let _topo, dp, _ = tunnel_setup (fun ~ownership:_ ~topo:_ -> Api.allow_all) in
-  let violations = Defenses.analyze_rules dp in
+  let r = Threats.run Threats.Flow_tunnel Threats.State_analysis in
   Alcotest.(check bool) "tunnel signature found" true
-    (Defenses.has_violation `Header_rewrite_pair violations);
+    (Defenses.has_violation `Header_rewrite_pair r.findings);
   Alcotest.(check bool) "shadowing found" true
-    (Defenses.has_violation `Shadowing violations)
+    (Defenses.has_violation `Shadowing r.findings)
 
 let test_state_analysis_blind_to_leakage () =
   (* ...but a pure information leak leaves no rule trace. *)
-  let atk = Attacks.info_leaker () in
-  let topo = Topology.linear 3 in
-  let dp = Dataplane.create topo in
-  let kernel = Kernel.create dp in
-  let rt = Runtime.create ~mode:Runtime.Monolithic kernel [ (atk.Attacks.app, Api.allow_all) ] in
-  Runtime.feed_sync rt Attacks.tick_event;
-  Runtime.shutdown rt;
-  Alcotest.(check bool) "leak happened" true
-    (Attacks.leak_succeeded kernel.Kernel.sandbox ~app:"info_leaker"
-       ~attacker_ip:atk.Attacks.attacker_ip);
-  Alcotest.(check (list bool)) "no rule violations to see" []
-    (List.map (fun _ -> true) (Defenses.analyze_rules dp))
+  let r = Threats.run Threats.Info_leak Threats.State_analysis in
+  Alcotest.check outcome "leak happened" Threats.Succeeded r.outcome;
+  Alcotest.(check int) "no rule violations to see" 0 (List.length r.findings)
+
+(* Table I and the policy templates, cell by cell -------------------------------- *)
+
+(* Rows in [Threats.classes] order, columns in [Threats.defenses] order:
+   no defense, slicing, state analysis, SDNShield. *)
+let table_i =
+  Threats.
+    [ [ Succeeded; Succeeded; Succeeded; Blocked ];
+      [ Succeeded; Succeeded; Succeeded; Blocked ];
+      [ Succeeded; Succeeded; Detected; Blocked ];
+      [ Succeeded; Succeeded; Detected; Blocked ] ]
+
+let test_table_i () =
+  List.iter2
+    (fun (cls, cells) expected ->
+      Alcotest.(check (list outcome)) (Threats.class_name cls) expected cells)
+    (Threats.table ()) table_i
+
+(* Tokens left of the twelve, per template in [Threats.templates] order. *)
+let tokens_after = [ 11; 11; 9; 12 ]
+
+let test_templates_certified () =
+  List.iter2
+    (fun (t : Threats.template) after ->
+      let r = Threats.reconcile_template t in
+      let label what = t.label ^ ": " ^ what in
+      Alcotest.(check int) (label "one violation") 1
+        (List.length r.report.violations);
+      Alcotest.(check (pair int int))
+        (label "tokens before -> after")
+        (12, after)
+        (List.length Threats.greedy_manifest, List.length r.reconciled);
+      Alcotest.(check string) (label "raw manifest") "refuted"
+        (Sdnshield.Verify.verdict_label r.raw);
+      Alcotest.(check string) (label "reconciled manifest") "certified"
+        (Sdnshield.Verify.verdict_label r.certificate);
+      Alcotest.(check string) (label "repair") "minimal"
+        (Sdnshield.Verify.minimality_label r.certificate))
+    Threats.templates tokens_after
 
 let suite =
   [ Alcotest.test_case "class1 rst: baseline succeeds" `Quick test_rst_injection_baseline_succeeds;
@@ -288,4 +197,7 @@ let suite =
     Alcotest.test_case "tableI slicing: same-slice attacks pass" `Quick test_slicing_same_slice_attacks_succeed;
     Alcotest.test_case "tableI slicing: cross-slice blocked" `Quick test_slicing_cross_slice_blocked;
     Alcotest.test_case "tableI analysis: detects rule attacks" `Quick test_state_analysis_detects_rule_attacks;
-    Alcotest.test_case "tableI analysis: blind to leakage" `Quick test_state_analysis_blind_to_leakage ]
+    Alcotest.test_case "tableI analysis: blind to leakage" `Quick test_state_analysis_blind_to_leakage;
+    Alcotest.test_case "tableI: all 16 cells" `Quick test_table_i;
+    Alcotest.test_case "templates: refuted raw, certified reconciled" `Quick
+      test_templates_certified ]

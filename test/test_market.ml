@@ -136,6 +136,52 @@ let test_shutdown_semantics () =
       (Market.stats m).Market.submitted
   | Market.Committed _ -> Alcotest.fail "submit after shutdown must refuse"
 
+(* [history] and [stats] take no lock: while an executor is parked in
+   the middle of a transaction, another thread's reads return at once.
+   The main thread releases the executor only after the reader's grace
+   period, so a reader that waits for the transaction fails the test
+   instead of hanging it. *)
+let test_reads_skip_transaction () =
+  let entered = Atomic.make false and release = Atomic.make false in
+  let exec (req : Market.request) =
+    if req.Market.app = "parked" then begin
+      Atomic.set entered true;
+      while not (Atomic.get release) do Thread.delay 0.001 done
+    end;
+    commit 1
+  in
+  let m = Market.create ~exec () in
+  ignore (Market.submit m (Market.install "a" ""));
+  let submitter =
+    Thread.create (fun () -> ignore (Market.submit m (Market.install "parked" "")))
+      ()
+  in
+  while not (Atomic.get entered) do Thread.delay 0.001 done;
+  let read = Atomic.make None in
+  let reader =
+    Thread.create
+      (fun () -> Atomic.set read (Some (Market.history m, Market.stats m)))
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 2. in
+  while Atomic.get read = None && Unix.gettimeofday () < deadline do
+    Thread.delay 0.001
+  done;
+  let during = Atomic.get read in
+  Atomic.set release true;
+  Thread.join submitter;
+  Thread.join reader;
+  Market.shutdown m;
+  match during with
+  | None -> Alcotest.fail "history/stats waited for the transaction in flight"
+  | Some (history, stats) ->
+    Alcotest.(check (list string)) "the ledger holds the completed transaction"
+      [ "a" ]
+      (List.map (fun (t : Market.txn) -> t.Market.request.Market.app) history);
+    Alcotest.(check int) "the transaction in flight is submitted" 2
+      stats.Market.submitted;
+    Alcotest.(check int) "but not yet committed" 1 stats.Market.commits
+
 (* The transaction span is built only for a trace store or a flight
    recorder; a market wired to a health monitor alone must still feed
    it every rollback and stage latency. *)
@@ -170,5 +216,7 @@ let suite =
       test_stats_and_outcomes;
     Alcotest.test_case "audit notifications" `Quick test_audit_notifications;
     Alcotest.test_case "shutdown semantics" `Quick test_shutdown_semantics;
+    Alcotest.test_case "history and stats skip the transaction in flight"
+      `Quick test_reads_skip_transaction;
     Alcotest.test_case "health alone sees rollbacks and stages" `Quick
       test_health_alone ]

@@ -296,8 +296,8 @@ let test_width_cap () =
   (match Nf.dnf bomb with
   | _ -> Alcotest.fail "expected Too_large on width"
   | exception Nf.Too_large -> ());
-  match Nf.dnf ~max_width:4_000 bomb with
-  | [ clause ] -> Alcotest.(check int) "single wide clause" 2_000 (List.length clause)
+  match Nf.dnf (Hostile.width_bomb ~atoms:1_000) with
+  | [ clause ] -> Alcotest.(check int) "single wide clause" 1_000 (List.length clause)
   | clauses -> Alcotest.failf "expected 1 clause, got %d" (List.length clauses)
 
 let test_cross_allocation_capped () =
