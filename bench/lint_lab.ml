@@ -12,7 +12,9 @@
    - the SARIF-shaped JSON renderer round-trips through the
      observability stack's own parser with one result per finding;
    - an exhausted budget degrades every rule to [Info] "unverified"
-     findings — lint never raises (fail-degraded, like vetting).
+     findings — lint never raises (fail-degraded, like vetting);
+   - on the perfbench boot's pool of generated manifests, no rule
+     reports a permission more than once.
 
    `lint-lab` runs the full report (more seeds, larger traces);
    `lint-smoke` is the fast tier-1 gate wired into `dune runtest`. *)
@@ -20,6 +22,7 @@
 open Sdnshield
 module Hostile = Shield_workload.Hostile_gen
 module Pgen = Shield_workload.Perm_gen
+module Prng = Shield_workload.Prng
 module Json = Shield_controller.Telemetry.Json
 
 let fail = Bench_util.fail
@@ -149,9 +152,46 @@ let check_budget_degradation () =
     fail "budget: lint raised under an exhausted budget: %s"
       (Printexc.to_string exn)
 
+(* Once per permission ---------------------------------------------------------- *)
+
+(* The pool perfbench/boot.ml's [pool_requests] admits at boot: 40
+   Medium manifests drawn from one seed.  Its filters normalise to
+   thousands of clauses, so a clause-level rule that reported per
+   clause would show here as tens of thousands of findings. *)
+let pool ~seed =
+  let rng = Prng.of_int seed in
+  List.init 40 (fun _ ->
+      let focus = if Prng.bool rng then `Insert else `Stats in
+      Pgen.generate ~seed:(Prng.int rng 1_000_000) ~complexity:Pgen.Medium
+        ~focus ())
+
+let check_once_per_permission ~seed =
+  let total = ref 0 in
+  List.iter
+    (List.iter (fun (p : Perm.t) ->
+         let findings = Lint.lint_manifest [ p ] in
+         total := !total + List.length findings;
+         List.iter
+           (fun rule ->
+             match List.filter (fun f -> f.Lint.rule = rule) findings with
+             | [] | [ _ ] -> ()
+             | fs ->
+               fail "pool (seed %d): %s reported PERM %s %d times" seed
+                 (Lint.rule_id rule)
+                 (Token.to_string p.Perm.token)
+                 (List.length fs))
+           Lint.all_rules))
+    (pool ~seed);
+  Fmt.pr "%-28s %d finding(s) over 40 manifests@."
+    (Printf.sprintf "pool (seed %d)" seed)
+    !total
+
 (* Harness --------------------------------------------------------------------- *)
 
 let run_checks ~gate ~seeds ~trace_n =
+  (* Before the reset: the pool's findings are not part of the corpus
+     whose counters BENCH_LINT.json records. *)
+  check_once_per_permission ~seed:1;
   Lint.reset_counters ();
   let _, trace = Pgen.over_privileged ~n:trace_n () in
   let dirty_policy_findings = check_dirty_corpus ~trace in

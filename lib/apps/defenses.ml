@@ -108,7 +108,7 @@ let analyze_rules (dp : Dataplane.t) : invariant_violation list =
     List.concat_map
       (fun (d1, (e1 : Flow_table.entry), sets1) ->
         List.filter_map
-          (fun (d2, (_e2 : Flow_table.entry), sets2) ->
+          (fun (d2, (e2 : Flow_table.entry), sets2) ->
             if d1 >= d2 then None
             else if
               List.exists
@@ -124,7 +124,7 @@ let analyze_rules (dp : Dataplane.t) : invariant_violation list =
                 { dpid = d1; kind = `Header_rewrite_pair;
                   detail =
                     Fmt.str "complementary rewrites at s%d/s%d (cookies %d,%d)"
-                      d1 d2 e1.cookie e1.cookie }
+                      d1 d2 e1.cookie e2.cookie }
             else None)
           rewrites)
       rewrites

@@ -81,7 +81,7 @@ type counters = {
       (** Exceptions the deputy barrier converted to [Api.Failed]. *)
   ksd_restarts : int Atomic.t;  (** Supervisor restarts of dead deputies. *)
   deadline_expiries : int Atomic.t;  (** Calls abandoned at the deadline. *)
-  backpressure_rejections : int Atomic.t;
+  closed_rejections : int Atomic.t;
       (** Deliveries and calls refused against a closed channel. *)
 }
 
@@ -160,7 +160,7 @@ let fault_report t =
   { failures = Atomic.get c.ksd_failures;
     restarts = Atomic.get c.ksd_restarts;
     deadlines = Atomic.get c.deadline_expiries;
-    rejections = Atomic.get c.backpressure_rejections }
+    rejections = Atomic.get c.closed_rejections }
 
 (* In-flight accounting (for [drain]) ------------------------------------- *)
 
@@ -364,7 +364,7 @@ let submit t req ivar ~on_deadline ~refused =
     | None -> ());
     await_reply t ivar ~on_deadline
   | exception Channel.Closed ->
-    Atomic.incr t.counters.backpressure_rejections;
+    Atomic.incr t.counters.closed_rejections;
     refused "runtime shut down"
 
 (* The trace sampler runs where the call is issued, before any
@@ -483,7 +483,7 @@ let dispatch_one ?pre t inst ev latch =
       match Channel.push inst.ev_chan (Deliver (ev, latch)) with
       | () -> ()
       | exception Channel.Closed ->
-        Atomic.incr t.counters.backpressure_rejections;
+        Atomic.incr t.counters.closed_rejections;
         inflight_decr t;
         (match latch with Some l -> Channel.Latch.count_down l | None -> ())))
 
@@ -795,7 +795,7 @@ let create ?(load_check = Skip_load_check) ?(config = default_config) ~mode
           events_delivered = Atomic.make 0; events_suppressed = Atomic.make 0;
           ksd_failures = Atomic.make 0; ksd_restarts = Atomic.make 0;
           deadline_expiries = Atomic.make 0;
-          backpressure_rejections = Atomic.make 0 };
+          closed_rejections = Atomic.make 0 };
       lat =
         Option.map
           (fun store ->
@@ -880,7 +880,7 @@ let shutdown t =
 let pp_fault_report ppf r =
   Fmt.pf ppf
     "faults: ksd-failures=%d ksd-restarts=%d deadlines=%d \
-     backpressure-rejections=%d@."
+     closed-rejections=%d@."
     r.failures r.restarts r.deadlines r.rejections
 
 (** The runtime's slice of the unified telemetry snapshot
@@ -898,7 +898,7 @@ let telemetry t : Telemetry.snapshot =
         ("kernel_executions", Kernel.exec_count t.kernel);
         ("ksd_failures", fr.failures); ("ksd_restarts", fr.restarts);
         ("deadline_expiries", fr.deadlines);
-        ("backpressure_rejections", fr.rejections) ]
+        ("closed_rejections", fr.rejections) ]
     ?trace:t.config.trace ?health:t.config.health ()
 
 let pp_report ppf t = Telemetry.pp ppf (telemetry t)

@@ -228,34 +228,58 @@ let conj_conflict (c : Nf.clause) : (Nf.literal * Nf.literal) option =
   in
   go c
 
+(* Clause-level rules --------------------------------------------------------- *)
+
+(* Unsatisfiable-filter, vacuous-filter and shadowed-clause judge the
+   clauses of a normal form, and a filter of 30 nodes can normalise to
+   thousands of them.  Each rule reports once per permission: [scan]
+   charges one budget step per clause from index [from] on, counts the
+   clauses [offends] flags, and builds the finding of the first one
+   only (at "<loc>, clause <i>" when there are several clauses),
+   appending " (<k> of <n> <form> clauses)" when k > 1 offend. *)
+let scan ~form ?(from = 0) loc (clauses : Nf.clause array) offends report =
+  let n = Array.length clauses in
+  let first = ref None and k = ref 0 in
+  for i = from to n - 1 do
+    Budget.step ();
+    match offends i clauses.(i) with
+    | None -> ()
+    | Some e ->
+      incr k;
+      if Option.is_none !first then first := Some (i, e)
+  done;
+  match !first with
+  | None -> []
+  | Some (i, e) ->
+    let loc =
+      if n > 1 then Printf.sprintf "%s, clause %d" loc (i + 1) else loc
+    in
+    let f = report loc clauses.(i) e in
+    if !k = 1 then [ f ]
+    else
+      [ { f with
+          message =
+            Printf.sprintf "%s (%d of %d %s clauses)" f.message !k n form } ]
+
 (* Rule 1: unsatisfiable filter ---------------------------------------------- *)
 
 let unsatisfiable_perm loc (p : Perm.t) =
-  let clauses = Nf.dnf p.Perm.filter in
-  let many = List.length clauses > 1 in
-  List.concat
-    (List.mapi
-       (fun i c ->
-         Budget.step ();
-         match conj_conflict c with
-         | None -> []
-         | Some (a, b) ->
-           let loc =
-             if many then Printf.sprintf "%s, clause %d" loc (i + 1) else loc
-           in
-           let lit_str (l : Nf.literal) =
-             (if l.Nf.positive then "" else "NOT ") ^ singleton_str l.Nf.atom
-           in
-           [ finding Unsatisfiable_filter Error loc
-               (Printf.sprintf
-                  "conjunction requires both %s and %s, which cannot hold \
-                   together on the same dimension; only calls lacking the \
-                   dimension (vacuous pass) could ever satisfy this clause"
-                  (lit_str a) (lit_str b))
-               ~suggestion:
-                 "remove one of the conflicting singletons or turn the AND \
-                  into an OR" ])
-       clauses)
+  let lit_str (l : Nf.literal) =
+    (if l.Nf.positive then "" else "NOT ") ^ singleton_str l.Nf.atom
+  in
+  scan ~form:"DNF" loc
+    (Array.of_list (Nf.dnf p.Perm.filter))
+    (fun _ c -> conj_conflict c)
+    (fun loc _ (a, b) ->
+      finding Unsatisfiable_filter Error loc
+        (Printf.sprintf
+           "conjunction requires both %s and %s, which cannot hold together \
+            on the same dimension; only calls lacking the dimension (vacuous \
+            pass) could ever satisfy this clause"
+           (lit_str a) (lit_str b))
+        ~suggestion:
+          "remove one of the conflicting singletons or turn the AND into an \
+           OR")
 
 (* Rule 2: vacuous filter ----------------------------------------------------- *)
 
@@ -273,25 +297,15 @@ let vacuous_perm loc (p : Perm.t) =
             "drop the LIMITING clause (an unrestricted grant is what it \
              already is) or tighten the filter" ]
     else
-      let many = List.length clauses > 1 in
-      List.concat
-        (List.mapi
-           (fun i c ->
-             Budget.step ();
-             if Nf.has_complementary c then
-               let loc =
-                 if many then Printf.sprintf "%s, clause %d" loc (i + 1)
-                 else loc
-               in
-               [ finding Vacuous_filter Warn loc
-                   (Printf.sprintf
-                      "clause (%s) contains complementary literals and is \
-                       always true; it contributes nothing to the \
-                       conjunction"
-                      (clause_str c))
-                   ~suggestion:"delete the tautological clause" ]
-             else [])
-           clauses)
+      scan ~form:"CNF" loc (Array.of_list clauses)
+        (fun _ c -> if Nf.has_complementary c then Some () else None)
+        (fun loc c () ->
+          finding Vacuous_filter Warn loc
+            (Printf.sprintf
+               "clause (%s) contains complementary literals and is always \
+                true; it contributes nothing to the conjunction"
+               (clause_str c))
+            ~suggestion:"delete the tautological clause")
 
 (* Rule 3: shadowed clause ---------------------------------------------------- *)
 
@@ -301,8 +315,8 @@ let vacuous_perm loc (p : Perm.t) =
 let shadow_max_clauses = 128
 
 let shadowed_perm loc (p : Perm.t) =
-  let clauses = Nf.dnf p.Perm.filter in
-  let n = List.length clauses in
+  let clauses = Array.of_list (Nf.dnf p.Perm.filter) in
+  let n = Array.length clauses in
   if n < 2 then []
   else if n > shadow_max_clauses then
     [ unverified Shadowed_clause loc
@@ -311,31 +325,21 @@ let shadowed_perm loc (p : Perm.t) =
             skipped for this permission"
            n shadow_max_clauses) ]
   else
-    let arr = Array.of_list clauses in
-    let out = ref [] in
-    for j = 1 to n - 1 do
-      Budget.step ();
-      let rec first_covering i =
-        if i >= j then None
-        else if Inclusion.conj_clause_includes arr.(i) arr.(j) then Some i
-        else first_covering (i + 1)
-      in
-      match first_covering 0 with
-      | None -> ()
-      | Some i ->
-        out :=
-          finding Shadowed_clause Warn
-            (Printf.sprintf "%s, clause %d" loc (j + 1))
-            (Printf.sprintf
-               "clause (%s) is already covered by clause %d (%s); it can \
-                never change the decision"
-               (clause_str arr.(j))
-               (i + 1)
-               (clause_str arr.(i)))
-            ~suggestion:"delete the shadowed clause"
-          :: !out
-    done;
-    List.rev !out
+    let rec first_covering j i =
+      if i >= j then None
+      else if Inclusion.conj_clause_includes clauses.(i) clauses.(j) then
+        Some i
+      else first_covering j (i + 1)
+    in
+    scan ~form:"DNF" ~from:1 loc clauses
+      (fun j _ -> first_covering j 0)
+      (fun loc c i ->
+        finding Shadowed_clause Warn loc
+          (Printf.sprintf
+             "clause (%s) is already covered by clause %d (%s); it can never \
+              change the decision"
+             (clause_str c) (i + 1) (clause_str clauses.(i)))
+          ~suggestion:"delete the shadowed clause")
 
 (* Rule 4: redundant token refinement ---------------------------------------- *)
 

@@ -18,11 +18,12 @@
     for that rule instead of crashing or hanging, and the remaining
     rules still run.
 
-    Findings are counted per rule and severity in the
-    {!Shield_controller.Metrics} counter registry (names
-    [lint-error:<rule>], [lint-warn:<rule>], [lint-info:<rule>]), so
-    lint pressure shows up in [Telemetry.snapshot], the Prometheus
-    export and [Runtime.pp_report] next to admission verdicts. *)
+    Findings (so, for a clause-level rule, permissions) are counted per
+    rule and severity in the {!Shield_controller.Metrics} counter
+    registry (names [lint-error:<rule>], [lint-warn:<rule>],
+    [lint-info:<rule>]), so lint pressure shows up in
+    [Telemetry.snapshot], the Prometheus export and [Runtime.pp_report]
+    next to admission verdicts. *)
 
 (** {1 Rule catalogue} *)
 
@@ -127,7 +128,13 @@ val lint_manifest :
   finding list
 (** Run the manifest rules.  [label] prefixes every location (used by
     {!Vetting.vet_and_reconcile} to name the app).  [trace] enables the
-    over-privilege audit against {!Infer.of_trace}[ trace]. *)
+    over-privilege audit against {!Infer.of_trace}[ trace].
+
+    The clause-level rules ([Unsatisfiable_filter], [Vacuous_filter],
+    [Shadowed_clause]) report at most once per permission: the first
+    offending normal-form clause's finding, whose message ends with
+    [" (<k> of <n> DNF clauses)"] ([CNF] for [Vacuous_filter]) when
+    [k > 1] of the [n] clauses offend. *)
 
 val lint_policy :
   ?rules:rule list ->

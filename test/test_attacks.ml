@@ -145,6 +145,27 @@ let test_state_analysis_blind_to_leakage () =
   Alcotest.check outcome "leak happened" Threats.Succeeded r.outcome;
   Alcotest.(check int) "no rule violations to see" 0 (List.length r.findings)
 
+(* A tunnel split across two colluding apps: the rewrite-pair finding
+   names the cookie of each end. *)
+let test_rewrite_pair_names_both_issuers () =
+  let dp = Dataplane.create (Topology.linear 2) in
+  let rewrite dpid ~cookie port =
+    ignore
+      (Dataplane.apply_flow_mod dp dpid
+         (Flow_mod.add ~cookie ~match_:Match_fields.wildcard_all
+            ~actions:[ Action.Set (Action.Set_tp_dst port) ]
+            ()))
+  in
+  rewrite 1 ~cookie:7 80;
+  rewrite 2 ~cookie:9 4444;
+  Alcotest.(check (list string))
+    "one pair, naming both issuers"
+    [ "complementary rewrites at s1/s2 (cookies 7,9)" ]
+    (List.filter_map
+       (fun (v : Defenses.invariant_violation) ->
+         if v.kind = `Header_rewrite_pair then Some v.detail else None)
+       (Defenses.analyze_rules dp))
+
 (* Table I and the policy templates, cell by cell -------------------------------- *)
 
 (* Rows in [Threats.classes] order, columns in [Threats.defenses] order:
@@ -200,4 +221,6 @@ let suite =
     Alcotest.test_case "tableI analysis: blind to leakage" `Quick test_state_analysis_blind_to_leakage;
     Alcotest.test_case "tableI: all 16 cells" `Quick test_table_i;
     Alcotest.test_case "templates: refuted raw, certified reconciled" `Quick
-      test_templates_certified ]
+      test_templates_certified;
+    Alcotest.test_case "tableI analysis: rewrite pair names both cookies" `Quick
+      test_rewrite_pair_names_both_issuers ]

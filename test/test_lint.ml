@@ -77,6 +77,25 @@ let test_unsatisfiable () =
   Alcotest.(check bool) "complementary literals fire" true
     (Lint.has_rule Lint.Unsatisfiable_filter fs)
 
+(* A filter the author wrote as two ORs normalises to four DNF clauses,
+   all unsatisfiable: one finding for the permission, with the count. *)
+let test_unsatisfiable_counts_clauses () =
+  let fs =
+    Lint.lint_manifest
+      [ perm Token.Insert_flow
+          (filter
+             "(TCP_DST 80 OR TCP_DST 81) AND (TCP_DST 443 OR TCP_DST 8443)") ]
+  in
+  match fs with
+  | [ f ] ->
+    Alcotest.(check string) "an Error" "error"
+      (Lint.severity_label f.Lint.severity);
+    Alcotest.(check string) "first clause" "PERM insert_flow, clause 1"
+      f.Lint.location;
+    Alcotest.(check bool) "counts the clauses" true
+      (String.ends_with ~suffix:"(4 of 4 DNF clauses)" f.Lint.message)
+  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
+
 let test_vacuous () =
   let fs =
     Lint.lint_manifest
@@ -385,6 +404,212 @@ let test_vet_and_reconcile_counts_stubs_live () =
   | Vetting.Rejected r ->
     Alcotest.failf "rejected: %s" (Fmt.str "%a" Vetting.pp_rejection r)
 
+(* Clause-rule oracle ---------------------------------------------------------- *)
+
+(* The per-clause enumeration the three clause-level rules used to
+   report: one finding per offending normal-form clause, paired with
+   the clause count of the form the rule scans.  Lint must report the
+   first of these per permission, suffixed with the count when more
+   than one clause offends. *)
+module Per_clause = struct
+  let ellipsize s =
+    if String.length s <= 120 then s else String.sub s 0 117 ^ "..."
+
+  let singleton_str s = ellipsize (Fmt.to_to_string Filter.pp_singleton s)
+  let filter_str f = ellipsize (Fmt.to_to_string Filter.pp f)
+
+  let clause_str (c : Nf.clause) =
+    ellipsize
+      (String.concat " AND " (List.map (Fmt.to_to_string Nf.pp_literal) c))
+
+  let finding ?suggestion rule severity location message =
+    { Lint.rule; severity; location; message; suggestion; witnesses = [] }
+
+  let clause_loc ~many loc i =
+    if many then Printf.sprintf "%s, clause %d" loc (i + 1) else loc
+
+  let conj_conflict (c : Nf.clause) =
+    let rec go = function
+      | [] -> None
+      | l :: rest -> (
+        match
+          List.find_opt
+            (fun l' ->
+              Nf.complementary l l'
+              || (l.Nf.positive && l'.Nf.positive
+                 && Inclusion.singleton_disjoint l.Nf.atom l'.Nf.atom))
+            rest
+        with
+        | Some l' -> Some (l, l')
+        | None -> go rest)
+    in
+    go c
+
+  let unsatisfiable loc (p : Perm.t) =
+    let clauses = Nf.dnf p.Perm.filter in
+    let many = List.length clauses > 1 in
+    let lit_str (l : Nf.literal) =
+      (if l.Nf.positive then "" else "NOT ") ^ singleton_str l.Nf.atom
+    in
+    ( List.length clauses,
+      List.concat
+        (List.mapi
+           (fun i c ->
+             match conj_conflict c with
+             | None -> []
+             | Some (a, b) ->
+               [ finding Lint.Unsatisfiable_filter Lint.Error
+                   (clause_loc ~many loc i)
+                   (Printf.sprintf
+                      "conjunction requires both %s and %s, which cannot \
+                       hold together on the same dimension; only calls \
+                       lacking the dimension (vacuous pass) could ever \
+                       satisfy this clause"
+                      (lit_str a) (lit_str b))
+                   ~suggestion:
+                     "remove one of the conflicting singletons or turn the \
+                      AND into an OR" ])
+           clauses) )
+
+  let vacuous loc (p : Perm.t) =
+    if Filter.size p.Perm.filter <= 1 then (0, [])
+    else
+      let clauses = Nf.cnf p.Perm.filter in
+      if clauses = [] || List.for_all Nf.has_complementary clauses then
+        ( List.length clauses,
+          [ finding Lint.Vacuous_filter Lint.Warn loc
+              (Printf.sprintf
+                 "filter %s is always true after normalisation: the \
+                  refinement does not restrict the token at all"
+                 (filter_str p.Perm.filter))
+              ~suggestion:
+                "drop the LIMITING clause (an unrestricted grant is what it \
+                 already is) or tighten the filter" ] )
+      else
+        let many = List.length clauses > 1 in
+        ( List.length clauses,
+          List.concat
+            (List.mapi
+               (fun i c ->
+                 if Nf.has_complementary c then
+                   [ finding Lint.Vacuous_filter Lint.Warn
+                       (clause_loc ~many loc i)
+                       (Printf.sprintf
+                          "clause (%s) contains complementary literals and \
+                           is always true; it contributes nothing to the \
+                           conjunction"
+                          (clause_str c))
+                       ~suggestion:"delete the tautological clause" ]
+                 else [])
+               clauses) )
+
+  let shadowed loc (p : Perm.t) =
+    let arr = Array.of_list (Nf.dnf p.Perm.filter) in
+    let n = Array.length arr in
+    if n < 2 then (n, [])
+    else if n > 128 then
+      ( n,
+        [ finding Lint.Shadowed_clause Lint.Info loc
+            (Printf.sprintf
+               "unverified: %d DNF clauses exceed the shadow-analysis cap \
+                (128); rule skipped for this permission"
+               n) ] )
+    else
+      let out = ref [] in
+      for j = 1 to n - 1 do
+        let rec first_covering i =
+          if i >= j then None
+          else if Inclusion.conj_clause_includes arr.(i) arr.(j) then Some i
+          else first_covering (i + 1)
+        in
+        match first_covering 0 with
+        | None -> ()
+        | Some i ->
+          out :=
+            finding Lint.Shadowed_clause Lint.Warn
+              (Printf.sprintf "%s, clause %d" loc (j + 1))
+              (Printf.sprintf
+                 "clause (%s) is already covered by clause %d (%s); it can \
+                  never change the decision"
+                 (clause_str arr.(j)) (i + 1) (clause_str arr.(i)))
+              ~suggestion:"delete the shadowed clause"
+            :: !out
+      done;
+      (n, List.rev !out)
+
+  (* What lint must report for [p] under [rule]. *)
+  let expected rule (p : Perm.t) =
+    let loc = "PERM " ^ Token.to_string p.Perm.token in
+    let enumerate, form =
+      match rule with
+      | Lint.Unsatisfiable_filter -> (unsatisfiable, "DNF")
+      | Lint.Vacuous_filter -> (vacuous, "CNF")
+      | _ -> (shadowed, "DNF")
+    in
+    match enumerate loc p with
+    | exception Nf.Too_large ->
+      [ finding rule Lint.Info loc
+          "unverified: normal form too large under the lint budget; \
+           permission skipped" ]
+    | _, [] -> []
+    | _, [ f ] -> [ f ]
+    | n, (f :: _ as fs) ->
+      [ { f with
+          Lint.message =
+            Printf.sprintf "%s (%d of %d %s clauses)" f.Lint.message
+              (List.length fs) n form } ]
+end
+
+let clause_rules =
+  [ Lint.Unsatisfiable_filter; Lint.Vacuous_filter; Lint.Shadowed_clause ]
+
+(* No step, clause or deadline limit: the oracle runs unbudgeted, so
+   only the normal-form caps both sides share may cut a scan short. *)
+let unbounded =
+  { Budget.default_limits with
+    Budget.max_steps = max_int; max_clauses = max_int; deadline = None }
+
+(* Perm_gen manifests of the perfbench pool's shapes, hostile ASTs and
+   the lint-dirty corpus. *)
+let clause_oracle_manifest =
+  let open QCheck.Gen in
+  let perm_gen =
+    map3
+      (fun seed complexity focus ->
+        ( Printf.sprintf "Perm_gen %s seed %d"
+            (Pgen.complexity_to_string complexity) seed,
+          Pgen.generate ~seed ~complexity ~focus () ))
+      small_nat
+      (oneofl [ Pgen.Small; Pgen.Medium ])
+      (oneofl [ `Insert; `Stats ])
+  in
+  let hostile =
+    map2
+      (fun seed size ->
+        ( Printf.sprintf "hostile AST seed %d size %d" seed size,
+          Hostile.manifest_of_filter
+            (Hostile.random_hostile_ast (Prng.of_int seed) ~size) ))
+      small_nat (int_range 1 80)
+  in
+  let dirty =
+    map
+      (fun seed ->
+        ( Printf.sprintf "lint-dirty seed %d" seed,
+          Test_util.manifest_exn (Hostile.lint_dirty_manifest_src ~seed) ))
+      small_nat
+  in
+  QCheck.make ~print:fst (oneof [ perm_gen; hostile; dirty ])
+
+let clause_rules_once_per_permission (_, m) =
+  List.for_all
+    (fun rule ->
+      let got = Lint.lint_manifest ~rules:[ rule ] ~limits:unbounded m in
+      let want = List.concat_map (Per_clause.expected rule) m in
+      got = want
+      || QCheck.Test.fail_reportf "%s:@.lint:@.%a@.oracle:@.%a"
+           (Lint.rule_id rule) Lint.pp_report got Lint.pp_report want)
+    clause_rules
+
 (* Properties ------------------------------------------------------------------ *)
 
 let qsuite =
@@ -424,7 +649,10 @@ let qsuite =
         && List.for_all
              (fun r -> Lint.has_rule r pf)
              [ Lint.Dead_binding; Lint.Self_meet_join;
-               Lint.Overlapping_exclusive ]) ]
+               Lint.Overlapping_exclusive ]);
+    QCheck.Test.make ~count:100
+      ~name:"clause rules report once per permission (per-clause oracle)"
+      clause_oracle_manifest clause_rules_once_per_permission ]
 
 let suite =
   [ Alcotest.test_case "rule ids and severities" `Quick test_rule_ids;
@@ -449,3 +677,5 @@ let suite =
     Alcotest.test_case "pipeline sees app stubs as live" `Quick
       test_vet_and_reconcile_counts_stubs_live ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qsuite
+  @ [ Alcotest.test_case "unsatisfiable filter counts its clauses" `Quick
+        test_unsatisfiable_counts_clauses ]
