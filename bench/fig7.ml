@@ -11,8 +11,8 @@
    Two variants are reported:
    - "bare": our simulator kernel as-is.  It processes a packet-in in
      ~1-5 us — 5-10x lighter than OpenDaylight — so the fixed
-     isolation cost (the app-thread and deputy handoffs) looks
-     relatively enormous.
+     isolation cost (each mediated call's round trip to a deputy
+     domain) looks relatively enormous.
    - "calibrated": each packet-in additionally costs ~30 us of app
      processing, the per-event weight of an OpenDaylight-class
      controller (20-60k responses/s in CBench studies).  This is the
@@ -61,5 +61,5 @@ let run () =
   Fmt.pr
     "comparable setting; the bare variant shows the raw isolation cost@.";
   Fmt.pr
-    "(the app-thread and deputy handoffs, against a kernel 5-10x lighter@.";
+    "(each call's round trip to a deputy, against a kernel 5-10x lighter@.";
   Fmt.pr "than OpenDaylight's).@."

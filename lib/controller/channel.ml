@@ -1,9 +1,8 @@
 (* Blocking channel built on Mutex + Condition, optionally bounded.
 
-   This is the inter-thread communication utility of the isolation
-   architecture (§VIII-B of the paper): app threads and Kernel Service
-   Deputy threads exchange events and API requests through these
-   queues.
+   This is the request queue of the isolation architecture (§VI-A of
+   the paper): callers push API requests, and the Kernel Service
+   Deputies, each on its own domain, pop and serve them.
 
    A channel created without [capacity] behaves as before: pushes never
    block.  With a capacity, a full channel parks the pusher until a
@@ -11,18 +10,18 @@
    its own queue instead of the heap).  The high-water mark is tracked
    so runtimes can report worst-case queue depths.
 
-   Spin-then-park (docs/RUNTIME.md §6).  A waiter whose counterpart
-   runs on another domain may pass [~spin:true] to {!pop}, and
-   {!Ivar.read} and {!Ivar.read_timeout} always spin: the waiter
-   first spins on an [Atomic] hint for at most [spin_ns], and only
-   then parks on the condition as before.  A
-   Mutex+Condition wake costs 15–20 µs on a 2-vCPU VM, an atomic
-   handoff between two running domains about 0.2 µs, so a waiter still
-   running when its item lands skips the wake.  Waits between threads
-   of one domain must not spin: a spinning systhread holds its domain
-   lock and stalls the very thread it waits for.  The hint is only
-   read outside the mutex; every state change is still made under it,
-   so a stale hint costs one park, never a lost or duplicated item. *)
+   Spin-then-park (docs/RUNTIME.md §6).  [pop], [Ivar.read] and
+   [Ivar.read_timeout] wait for a counterpart on another domain: the
+   waiter first spins on an [Atomic] hint for at most [spin_ns], and
+   only then parks on the condition as before.  A Mutex+Condition wake
+   costs 15–20 µs on a 2-vCPU VM, an atomic handoff between two running
+   domains about 0.2 µs, so a waiter still running when its item lands
+   skips the wake.  Each turn of the spin yields the CPU, so a waiter
+   whose counterpart the scheduler has put on the same core lets it
+   run instead of holding the core for the whole bound.  The hint is
+   only read outside the mutex; every state change is still made under
+   it, so a stale hint costs one park, never a lost or duplicated
+   item. *)
 
 (* The spin bound, wall-clock; docs/RUNTIME.md §6 has the sweep that
    chose it. *)
@@ -30,12 +29,22 @@ let spin_ns = 10_000
 
 let clock_ns () = Int64.to_int (Monotonic_clock.now ())
 
-(* Spin while [hint] still holds [idle], for at most [spin_ns].
-   Allocation-free: the clock is an unboxed noalloc external. *)
+(* [sched_yield]: returns at once when nothing else is runnable on this
+   core, and otherwise runs what is (channel_stubs.c). *)
+external yield_cpu : unit -> unit = "shield_channel_yield" [@@noalloc]
+
+(* Spin while [hint] still holds [idle], for at most [spin_ns],
+   yielding the CPU on every turn.  Without the yield, a waiter that
+   shares a core with its counterpart burns the whole bound while the
+   counterpart waits for that core, then parks, and the counterpart's
+   own wait does the same: every hand-off then costs two bounds and two
+   wakes (docs/RUNTIME.md §6, "Sharing a core").  Allocation-free: the
+   clock and the yield are noalloc externals. *)
 let spin_while hint idle =
   let deadline = clock_ns () + spin_ns in
   while Atomic.get hint == idle && clock_ns () < deadline do
-    Domain.cpu_relax ()
+    Domain.cpu_relax ();
+    yield_cpu ()
   done
 
 type 'a t = {
@@ -119,10 +128,10 @@ let rec pop_locked t =
   end
 
 (** Block until an element is available; [None] once the channel is
-    closed and drained.  With [~spin:true] the popper first spins for
-    up to [spin_ns], unless another popper is already spinning. *)
-let pop ?(spin = false) t =
-  if spin && Atomic.compare_and_set t.spinner false true then begin
+    closed and drained.  The popper first spins for up to [spin_ns],
+    unless another popper is already spinning. *)
+let pop t =
+  if Atomic.compare_and_set t.spinner false true then begin
     spin_while t.depth 0;
     Mutex.lock t.mutex;
     Atomic.set t.spinner false
@@ -215,28 +224,4 @@ module Ivar = struct
         end
     in
     wait 5e-5
-end
-
-(* Countdown latch: event-dispatch completion barrier. *)
-module Latch = struct
-  type t = {
-    mutable remaining : int;
-    mutex : Mutex.t;
-    zero : Condition.t;
-  }
-
-  let create n = { remaining = n; mutex = Mutex.create (); zero = Condition.create () }
-
-  let count_down t =
-    Mutex.lock t.mutex;
-    t.remaining <- t.remaining - 1;
-    if t.remaining <= 0 then Condition.broadcast t.zero;
-    Mutex.unlock t.mutex
-
-  let wait t =
-    Mutex.lock t.mutex;
-    while t.remaining > 0 do
-      Condition.wait t.zero t.mutex
-    done;
-    Mutex.unlock t.mutex
 end

@@ -1,9 +1,9 @@
 (** Blocking channel built on Mutex + Condition, optionally bounded.
 
-    The inter-thread communication utility of the isolation
-    architecture (§VIII-B of the paper): app threads and Kernel Service
-    Deputy threads exchange events and API requests through these
-    queues.
+    The request queue of the isolation architecture (§VI-A of the
+    paper): callers push API requests, and the Kernel Service Deputies,
+    each on its own domain, pop and serve them, filling each call's
+    {!Ivar}.
 
     Without [capacity] a channel is unbounded and pushes never block.
     With one, a full channel parks the pusher until a consumer makes
@@ -11,17 +11,17 @@
     instead of the heap).  The failure model built on these primitives
     is documented in docs/RUNTIME.md.
 
-    Spin-then-park: a waiter whose counterpart runs on another domain
-    may pass [~spin:true] to {!pop}, and {!Ivar.read} and
-    {!Ivar.read_timeout} always spin.  Such a waiter spins on an
-    atomic hint for at most {!spin_ns} before parking on the condition
-    as usual, so a reply that lands while the waiter still runs skips
-    the OS wake.  Waits
-    between threads of one domain must not spin: a spinning systhread
-    holds its domain lock and stalls the thread it waits for.  Every
-    state change is made under the channel's or ivar's mutex, so a
-    missed hint costs one park, never a lost or duplicated item
-    (docs/RUNTIME.md §6). *)
+    Spin-then-park: {!pop}, {!Ivar.read} and {!Ivar.read_timeout} are
+    meant for a counterpart on another domain.  Such a waiter spins on
+    an atomic hint for at most {!spin_ns} before parking on the
+    condition as usual, so an item that lands while the waiter still
+    runs skips the OS wake.  The spin yields the CPU on every turn, so
+    a counterpart the scheduler has put on the waiter's core still
+    runs.  A waiter on its counterpart's own domain
+    holds that domain's lock while it spins, so it stalls the thread
+    it waits for by up to the spin bound.  Every state change is made
+    under the channel's or ivar's mutex, so a missed hint costs one
+    park, never a lost or duplicated item (docs/RUNTIME.md §6). *)
 
 val spin_ns : int
 (** The spin bound, in nanoseconds of wall-clock time (10 µs). *)
@@ -37,12 +37,12 @@ val push : 'a t -> 'a -> unit
 (** Enqueue, parking while the channel is full; raises [Closed] after
     {!close} (including while parked on a full channel). *)
 
-val pop : ?spin:bool -> 'a t -> 'a option
+val pop : 'a t -> 'a option
 (** Block until an element is available; [None] once the channel is
-    closed and drained.  With [~spin:true] (default [false]) the popper
-    spins first, unless another popper of this channel already spins:
-    at most one spins at a time, and {!push} skips its wake-up signal
-    when that spinner will take the item. *)
+    closed and drained.  The popper spins first, unless another popper
+    of this channel already spins: at most one spins at a time, and
+    {!push} skips its wake-up signal when that spinner will take the
+    item. *)
 
 val length : 'a t -> int
 (** Current queue depth. *)
@@ -79,13 +79,4 @@ module Ivar : sig
       the deadline verdict can lag expiry by at most one backoff step;
       a value arriving just after expiry may still be returned, never
       the reverse. *)
-end
-
-(** Countdown latch: event-dispatch completion barrier. *)
-module Latch : sig
-  type t
-
-  val create : int -> t
-  val count_down : t -> unit
-  val wait : t -> unit
 end

@@ -4,18 +4,18 @@
      dispatching thread and API calls execute as direct function calls
      (through the checker hook, identity for the unprotected baseline).
 
-   - [Isolated]: SDNShield's thread-container architecture (§VI-A).
-     Each app runs in its own unprivileged thread with a private event
-     queue; every API call travels over a request channel to a pool of
-     privileged Kernel Service Deputies (KSDs) which consult the
+   - [Isolated]: SDNShield's Kernel Service Deputy architecture (§VI-A).
+     Handlers run inline in the dispatching thread here too, but hold no
+     privilege: every API call travels over a request channel to a pool
+     of privileged Kernel Service Deputies (KSDs) which consult the
      permission checker and execute the call on the app's behalf.  Each
-     deputy runs on its own domain, so checking and kernel execution
-     overlap with app-thread processing ("multiple instances of KSDs can
-     run in parallel"); app threads stay systhreads of the creating
-     domain, since apps can outnumber cores.  The two cross-domain waits
-     of a call, a deputy popping the request channel and an app thread
-     reading its reply, spin briefly before they park (docs/RUNTIME.md
-     §6).
+     deputy runs on its own domain ("multiple instances of KSDs can run
+     in parallel").  Privilege is per app name at the deputy boundary,
+     never per thread, so an app needs no thread of its own: a call
+     blocks the feeding thread until its reply lands.  The two
+     cross-domain waits of a call, a deputy popping the request channel
+     and the caller reading its reply, spin briefly before they park
+     (docs/RUNTIME.md §6).
 
    Reference-monitor duties at the dispatch boundary:
    - event delivery is gated by a [Receive_event] permission check;
@@ -29,11 +29,11 @@ type mode = Monolithic | Isolated of { ksd_threads : int }
 (* Failure model (docs/RUNTIME.md): every request gets a reply, no lock
    survives an exception, and a fault in one app's call path never
    wedges another app.  [config] sets the three knobs: deputy restart
-   budget, per-call deadline, and queue bounds. *)
+   budget, per-call deadline, and the request queue bound. *)
 
 type config = {
   call_deadline : float option;
-      (** Seconds an app thread waits for a KSD reply before giving up
+      (** Seconds a mediated call waits for a KSD reply before giving up
           with [Api.Failed "deadline"].  [None] (default) waits
           forever — sound because the deputy exception barrier always
           fills the reply ivar; a deadline adds defence against deputy
@@ -44,15 +44,11 @@ type config = {
           exceptional (a raise inside a checker or the kernel becomes
           an [Api.Failed] reply), so the budget only meets faults that
           escape the per-request barrier. *)
-  ev_capacity : int option;
-      (** Per-app event queue bound ([None] = unbounded).  A full
-          queue parks the dispatcher: backpressure, never a dropped
-          delivery. *)
   req_capacity : int option;
       (** KSD request channel bound.  An API call has exactly-once
-          semantics, so a full request queue parks the calling app
-          thread (saturating its own call loop) rather than dropping
-          the call. *)
+          semantics, so a full request queue parks the caller
+          (saturating its own call loop) rather than dropping the
+          call. *)
   trace : Trace.t option;
       (** Span store for end-to-end call tracing.  [None] (default)
           records nothing; with a store, every sampled call records a
@@ -66,9 +62,8 @@ type config = {
 }
 
 let default_config =
-  { call_deadline = None; restart_budget = 8; ev_capacity = None;
-    req_capacity = None; trace = None;
-    health = None }
+  { call_deadline = None; restart_budget = 8; req_capacity = None;
+    trace = None; health = None }
 
 (* The reference monitor's counters and how often the safety nets
    fired; lock-free, since deputies on other domains bump them. *)
@@ -82,7 +77,7 @@ type counters = {
   ksd_restarts : int Atomic.t;  (** Supervisor restarts of dead deputies. *)
   deadline_expiries : int Atomic.t;  (** Calls abandoned at the deadline. *)
   closed_rejections : int Atomic.t;
-      (** Deliveries and calls refused against a closed channel. *)
+      (** Deliveries and calls refused after shutdown. *)
 }
 
 type fault_report = {
@@ -96,14 +91,10 @@ type instance = {
   app : App.t;
   checker : Api.checker;
   cookie : int;
-  ev_chan : ev_item Channel.t;
-  mutable thread : Thread.t option;
   mutable ctx : App.ctx option;
   lat_app : Metrics.Histogram.t option;
       (** [lat:app:<name>], resolved once when the runtime traces. *)
 }
-
-and ev_item = Deliver of Events.t * Channel.Latch.t option
 
 (* The trace sampler's verdict on one call, taken where the call is
    issued: unsampled, sampled and served inline (no deputy, no queue
@@ -137,9 +128,10 @@ type t = {
   mutable instances : instance list;
   reqs : request Channel.t;
   mutable deputies : unit Domain.t list;  (** The KSD pool. *)
-  inflight_mutex : Mutex.t;
-  inflight_zero : Condition.t;
-  mutable inflight : int;
+  started : int Atomic.t;  (** Deputies that reached their serve loop. *)
+  mutable closed : bool;
+      (** Set by {!shutdown} of an [Isolated] runtime: a later delivery
+          is refused, since its handler's calls would find no deputy. *)
   counters : counters;
   lat : lat option;  (** [Some] iff [config.trace] is. *)
   mutable rejected : (string * string) list;
@@ -162,26 +154,6 @@ let fault_report t =
     deadlines = Atomic.get c.deadline_expiries;
     rejections = Atomic.get c.closed_rejections }
 
-(* In-flight accounting (for [drain]) ------------------------------------- *)
-
-let inflight_incr t =
-  Mutex.lock t.inflight_mutex;
-  t.inflight <- t.inflight + 1;
-  Mutex.unlock t.inflight_mutex
-
-let inflight_decr t =
-  Mutex.lock t.inflight_mutex;
-  t.inflight <- t.inflight - 1;
-  if t.inflight = 0 then Condition.broadcast t.inflight_zero;
-  Mutex.unlock t.inflight_mutex
-
-let wait_inflight_zero t =
-  Mutex.lock t.inflight_mutex;
-  while t.inflight > 0 do
-    Condition.wait t.inflight_zero t.inflight_mutex
-  done;
-  Mutex.unlock t.inflight_mutex
-
 (* Permission-checked execution ------------------------------------------- *)
 
 let audit_denial t inst call why =
@@ -195,8 +167,7 @@ let audit_denial t inst call why =
 
 (* "No lock survives an exception": both kernel-lock scopes release via
    [Fun.protect], so a raising [Kernel.exec] cannot wedge every
-   subsequent call, [process_pending] and [drain] behind a held
-   [kmutex]. *)
+   subsequent call and [process_pending] behind a held [kmutex]. *)
 
 let locked_exec t inst call =
   Mutex.lock t.kmutex;
@@ -337,7 +308,7 @@ let checked_txn t inst ~deputy sc calls =
 (* Contexts ---------------------------------------------------------------- *)
 
 (* Wait for a KSD reply.  Without a configured deadline this blocks
-   until the deputy barrier fills the ivar; with one, an app thread can
+   until the deputy barrier fills the ivar; with one, a caller can
    never hang on a request a dying deputy dropped — it surfaces
    [on_deadline] (an [Api.Failed "deadline"]-shaped reply) instead.
    The deputy runs on another domain, so the wait spins first. *)
@@ -467,25 +438,13 @@ let handle_in_instance t inst ev =
       ~action:"handler-exception" ~allowed:true
       ~detail:(Printexc.to_string exn)
 
-let dispatch_one ?pre t inst ev latch =
+(* A vetted delivery runs its handler here, on the feeding thread, in
+   both modes.  After [shutdown] an [Isolated] runtime refuses it. *)
+let dispatch_one ?pre t inst ev =
   match vet_event ?pre t inst ev with
-  | None -> (match latch with Some l -> Channel.Latch.count_down l | None -> ())
-  | Some ev -> (
-    match t.mode with
-    | Monolithic ->
-      handle_in_instance t inst ev;
-      (match latch with Some l -> Channel.Latch.count_down l | None -> ())
-    | Isolated _ -> (
-      (* The increment precedes the push, so a failed push must undo it
-         or [drain] waits forever on a delivery that never happened.
-         [Closed] is the shutdown race (events injected after [close]). *)
-      inflight_incr t;
-      match Channel.push inst.ev_chan (Deliver (ev, latch)) with
-      | () -> ()
-      | exception Channel.Closed ->
-        Atomic.incr t.counters.closed_rejections;
-        inflight_decr t;
-        (match latch with Some l -> Channel.Latch.count_down l | None -> ())))
+  | None -> ()
+  | Some _ when t.closed -> Atomic.incr t.counters.closed_rejections
+  | Some ev -> handle_in_instance t inst ev
 
 let subscribers t ev =
   let kind = Events.kind ev in
@@ -521,15 +480,16 @@ let rec process_pending t =
     List.iter
       (fun ev ->
         notify_observers t ev;
-        List.iter (fun inst -> dispatch_one t inst ev None) (subscribers t ev))
+        List.iter (fun inst -> dispatch_one t inst ev) (subscribers t ev))
       evs;
-    (* In monolithic mode handlers ran inline and may have queued more. *)
-    if t.mode = Monolithic then process_pending t
+    (* The handlers ran inline and may have queued more. *)
+    process_pending t
 
-(** Fire-and-forget event injection (throughput mode). *)
+(** Dispatch [ev] to its subscribers, then its cascades until
+    quiescent. *)
 let feed t ev =
   notify_observers t ev;
-  List.iter (fun inst -> dispatch_one t inst ev None) (subscribers t ev);
+  List.iter (fun inst -> dispatch_one t inst ev) (subscribers t ev);
   process_pending t
 
 (** Burst injection: like [List.iter (feed t)] — same delivery order,
@@ -608,57 +568,13 @@ let feed_burst t (evs : Events.t list) =
           (fun (inst, map) ->
             if App.subscribes inst.app (Events.kind ev) then
               let pre = match map with None -> None | Some m -> m.(i) in
-              dispatch_one ?pre t inst ev None)
+              dispatch_one ?pre t inst ev)
           pres;
         process_pending t)
       evs
 
-(** Inject [ev] and block until every subscribed app has finished
-    handling it, including cascaded events (latency mode). *)
-let rec feed_sync t ev =
-  notify_observers t ev;
-  let subs = subscribers t ev in
-  (match subs with
-  | [] -> ()
-  | _ ->
-    let latch = Channel.Latch.create (List.length subs) in
-    List.iter (fun inst -> dispatch_one t inst ev (Some latch)) subs;
-    Channel.Latch.wait latch);
-  process_pending_sync t
-
-and process_pending_sync t =
-  Mutex.lock t.kmutex;
-  let evs = Kernel.take_pending t.kernel in
-  Mutex.unlock t.kmutex;
-  List.iter (feed_sync t) evs
-
-(** Wait until all asynchronously dispatched work has completed,
-    including cascades. *)
-let rec drain t =
-  wait_inflight_zero t;
-  Mutex.lock t.kmutex;
-  let quiescent = t.kernel.Kernel.pending = [] in
-  Mutex.unlock t.kmutex;
-  if not quiescent then begin
-    process_pending t;
-    drain t
-  end
-
-(* Threads ----------------------------------------------------------------- *)
-
-(* The event queue's producer is the dispatcher, a thread of this
-   domain, so this wait never spins. *)
-let app_thread t inst () =
-  let rec loop () =
-    match Channel.pop inst.ev_chan with
-    | None -> ()
-    | Some (Deliver (ev, latch)) ->
-      handle_in_instance t inst ev;
-      (match latch with Some l -> Channel.Latch.count_down l | None -> ());
-      inflight_decr t;
-      loop ()
-  in
-  loop ()
+let feed_sync = feed
+let drain = process_pending
 
 (* Kernel Service Deputies, supervised.
 
@@ -702,7 +618,7 @@ let serve_request t ~deputy = function
 
 let ksd_thread t deputy () =
   let rec loop () =
-    match Channel.pop ~spin:true t.reqs with
+    match Channel.pop t.reqs with
     | None -> ()
     | Some req ->
       Faults.point Faults.Deputy;
@@ -723,6 +639,7 @@ let ksd_thread t deputy () =
         Sandbox.record_audit (sandbox t) ~app:"<ksd>" ~action:"deputy-retired"
           ~allowed:true ~detail:"restart budget exhausted"
   in
+  Atomic.incr t.started;
   supervise t.config.restart_budget
 
 (* Lifecycle --------------------------------------------------------------- *)
@@ -757,39 +674,19 @@ let load_violations (app : App.t) (checker : Api.checker) : string list =
   in
   missing_caps @ missing_events
 
-(** Gauge names this runtime registered, for unregistration at
-    shutdown.  Names are stable per app name, and registration
-    replaces, so sequential runtimes (the benchmark pattern) do not
-    grow the registry. *)
-let gauge_names t =
-  "queue:ksd-reqs"
-  :: List.map (fun inst -> "queue:ev:" ^ inst.app.App.name) t.instances
-
-let register_queue_gauges t =
-  Metrics.register_gauge "queue:ksd-reqs" (fun () ->
-      { Metrics.depth = Channel.length t.reqs;
-        hwm = Channel.high_water t.reqs });
-  List.iter
-    (fun inst ->
-      Metrics.register_gauge ("queue:ev:" ^ inst.app.App.name) (fun () ->
-          { Metrics.depth = Channel.length inst.ev_chan;
-            hwm = Channel.high_water inst.ev_chan }))
-    t.instances
-
 (** [create ~mode kernel apps] builds a runtime over [kernel] hosting
     [apps], each paired with its permission checker, then runs every
     app's [init] through its own context.  [load_check] selects the
     load-time access-control behaviour (default: skip); [config] the
-    fault-tolerance knobs (default: unbounded queues, no deadline,
-    restart budget 8 — the seed semantics, plus supervision). *)
+    fault-tolerance knobs (default: unbounded request queue, no
+    deadline, restart budget 8 — the seed semantics, plus
+    supervision). *)
 let create ?(load_check = Skip_load_check) ?(config = default_config) ~mode
     kernel (apps : (App.t * Api.checker) list) : t =
   let t =
     { kernel; kmutex = Mutex.create (); mode; config; instances = [];
       reqs = Channel.create ?capacity:config.req_capacity ();
-      deputies = [];
-      inflight_mutex = Mutex.create ();
-      inflight_zero = Condition.create (); inflight = 0;
+      deputies = []; started = Atomic.make 0; closed = false;
       counters =
         { calls = Atomic.make 0; denials = Atomic.make 0;
           events_delivered = Atomic.make 0; events_suppressed = Atomic.make 0;
@@ -828,9 +725,7 @@ let create ?(load_check = Skip_load_check) ?(config = default_config) ~mode
   let instances =
     List.mapi
       (fun i (app, checker) ->
-        { app; checker; cookie = i + 1;
-          ev_chan = Channel.create ?capacity:config.ev_capacity ();
-          thread = None; ctx = None;
+        { app; checker; cookie = i + 1; ctx = None;
           lat_app =
             Option.map
               (fun _ -> Metrics.hist ("lat:app:" ^ app.App.name))
@@ -852,10 +747,17 @@ let create ?(load_check = Skip_load_check) ?(config = default_config) ~mode
         List.iter Domain.join t.deputies;
         raise exn
     done;
-    List.iter
-      (fun inst -> inst.thread <- Some (Thread.create (app_thread t inst) ()))
-      instances;
-    register_queue_gauges t);
+    (* Return only once every deputy has started, so a domain's
+       start-up work never lands in the first calls' latency or
+       allocation. *)
+    while Atomic.get t.started < List.length t.deputies do
+      Domain.cpu_relax ()
+    done;
+    (* Registration replaces, so sequential runtimes (the benchmark
+       pattern) do not grow the registry. *)
+    Metrics.register_gauge "queue:ksd-reqs" (fun () ->
+        { Metrics.depth = Channel.length t.reqs;
+          hwm = Channel.high_water t.reqs }));
   (* App initialisation goes through the same mediated contexts. *)
   List.iter (fun inst -> inst.app.App.init (ctx_of inst)) instances;
   process_pending t;
@@ -865,17 +767,12 @@ let shutdown t =
   (match t.mode with
   | Monolithic -> ()
   | Isolated _ ->
-    (* Event queues first (closing wakes pushers blocked on a full
-       queue as well as the app threads); the request channel only once
-       the app threads — the request producers — are joined, so no
-       in-flight call loses its deputy. *)
-    List.iter (fun inst -> Channel.close inst.ev_chan) t.instances;
-    List.iter
-      (fun inst -> match inst.thread with Some th -> Thread.join th | None -> ())
-      t.instances;
+    (* A closed request channel still hands out the requests it holds,
+       so no call already pushed loses its deputy. *)
+    t.closed <- true;
     Channel.close t.reqs;
     List.iter Domain.join t.deputies;
-    List.iter Metrics.unregister_gauge (gauge_names t))
+    Metrics.unregister_gauge "queue:ksd-reqs")
 
 let pp_fault_report ppf r =
   Fmt.pf ppf

@@ -2,15 +2,23 @@
 
     - [Monolithic]: the baseline — handlers run inline, API calls are
       direct function calls (through the checker hook).
-    - [Isolated]: SDNShield's thread-container architecture (§VI-A) —
-      each app in its own unprivileged thread with a private event
-      queue; every API call travels over a request channel to a pool of
-      privileged Kernel Service Deputies (KSDs).  Each deputy runs on
-      its own domain (the paper's "multiple instances of KSDs can run
-      in parallel"); app threads are systhreads of the creating domain.
-      A deputy popping the request channel and an app thread awaiting
-      its reply spin for up to {!Channel.spin_ns} before they park, so
-      a prompt handoff skips the OS wake (docs/RUNTIME.md §6).
+    - [Isolated]: SDNShield's Kernel Service Deputy architecture
+      (§VI-A) — handlers run inline too, but hold no privilege: every
+      API call travels over a request channel to a pool of privileged
+      Kernel Service Deputies (KSDs), and the caller blocks until its
+      reply lands.  Each deputy runs on its own domain (the paper's
+      "multiple instances of KSDs can run in parallel").  Privilege is
+      per app name at the deputy boundary, never per thread, so apps
+      have no threads of their own.  A deputy popping the request
+      channel and a caller awaiting its reply spin for up to
+      {!Channel.spin_ns} before they park, so a prompt handoff skips
+      the OS wake (docs/RUNTIME.md §6).
+
+    In both modes {!feed}, {!feed_burst}, {!feed_sync}, {!drain} and
+    {!process_pending} run the handlers on the calling thread and
+    return once the event and its cascades are handled; call them from
+    one thread at a time.  A handler that never returns stalls
+    dispatch (docs/RUNTIME.md's failure model).
 
     Reference-monitor duties at the dispatch boundary: event delivery
     is gated by [Receive_event] checks, packet-in payloads are stripped
@@ -25,19 +33,16 @@ type mode =
           domain. *)
 
 (** Fault-tolerance knobs (docs/RUNTIME.md).  The defaults reproduce
-    the original semantics — unbounded queues, no deadline — plus
-    deputy supervision. *)
+    the original semantics — an unbounded request queue, no deadline —
+    plus deputy supervision. *)
 type config = {
   call_deadline : float option;
-      (** Seconds an app thread waits for a KSD reply before giving up
+      (** Seconds a mediated call waits for a KSD reply before giving up
           with [Api.Failed "deadline"]; [None] (default) waits
           forever. *)
   restart_budget : int;
       (** Times the supervisor restarts a crashed deputy before
           retiring it (default 8). *)
-  ev_capacity : int option;
-      (** Per-app event queue bound ([None] = unbounded); a full queue
-          parks the dispatcher (backpressure). *)
   req_capacity : int option;
       (** KSD request channel bound; always blocking on full, so a
           flooding app parks its own call loop. *)
@@ -64,8 +69,8 @@ type fault_report = {
   restarts : int;  (** Supervisor restarts of crashed deputies. *)
   deadlines : int;  (** Calls abandoned at the deadline. *)
   rejections : int;
-      (** Event deliveries and calls refused against a closed channel:
-          work that arrived after (or raced) {!shutdown}. *)
+      (** Event deliveries and calls refused after {!shutdown}: work
+          that arrived after (or raced) it. *)
 }
 
 type t
@@ -80,26 +85,26 @@ val create :
   ?load_check:load_check -> ?config:config -> mode:mode -> Kernel.t ->
   (App.t * Api.checker) list -> t
 (** Build a runtime hosting the apps, run load-time access control
-    (default: skip), start the supervised KSD pool and app threads per
-    [mode] with the fault-tolerance knobs in [config] (default
-    {!default_config}), and run every surviving app's [init] through
-    its mediated context.  Isolated runtimes register per-queue depth
-    gauges in {!Metrics} (["queue:ksd-reqs"], ["queue:ev:<app>"]),
-    unregistered again at {!shutdown}.
+    (default: skip), start the supervised KSD pool per [mode] with the
+    fault-tolerance knobs in [config] (default {!default_config}), and
+    run every surviving app's [init] through its mediated context.  For
+    [Isolated] it returns only once every deputy has started, and it
+    registers the request queue's depth gauge in {!Metrics}
+    (["queue:ksd-reqs"]), unregistered again at {!shutdown}.
 
     @raise Failure when a deputy's domain cannot be spawned (OCaml
     5.1 hosts at most 128 domains); the deputies already spawned are
     stopped and joined first. *)
 
 val shutdown : t -> unit
-(** Stop app threads and the KSD pool (idempotent for [Monolithic]).
-    Closing the event queues wakes pushers blocked on a full bounded
-    queue; the request channel closes only after the app threads are
-    joined, so no in-flight call loses its deputy. *)
+(** Stop the KSD pool (a no-op for [Monolithic]).  Requests already
+    queued are still served; afterwards an [Isolated] runtime refuses
+    every delivery and call, counting each in the [rejections] of
+    {!fault_report}. *)
 
 val feed : t -> Events.t -> unit
-(** Fire-and-forget event injection (throughput mode); cascaded events
-    are dispatched opportunistically. *)
+(** Dispatch the event to its subscribers, then every event it
+    cascades into, and return once all are handled. *)
 
 val feed_burst : t -> Events.t list -> unit
 (** Inject a burst of events.  Delivery order, auditing, and
@@ -112,14 +117,15 @@ val feed_burst : t -> Events.t list -> unit
     unchanged. *)
 
 val feed_sync : t -> Events.t -> unit
-(** Inject an event and block until every subscribed app has finished
-    handling it, including cascaded events (latency mode). *)
+(** {!feed}, under the name latency-mode drivers use. *)
 
 val drain : t -> unit
-(** Wait until all asynchronously dispatched work has completed. *)
+(** {!process_pending}, under the name throughput-mode drivers use
+    after a run of {!feed}s. *)
 
 val process_pending : t -> unit
-(** Dispatch events the kernel queued as side effects of API calls. *)
+(** Dispatch the events the kernel queued as side effects of API calls
+    made outside dispatch, cascading until quiescent. *)
 
 val stats : t -> int * int * int * int
 (** (calls, denials, events delivered, events suppressed). *)

@@ -3,8 +3,8 @@
    The enforcement story (§VI) and the forensics claim (§VII) both
    need to answer, per mediated API call, *why* it was allowed or
    denied and *where* its latency went.  A span ties the stages of one
-   call together: queue wait between the app thread and the deputy
-   pool, permission-check duration, kernel execution, and the decision
+   call together: queue wait between the calling handler and the
+   deputy pool, permission-check duration, kernel execution, and the decision
    itself with its explanation.
 
    The store is deliberately dumb and bounded: a fixed-capacity ring

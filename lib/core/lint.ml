@@ -155,9 +155,10 @@ let ellipsize ?(max = 120) s =
 let singleton_str s = ellipsize (Fmt.to_to_string Filter.pp_singleton s)
 let filter_str f = ellipsize (Fmt.to_to_string Filter.pp f)
 
-let clause_str (c : Nf.clause) =
-  ellipsize
-    (String.concat " AND " (List.map (Fmt.to_to_string Nf.pp_literal) c))
+(* [conn] joins the literals: " AND " in a DNF clause, " OR " in a CNF
+   one. *)
+let clause_str conn (c : Nf.clause) =
+  ellipsize (String.concat conn (List.map (Fmt.to_to_string Nf.pp_literal) c))
 
 let finding ?suggestion ?(witnesses = []) rule severity location message =
   { rule; severity; location; message; suggestion; witnesses }
@@ -304,7 +305,7 @@ let vacuous_perm loc (p : Perm.t) =
             (Printf.sprintf
                "clause (%s) contains complementary literals and is always \
                 true; it contributes nothing to the conjunction"
-               (clause_str c))
+               (clause_str " OR " c))
             ~suggestion:"delete the tautological clause")
 
 (* Rule 3: shadowed clause ---------------------------------------------------- *)
@@ -338,7 +339,7 @@ let shadowed_perm loc (p : Perm.t) =
           (Printf.sprintf
              "clause (%s) is already covered by clause %d (%s); it can never \
               change the decision"
-             (clause_str c) (i + 1) (clause_str clauses.(i)))
+             (clause_str " AND " c) (i + 1) (clause_str " AND " clauses.(i)))
           ~suggestion:"delete the shadowed clause")
 
 (* Rule 4: redundant token refinement ---------------------------------------- *)

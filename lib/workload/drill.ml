@@ -115,7 +115,6 @@ let fault_run ~seed ~mode ~events =
     { Runtime.default_config with
       Runtime.call_deadline = Some 0.1;
       restart_budget = 1_000;
-      ev_capacity = Some 256;
       req_capacity = Some 1_024 }
   in
   (* Checker faults also fire on the implicit Receive_event check, so

@@ -58,16 +58,6 @@ let test_ivar () =
   Alcotest.check_raises "double fill" (Invalid_argument "Ivar.fill: already filled")
     (fun () -> Channel.Ivar.fill iv 43)
 
-let test_latch () =
-  let l = Channel.Latch.create 3 in
-  let waiters = List.init 2 (fun _ -> Thread.create (fun () -> Channel.Latch.wait l) ()) in
-  Channel.Latch.count_down l;
-  Channel.Latch.count_down l;
-  Channel.Latch.count_down l;
-  List.iter Thread.join waiters;
-  (* Reaching here means the latch released. *)
-  Channel.Latch.wait l (* immediate once at zero *)
-
 (* Sandbox -------------------------------------------------------------------- *)
 
 let test_sandbox_logs () =
@@ -443,7 +433,6 @@ let suite =
     Alcotest.test_case "channel close" `Quick test_channel_close;
     Alcotest.test_case "channel cross-thread" `Quick test_channel_cross_thread;
     Alcotest.test_case "ivar" `Quick test_ivar;
-    Alcotest.test_case "latch" `Quick test_latch;
     Alcotest.test_case "sandbox logs" `Quick test_sandbox_logs;
     Alcotest.test_case "kernel install/read" `Quick test_kernel_install_and_read;
     Alcotest.test_case "kernel unknown switch" `Quick test_kernel_unknown_switch;

@@ -105,7 +105,20 @@ let test_vacuous () =
     (Lint.has_rule Lint.Vacuous_filter fs);
   let fs = Lint.lint_manifest [ perm Token.Delete_flow (filter "OWN_FLOWS") ] in
   Alcotest.(check bool) "single atom silent" false
-    (Lint.has_rule Lint.Vacuous_filter fs)
+    (Lint.has_rule Lint.Vacuous_filter fs);
+  (* A CNF clause is a disjunction, and the message renders it as one. *)
+  let fs =
+    Lint.lint_manifest
+      [ perm Token.Delete_flow
+          (filter "(OWN_FLOWS OR NOT OWN_FLOWS) AND TCP_DST 80") ]
+  in
+  match List.filter (fun f -> f.Lint.rule = Lint.Vacuous_filter) fs with
+  | [ f ] ->
+    Alcotest.(check string) "tautological clause rendered with OR"
+      "clause (OWN_FLOWS OR NOT OWN_FLOWS) contains complementary literals \
+       and is always true; it contributes nothing to the conjunction"
+      f.Lint.message
+  | fs -> Alcotest.failf "expected one vacuous finding, got %d" (List.length fs)
 
 let test_shadowed () =
   let fs =
@@ -418,9 +431,9 @@ module Per_clause = struct
   let singleton_str s = ellipsize (Fmt.to_to_string Filter.pp_singleton s)
   let filter_str f = ellipsize (Fmt.to_to_string Filter.pp f)
 
-  let clause_str (c : Nf.clause) =
+  let clause_str conn (c : Nf.clause) =
     ellipsize
-      (String.concat " AND " (List.map (Fmt.to_to_string Nf.pp_literal) c))
+      (String.concat conn (List.map (Fmt.to_to_string Nf.pp_literal) c))
 
   let finding ?suggestion rule severity location message =
     { Lint.rule; severity; location; message; suggestion; witnesses = [] }
@@ -498,7 +511,7 @@ module Per_clause = struct
                           "clause (%s) contains complementary literals and \
                            is always true; it contributes nothing to the \
                            conjunction"
-                          (clause_str c))
+                          (clause_str " OR " c))
                        ~suggestion:"delete the tautological clause" ]
                  else [])
                clauses) )
@@ -531,7 +544,8 @@ module Per_clause = struct
               (Printf.sprintf
                  "clause (%s) is already covered by clause %d (%s); it can \
                   never change the decision"
-                 (clause_str arr.(j)) (i + 1) (clause_str arr.(i)))
+                 (clause_str " AND " arr.(j)) (i + 1)
+                 (clause_str " AND " arr.(i)))
               ~suggestion:"delete the shadowed clause"
             :: !out
       done;

@@ -360,6 +360,49 @@ let test_flow_expiry_frees_budget_end_to_end () =
   | [ Api.Done; Api.Denied _; Api.Done ] -> ()
   | rs -> Alcotest.failf "unexpected sequence: %a" Fmt.(list Api.pp_result) rs
 
+(* Inline dispatch ------------------------------------------------------------- *)
+
+(* On [Isolated], [feed] runs each handler on the feeding thread, its
+   calls crossing to the deputies, and returns once the event and its
+   cascades are handled: [a]'s relay reaches [b] without a [drain]. *)
+let test_isolated_feed_inline () =
+  let dp = Dataplane.create (Topology.linear 2) in
+  let ran = ref [] in
+  let note name = ran := (name, Thread.id (Thread.self ())) :: !ran in
+  let a =
+    App.make ~subscriptions:[ Api.E_packet_in ]
+      ~handle:(fun ctx _ ->
+        note "a";
+        ignore
+          (ctx.App.call
+             (Api.Install_flow
+                (1, Flow_mod.add ~match_:Match_fields.wildcard_all ~actions:[] ())));
+        ignore
+          (ctx.App.call (Api.Publish_event { tag = "relay"; payload = "" })))
+      "a"
+  in
+  let b =
+    App.make ~subscriptions:[ Api.E_app "relay" ]
+      ~handle:(fun _ _ -> note "b")
+      "b"
+  in
+  let rt =
+    Runtime.create
+      ~mode:(Runtime.Isolated { ksd_threads = 2 })
+      (Kernel.create dp)
+      [ (a, Api.allow_all); (b, Api.allow_all) ]
+  in
+  Runtime.feed rt (pkt_in ());
+  let ran = List.rev !ran in
+  let flows = Flow_table.size (Dataplane.switch dp 1).Switch.table in
+  Runtime.shutdown rt;
+  Alcotest.(check (list string)) "a then b, once each" [ "a"; "b" ]
+    (List.map fst ran);
+  Alcotest.(check int) "a's flow installed" 1 flows;
+  let me = Thread.id (Thread.self ()) in
+  Alcotest.(check bool) "handlers ran on the feeding thread" true
+    (List.for_all (fun (_, id) -> id = me) ran)
+
 let suite =
   [ Alcotest.test_case "domains: basic dispatch" `Quick test_domains_mode_basic;
     Alcotest.test_case "domains: async drain" `Quick test_domains_mode_async_drain;
@@ -371,4 +414,6 @@ let suite =
     Alcotest.test_case "load-time: subscription" `Quick test_load_time_subscription_check;
     Alcotest.test_case "load-time: warn keeps app" `Quick test_load_time_warn_keeps_app;
     Alcotest.test_case "load-time: clean app" `Quick test_load_time_clean_app_passes;
-    Alcotest.test_case "flow expiry frees budget" `Quick test_flow_expiry_frees_budget_end_to_end ]
+    Alcotest.test_case "flow expiry frees budget" `Quick test_flow_expiry_frees_budget_end_to_end;
+    Alcotest.test_case "isolated feed returns handled, cascades included" `Quick
+      test_isolated_feed_inline ]

@@ -645,11 +645,10 @@ let minor_words_all_domains () =
 
 (* docs/OBSERVABILITY.md §1: a sampled-out call allocates exactly what
    an untraced call does.  The warm-up spends the store's first call,
-   which is always sampled, and ends with an event the app handles: an
-   app thread first runs when its creator releases the domain lock, so
-   without it a warm-up whose calls never park leaves the thread's
-   startup allocation (its 5-word loop closure) to the measured
-   window. *)
+   which is always sampled.  The runtime starts no thread on the
+   calling domain, [create] returns only once every deputy has started,
+   and a deputy allocates nothing between requests, so the window
+   counts the calls' words and nothing else. *)
 let minor_words_of_calls ~mode ~trace =
   let rt =
     Runtime.create
@@ -662,7 +661,6 @@ let minor_words_of_calls ~mode ~trace =
   for _ = 1 to 1_000 do
     ignore (ctx.App.call Api.Read_topology)
   done;
-  Runtime.feed_sync rt (pkt_in 1);
   let w0 = minor_words_all_domains () in
   for _ = 1 to 100_000 do
     ignore (ctx.App.call Api.Read_topology)
