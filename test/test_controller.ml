@@ -15,7 +15,16 @@ let test_channel_fifo () =
   Channel.push c 3;
   Alcotest.(check (option int)) "1st" (Some 1) (Channel.pop c);
   Alcotest.(check (option int)) "2nd" (Some 2) (Channel.pop c);
-  Alcotest.(check int) "length" 1 (Channel.length c)
+  Alcotest.(check int) "length" 1 (Channel.length c);
+  (* With its head moved, 48 queued items wrap the queue's 16-slot ring
+     and make it double twice. *)
+  for i = 4 to 50 do
+    Channel.push c i
+  done;
+  Alcotest.(check (list int)) "order across wrap and growth"
+    (List.init 48 (fun i -> i + 3))
+    (List.init 48 (fun _ -> Option.get (Channel.pop c)));
+  Alcotest.(check int) "drained" 0 (Channel.length c)
 
 let test_channel_close () =
   let c = Channel.create () in
@@ -57,6 +66,52 @@ let test_ivar () =
   Alcotest.(check int) "read" 42 (Channel.Ivar.read iv);
   Alcotest.check_raises "double fill" (Invalid_argument "Ivar.fill: already filled")
     (fun () -> Channel.Ivar.fill iv 43)
+
+(* Parked reply readers (docs/RUNTIME.md §6) ----------------------------------- *)
+
+(* A reader that outlasts its spin parks on the one park every ivar
+   shares.  [spawn_reader iv] reads [iv] on its own domain and returns
+   once that domain has begun to read. *)
+let spawn_reader iv =
+  let started = Atomic.make false and finished = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set started true;
+        let v = Channel.Ivar.read iv in
+        Atomic.set finished true;
+        v)
+  in
+  while not (Atomic.get started) do
+    Thread.yield ()
+  done;
+  (d, finished)
+
+let test_ivar_parked_reader () =
+  let iv = Channel.Ivar.create () in
+  let reader, _ = spawn_reader iv in
+  Thread.delay 0.002;
+  Channel.Ivar.fill iv 42;
+  Alcotest.(check int) "a fill 2 ms late reaches the parked reader" 42
+    (Domain.join reader);
+  Alcotest.check_raises "double fill"
+    (Invalid_argument "Ivar.fill: already filled") (fun () ->
+      Channel.Ivar.fill iv 43);
+  Alcotest.(check int) "the first value stays" 42 (Channel.Ivar.read iv)
+
+let test_ivar_shared_park () =
+  let iv1 = Channel.Ivar.create () and iv2 = Channel.Ivar.create () in
+  let r1, _ = spawn_reader iv1 in
+  let r2, finished2 = spawn_reader iv2 in
+  Thread.delay 0.02;
+  Channel.Ivar.fill iv1 1;
+  Alcotest.(check int) "the filled ivar's reader returns its value" 1
+    (Domain.join r1);
+  Thread.delay 0.02;
+  Alcotest.(check bool) "the other reader stays parked" false
+    (Atomic.get finished2);
+  Channel.Ivar.fill iv2 2;
+  Alcotest.(check int) "the other reader returns its own value" 2
+    (Domain.join r2)
 
 (* Sandbox -------------------------------------------------------------------- *)
 
@@ -450,4 +505,7 @@ let suite =
     Alcotest.test_case "runtime crash isolation" `Quick test_runtime_crash_isolation;
     Alcotest.test_case "runtime async drain" `Quick test_runtime_async_drain;
     Alcotest.test_case "runtime cascaded events" `Quick test_runtime_cascaded_events;
-    Alcotest.test_case "runtime publish/subscribe" `Quick test_runtime_publish_subscribe ]
+    Alcotest.test_case "runtime publish/subscribe" `Quick test_runtime_publish_subscribe;
+    Alcotest.test_case "ivar: parked reader" `Quick test_ivar_parked_reader;
+    Alcotest.test_case "ivar: shared park wakes its own reader" `Quick
+      test_ivar_shared_park ]

@@ -1,9 +1,10 @@
 (* Regression tests for the fault-tolerant runtime (docs/RUNTIME.md):
    bounded channels with backpressure, [Ivar.read_timeout], the deputy
    exception barrier, supervisor restarts, call deadlines, kernel-lock
-   release on exception, and the in-flight accounting of refused
-   deliveries.  Each scenario pins a failure mode that used to wedge
-   the runtime — a hang here IS the regression. *)
+   release on exception, the in-flight accounting of refused
+   deliveries, and the request channel's hand-off under racing
+   pushers, poppers and [close].  Each scenario pins a failure mode
+   that used to wedge the runtime — a hang here IS the regression. *)
 
 open Shield_openflow
 open Shield_net
@@ -268,6 +269,154 @@ let test_drain_shutdown_under_faults () =
      hung under injected faults. *)
   Alcotest.(check bool) "runtime made progress" true (Atomic.get handled >= 0)
 
+(* Racing pushers, poppers and close (docs/RUNTIME.md §6) ------------------ *)
+
+(* A push hands its item to a spinning popper only onto an empty, open
+   queue.  These cases race pushes against spins and parks, so items go
+   both ways. *)
+
+let pushers = 4
+
+(* An item is [pusher * stride + seq]. *)
+let stride = 1_000_000
+
+(* One popper domain and four pusher threads pausing 0–30 µs before each
+   increasing tag: a push after a pause past the popper's spin finds it
+   parked and queues, one after a shorter pause is handed to the
+   spinner.  An item handed past a queued one pops out of order. *)
+let test_channel_race_fifo () =
+  let per_pusher = 5_000 in
+  let ch = Channel.create () in
+  let popper =
+    Domain.spawn (fun () ->
+        let last = Array.make pushers (-1) in
+        let rec loop n disorder =
+          match Channel.pop ch with
+          | None -> (n, disorder)
+          | Some v ->
+            let p = v / stride and seq = v mod stride in
+            let disorder = if seq = last.(p) + 1 then disorder else disorder + 1 in
+            last.(p) <- seq;
+            loop (n + 1) disorder
+        in
+        loop 0 0)
+  in
+  let push_all p () =
+    for seq = 0 to per_pusher - 1 do
+      Test_util.busy_us (((seq * 13) + (p * 7)) mod 31);
+      Channel.push ch ((p * stride) + seq)
+    done
+  in
+  List.iter Thread.join
+    (List.init pushers (fun p -> Thread.create (push_all p) ()));
+  Channel.close ch;
+  let n, disorder = Domain.join popper in
+  Alcotest.(check int) "items popped" (pushers * per_pusher) n;
+  Alcotest.(check int) "items out of their pusher's order" 0 disorder;
+  Alcotest.(check bool) "some pushes queued" true (Channel.high_water ch >= 1)
+
+(* Two popper domains and four pusher threads pushing until [Closed],
+   which yield to each other every 16 pushes.  Pusher 0 closes the
+   channel mid-run, waits for the poppers to drain the queue, and
+   pushes again 3 µs later, while the popper that took the last item
+   still spins on the empty queue.  Every push that returned pops
+   exactly once, the push that raised never pops, no push begun after
+   [close] returned succeeds, and both poppers end on [None] (a hang
+   here is the failure). *)
+let test_channel_race_close () =
+  let close_at = 2_600 in
+  let ch = Channel.create () in
+  let popper () =
+    Domain.spawn (fun () ->
+        let rec loop acc =
+          match Channel.pop ch with None -> acc | Some v -> loop (v :: acc)
+        in
+        loop [])
+  in
+  let poppers = [ popper (); popper () ] in
+  let closed = Atomic.make false in
+  let late = Atomic.make 0 in
+  let returned = Array.make pushers 0 in
+  let push_all p () =
+    let rec go seq =
+      Test_util.busy_us (((seq * 7) + p) mod 13);
+      if p = 0 && seq = close_at then begin
+        Channel.close ch;
+        Atomic.set closed true;
+        while Channel.length ch > 0 do
+          Domain.cpu_relax ()
+        done;
+        Test_util.busy_us 3
+      end;
+      let after_close = Atomic.get closed in
+      match Channel.push ch ((p * stride) + seq) with
+      | () ->
+        if after_close then Atomic.incr late;
+        if seq mod 16 = 15 then Thread.yield ();
+        go (seq + 1)
+      | exception Channel.Closed -> returned.(p) <- seq
+    in
+    go 0
+  in
+  List.iter Thread.join
+    (List.init pushers (fun p -> Thread.create (push_all p) ()));
+  let popped = Array.make pushers [] in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun v -> popped.(v / stride) <- (v mod stride) :: popped.(v / stride))
+        (Domain.join d))
+    poppers;
+  Alcotest.(check int) "pushes begun after close that returned" 0
+    (Atomic.get late);
+  Array.iteri
+    (fun p seqs ->
+      Alcotest.(check (list int))
+        (Printf.sprintf
+           "pusher %d: each returned push popped once, the refused one never"
+           p)
+        (List.init returned.(p) Fun.id)
+        (List.sort compare seqs))
+    popped;
+  Alcotest.(check bool) "close landed mid-run" true
+    (Array.for_all (fun n -> n > 0) returned)
+
+(* With [~capacity:2] the queue never holds more than two items, whether
+   pushes hand off or queue.  The popper pauses as long as the pushers,
+   so the queue both fills and empties. *)
+let test_channel_race_capacity () =
+  let per_pusher = 2_000 in
+  let ch = Channel.create ~capacity:2 () in
+  let over = Atomic.make 0 in
+  let check_depth () = if Channel.length ch > 2 then Atomic.incr over in
+  let popper =
+    Domain.spawn (fun () ->
+        let rec loop n =
+          match Channel.pop ch with
+          | None -> n
+          | Some _ ->
+            check_depth ();
+            Test_util.busy_us (n * 11 mod 31);
+            loop (n + 1)
+        in
+        loop 0)
+  in
+  let push_all p () =
+    for seq = 0 to per_pusher - 1 do
+      Test_util.busy_us (((seq * 13) + (p * 7)) mod 31);
+      Channel.push ch ((p * stride) + seq);
+      check_depth ()
+    done
+  in
+  List.iter Thread.join
+    (List.init pushers (fun p -> Thread.create (push_all p) ()));
+  Channel.close ch;
+  Alcotest.(check int) "items popped" (pushers * per_pusher)
+    (Domain.join popper);
+  Alcotest.(check int) "depth readings above capacity" 0 (Atomic.get over);
+  Alcotest.(check int) "queue filled to capacity, never past it" 2
+    (Channel.high_water ch)
+
 let suite =
   [ Alcotest.test_case "channel: capacity bounds depth" `Quick
       test_channel_capacity;
@@ -287,4 +436,10 @@ let suite =
     Alcotest.test_case "feed after shutdown leaks no in-flight count" `Quick
       test_feed_after_shutdown;
     Alcotest.test_case "drain/shutdown terminate under armed faults" `Quick
-      test_drain_shutdown_under_faults ]
+      test_drain_shutdown_under_faults;
+    Alcotest.test_case "channel race: per-pusher order" `Quick
+      test_channel_race_fifo;
+    Alcotest.test_case "channel race: close mid-run" `Quick
+      test_channel_race_close;
+    Alcotest.test_case "channel race: capacity holds" `Quick
+      test_channel_race_capacity ]

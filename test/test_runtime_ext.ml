@@ -109,12 +109,6 @@ let test_domains_mode_with_engine () =
 
 (* Spin-then-park hand-offs (docs/RUNTIME.md §6) ------------------------------------ *)
 
-let busy_us us =
-  let until = Metrics.now () +. (float_of_int us *. 1e-6) in
-  while Metrics.now () < until do
-    ()
-  done
-
 (* A checker whose [check] busy-waits 0–30 µs, so replies land on both
    sides of the spin bound, and which echoes each call's tag back as
    its result. *)
@@ -124,7 +118,7 @@ let echo_checker =
       (fun call ->
         (match call with
         | Api.Publish_event { payload; _ } ->
-          busy_us (int_of_string payload * 7 mod 31)
+          Test_util.busy_us (int_of_string payload * 7 mod 31)
         | _ -> ());
         Api.Allow);
     vet_result =
@@ -155,7 +149,7 @@ let test_handoff_stress () =
       let wrong = Atomic.make 0 in
       let calls ~pause first n () =
         for i = first to first + n - 1 do
-          if pause then busy_us (i * 13 mod 31);
+          if pause then Test_util.busy_us (i * 13 mod 31);
           let tag = string_of_int i in
           match ctx.App.call (Api.Publish_event { tag = "stress"; payload = tag }) with
           | Api.Payload p when p = tag -> ()

@@ -7,6 +7,14 @@ open Shield_controller
 let ip = Types.ipv4_of_string
 let mac = Types.mac_of_int
 
+(** Busy-wait [us] microseconds of the monotonic clock, holding the
+    domain. *)
+let busy_us us =
+  let until = Metrics.now () +. (float_of_int us *. 1e-6) in
+  while Metrics.now () < until do
+    ()
+  done
+
 (** A linear topology of [n] switches, one host per switch, with its
     dataplane and kernel. *)
 let linear_setup ?(hosts_per_switch = 1) n =
