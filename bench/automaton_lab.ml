@@ -88,10 +88,7 @@ let oracle (m : Perm.manifest) =
 
 let allows = function Api.Allow -> true | Api.Deny _ -> false
 
-let stateless_engine ~name m =
-  Engine.create ~record_state:false
-    ~ownership:(Ownership.create ())
-    ~app_name:name ~cookie:1 m
+let stateless_engine ~name m = Engine.create ~app_name:name m
 
 (** The three rows over one manifest, stateless. *)
 let checkers m =

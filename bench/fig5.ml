@@ -20,10 +20,7 @@ let engine_for ~complexity ~focus =
   (* Stateless checking, as the paper characterises the engine for this
      microbenchmark ("since the permission checking is stateless, we
      can easily scale out"). *)
-  Engine.create ~record_state:false
-    ~ownership:(Ownership.create ())
-    ~app_name:"fig5" ~cookie:1
-    (Perm_gen.generate ~complexity ~focus ())
+  Engine.create ~app_name:"fig5" (Perm_gen.generate ~complexity ~focus ())
 
 let test_for ~complexity ~(focus : Api_trace.focus) =
   let engine = engine_for ~complexity ~focus in

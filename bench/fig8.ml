@@ -33,14 +33,13 @@ let manifest_src = "PERM read_statistics LIMITING PORT_LEVEL OR FLOW_LEVEL"
 let latency ~shield ~apps ~calls_per_event =
   let topo = Topology.linear 4 in
   let kernel = Kernel.create (Dataplane.create topo) in
-  let ownership = Ownership.create () in
   let instances =
     List.init apps (fun i ->
         let name = Printf.sprintf "load%d" i in
         let checker =
           if shield then
             Engine.checker
-              (Engine.create ~topo ~ownership ~app_name:name ~cookie:(i + 1)
+              (Engine.create ~topo ~app_name:name
                  (Perm_parser.manifest_exn manifest_src))
           else Api.allow_all
         in

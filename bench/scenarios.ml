@@ -28,10 +28,9 @@ type handle = {
   shutdown : unit -> unit;
 }
 
-let shield_checker ~ownership ~topo name cookie manifest_src =
+let shield_checker ~topo name manifest_src =
   Engine.checker
-    (Engine.create ~topo ~ownership ~app_name:name ~cookie
-       (Perm_parser.manifest_exn manifest_src))
+    (Engine.create ~topo ~app_name:name (Perm_parser.manifest_exn manifest_src))
 
 (* Busy-spin calibration: iterations per microsecond, measured once.
    Used to emulate the per-event processing weight of a production
@@ -80,9 +79,8 @@ let l2_scenario ?(work_us = 0) ~shield ~switches () : handle =
   let l2_app = with_work ~work_us (L2_switch.app l2) in
   let mode, checker =
     if shield then
-      let ownership = Ownership.create () in
       ( Runtime.Isolated { ksd_threads = 2 },
-        shield_checker ~ownership ~topo "l2switch" 1 L2_switch.manifest_src )
+        shield_checker ~topo "l2switch" L2_switch.manifest_src )
     else (Runtime.Monolithic, Api.allow_all)
   in
   let runtime = Runtime.create ~mode kernel [ (l2_app, checker) ] in
@@ -98,12 +96,10 @@ let alto_scenario ~shield ~switches () : handle =
   let alto = Alto.create_alto () in
   let te = Alto.create_te ~max_pairs:2 () in
   let mode, alto_checker, te_checker =
-    if shield then begin
-      let ownership = Ownership.create () in
+    if shield then
       ( Runtime.Isolated { ksd_threads = 2 },
-        shield_checker ~ownership ~topo "alto" 1 Alto.alto_manifest_src,
-        shield_checker ~ownership ~topo "te" 2 Alto.te_manifest_src )
-    end
+        shield_checker ~topo "alto" Alto.alto_manifest_src,
+        shield_checker ~topo "te" Alto.te_manifest_src )
     else (Runtime.Monolithic, Api.allow_all, Api.allow_all)
   in
   let runtime =

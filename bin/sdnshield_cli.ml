@@ -241,34 +241,42 @@ let check_cmd =
             "manifest has unresolved stubs (" ^ String.concat ", " ms
             ^ "); reconcile first" )
       | [] ->
-        let engine =
-          Engine.create ~ownership:(Ownership.create ()) ~app_name:"cli"
-            ~cookie:1 manifest
+        let calls = List.map call_of_spec specs in
+        (* Specs are decided in sequence: each allowed flow-mod lands on
+           a data plane of the switches the specs name, so OWN_FLOWS and
+           MAX_RULE_COUNT see the rules earlier specs installed. *)
+        let topo = Shield_net.Topology.create () in
+        List.iter
+          (function
+            | Ok (Api.Install_flow (dpid, _)) -> Shield_net.Topology.add_switch topo dpid
+            | _ -> ())
+          calls;
+        let kernel = Kernel.create (Shield_net.Dataplane.create topo) in
+        let engine = Engine.create ~app_name:"cli" manifest in
+        Engine.bind engine kernel.Kernel.dataplane ~cookie:1;
+        let install call =
+          match call with
+          | Api.Install_flow _ -> ignore (Kernel.exec kernel ~app:"cli" ~cookie:1 call)
+          | _ -> ()
         in
         let had_error = ref false in
         List.iter
-          (fun spec ->
-            match call_of_spec spec with
+          (function
             | Error e ->
               had_error := true;
               Fmt.pr "ERROR  %s@." e
             | Ok call ->
-              if explain then begin
-                let decision, info = Engine.check_explained engine call in
-                (match decision with
-                | Api.Allow -> Fmt.pr "ALLOW  %a@." Api.pp_call call
-                | Api.Deny why ->
-                  Fmt.pr "DENY   %a  (%s)@." Api.pp_call call why);
-                match info.Api.explain with
-                | Some e -> Fmt.pr "       because: %s@." e
-                | None -> ()
-              end
-              else
-                match Engine.check engine call with
-                | Api.Allow -> Fmt.pr "ALLOW  %a@." Api.pp_call call
-                | Api.Deny why ->
-                  Fmt.pr "DENY   %a  (%s)@." Api.pp_call call why)
-          specs;
+              let decision, info =
+                if explain then Engine.check_explained engine call
+                else (Engine.check engine call, Api.no_check_info)
+              in
+              (match decision with
+              | Api.Allow ->
+                install call;
+                Fmt.pr "ALLOW  %a@." Api.pp_call call
+              | Api.Deny why -> Fmt.pr "DENY   %a  (%s)@." Api.pp_call call why);
+              Option.iter (Fmt.pr "       because: %s@.") info.Api.explain)
+          calls;
         if !had_error then `Error (false, "some call specs were invalid")
         else `Ok ())
   in

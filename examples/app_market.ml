@@ -57,14 +57,11 @@ let () =
   (* 2-4. Build engines, apply load-time checks, start the survivors. *)
   let topo = Topology.linear 3 in
   let kernel = Kernel.create (Dataplane.create topo) in
-  let ownership = Ownership.create () in
   let apps =
-    List.mapi
-      (fun i (name, uses, _) ->
+    List.map
+      (fun (name, uses, _) ->
         let final = List.assoc name report.Reconcile.manifests in
-        let engine =
-          Engine.create ~topo ~ownership ~app_name:name ~cookie:(i + 1) final
-        in
+        let engine = Engine.create ~topo ~app_name:name final in
         (App.make ~uses name, Engine.checker engine))
       catalogue
   in

@@ -48,13 +48,11 @@ let () =
   (* Permission engines: the firewall may do anything to flows; the
      router is forwarding-only — so the compiled rewrite rule it
      co-owns must be rejected on its behalf. *)
-  let ownership = Ownership.create () in
   let engines =
     [ ("firewall",
-       Engine.create ~ownership ~app_name:"firewall" ~cookie:1
-         (Perm_parser.manifest_exn "PERM insert_flow"));
+       Engine.create ~app_name:"firewall" (Perm_parser.manifest_exn "PERM insert_flow"));
       ("router",
-       Engine.create ~ownership ~app_name:"router" ~cookie:2
+       Engine.create ~app_name:"router"
          (Perm_parser.manifest_exn
             "PERM insert_flow LIMITING ACTION FORWARD OR ACTION DROP")) ]
   in

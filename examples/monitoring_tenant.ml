@@ -49,10 +49,7 @@ let () =
   let topo = Topology.linear 3 in
   let dp = Dataplane.create topo in
   let kernel = Kernel.create dp in
-  let ownership = Ownership.create () in
-  let checker_for name cookie =
-    Engine.checker (Engine.create ~topo ~ownership ~app_name:name ~cookie final)
-  in
+  let checker_for name = Engine.checker (Engine.create ~topo ~app_name:name final) in
   let monitoring = Monitoring.create ~collector_ip:(ipv4_of_string "10.1.0.5") () in
   let leaker = Attacks.info_leaker () in
   let victim = Option.get (Topology.host_by_name topo "h3") in
@@ -63,9 +60,9 @@ let () =
     Runtime.create
       ~mode:(Runtime.Isolated { ksd_threads = 2 })
       kernel
-      [ (Monitoring.app monitoring, checker_for "monitoring" 1);
-        (leaker.Attacks.app, checker_for "info_leaker" 2);
-        (hijacker.Attacks.app, checker_for "route_hijacker" 3) ]
+      [ (Monitoring.app monitoring, checker_for "monitoring");
+        (leaker.Attacks.app, checker_for "info_leaker");
+        (hijacker.Attacks.app, checker_for "route_hijacker") ]
   in
 
   (* The app's legitimate duty works... *)

@@ -26,11 +26,7 @@ let () =
   let manifest = Perm_parser.manifest_exn manifest_src in
   Fmt.pr "=== Requested manifest ===@.%a@.@." Perm.pp manifest;
 
-  let engine =
-    Engine.create
-      ~ownership:(Ownership.create ())
-      ~app_name:"quickstart" ~cookie:1 manifest
-  in
+  let engine = Engine.create ~app_name:"quickstart" manifest in
 
   let check label call =
     match Engine.check engine call with

@@ -24,7 +24,6 @@ let () =
   let topo = Topology.linear 4 in
   let dp = Dataplane.create topo in
   let kernel = Kernel.create dp in
-  let ownership = Ownership.create () in
   let vdpid = Filter_eval.virtual_big_switch_dpid in
 
   let seen_view = ref None in
@@ -53,7 +52,7 @@ let () =
   in
   let checker =
     Engine.checker
-      (Engine.create ~topo ~ownership ~app_name:"tenant" ~cookie:1
+      (Engine.create ~topo ~app_name:"tenant"
          (Perm_parser.manifest_exn tenant_manifest_src))
   in
   let rt = Runtime.create ~mode:Runtime.Monolithic kernel [ (tenant, checker) ] in

@@ -76,26 +76,25 @@ let http_pkt_in topo =
           ~nw_src:h1.Topology.ip ~nw_dst:h2.Topology.ip ~tp_src:5000 ();
       reason = Message.No_match; buffer_id = None }
 
-let engine_checker ~ownership ~topo name cookie manifest =
-  Engine.checker (Engine.create ~topo ~ownership ~app_name:name ~cookie manifest)
+let engine_checker ~topo name manifest =
+  Engine.checker (Engine.create ~topo ~app_name:name manifest)
 
 (* Scenario 1 (§VII), reconciled: the attackers posing as monitoring
    apps lose insert_flow and reach only the admin range. *)
-let scenario1_checker ~ownership ~topo name cookie =
+let scenario1_checker ~topo name =
   match
     Reconcile.run_strings ~app_name:name ~manifest_src:Monitoring.manifest_src
       ~policy_src:
         (Monitoring.policy_src ~switches:[ 1; 2; 3 ] ~admin_subnet:"10.1.0.0"
            ~admin_mask:"255.255.0.0")
   with
-  | Ok (m, _) -> engine_checker ~ownership ~topo name cookie m
+  | Ok (m, _) -> engine_checker ~topo name m
   | Error e -> failwith e
 
 (* Scenario 2 (§VII): the attackers posing as routing apps may only
    forward, and only on their own flows. *)
-let scenario2_checker ~ownership ~topo name cookie =
-  engine_checker ~ownership ~topo name cookie
-    (Perm_parser.manifest_exn Routing.manifest_src)
+let scenario2_checker ~topo name =
+  engine_checker ~topo name (Perm_parser.manifest_exn Routing.manifest_src)
 
 let mode = function
   | Sdnshield_scenario -> Runtime.Isolated { ksd_threads = 2 }
@@ -116,15 +115,14 @@ let run cls defense =
   let topo = Topology.linear 3 in
   let dataplane = Dataplane.create topo in
   let kernel = Kernel.create dataplane in
-  let ownership = Ownership.create () in
-  let attacker scenario name cookie =
+  let attacker scenario name =
     match defense with
     | No_defense | State_analysis -> Api.allow_all
     | Slicing ->
       (* Attacker and victim share the slice: the collaborative-apps
          setting Table I highlights. *)
       Defenses.slicing_checker Defenses.full_slice
-    | Sdnshield_scenario -> scenario ~ownership ~topo name cookie
+    | Sdnshield_scenario -> scenario ~topo name
   in
   (* A benign app runs under its own least-privilege manifest only
      where SDNShield is deployed. *)
@@ -132,8 +130,7 @@ let run cls defense =
     ( app,
       match defense with
       | Sdnshield_scenario ->
-        engine_checker ~ownership ~topo name 1
-          (Perm_parser.manifest_exn manifest_src)
+        engine_checker ~topo name (Perm_parser.manifest_exn manifest_src)
       | No_defense | Slicing | State_analysis -> Api.allow_all )
   in
   let h1 = host topo "h1" and h2 = host topo "h2" and h3 = host topo "h3" in
@@ -141,13 +138,13 @@ let run cls defense =
     match cls with
     | Rst_injection ->
       let atk = Attacks.rst_injector () in
-      ( [ (atk.Attacks.app, attacker scenario1_checker "rst_injector" 1) ],
+      ( [ (atk.Attacks.app, attacker scenario1_checker "rst_injector") ],
         http_pkt_in topo,
         atk.Attacks.injections_attempted,
         fun () -> Attacks.rst_delivered kernel ~app:"rst_injector" )
     | Info_leak ->
       let atk = Attacks.info_leaker () in
-      ( [ (atk.Attacks.app, attacker scenario1_checker "info_leaker" 1) ],
+      ( [ (atk.Attacks.app, attacker scenario1_checker "info_leaker") ],
         Attacks.tick_event,
         atk.Attacks.leaks_attempted,
         fun () ->
@@ -158,7 +155,7 @@ let run cls defense =
         Attacks.route_hijacker ~victim_dst_ip:h3.Topology.ip ~mitm_host:"h2" ()
       in
       ( [ benign (Routing.app (Routing.create ())) "routing" Routing.manifest_src;
-          (atk.Attacks.app, attacker scenario2_checker "route_hijacker" 2) ],
+          (atk.Attacks.app, attacker scenario2_checker "route_hijacker") ],
         Attacks.tick_event,
         atk.Attacks.rules_attempted,
         fun () -> Attacks.hijack_succeeded dataplane ~src:h1 ~dst:h3 ~mitm:h2 )
@@ -166,7 +163,7 @@ let run cls defense =
       let atk = Attacks.tunnel_app ~src_host:"h1" ~dst_host:"h3" () in
       ( [ benign (Firewall.app (Firewall.create ())) "firewall"
             Firewall.manifest_src;
-          (atk.Attacks.app, attacker scenario2_checker "tunnel_app" 2) ],
+          (atk.Attacks.app, attacker scenario2_checker "tunnel_app") ],
         Attacks.tick_event,
         atk.Attacks.rules_attempted,
         fun () -> Attacks.tunnel_succeeded dataplane ~src:h1 ~dst:h3 () )

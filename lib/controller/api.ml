@@ -153,24 +153,25 @@ type checker = {
           for the original call. *)
   vet_result : call -> result -> result;
       (** Filter the response before it reaches the app. *)
-  observe : state_change -> unit;
-      (** Notification hook the runtime calls for controller-internal
-          state changes the checker must track — currently flow
-          removals, so stateful checkers (ownership stores, rule
-          budgets) can forget rules the switch expired on its own.
-          Most checkers ignore it. *)
+  bind : Dataplane.t -> cookie:int -> unit;
+      (** Load-time hook: the runtime calls it once per hosted app,
+          before the app's first call, naming the data plane its calls
+          run against and the cookie the kernel stamps on every rule
+          the app installs.  A stateful checker answers ownership and
+          rule budgets (OWN_FLOWS, MAX_RULE_COUNT) from those flow
+          tables, the one record of who owns which rule.  Most
+          checkers ignore it. *)
   granted : capability -> bool;
       (** Load-time token-presence test: does the policy grant the
           token(s) behind this capability at all?  Used by the
           runtime's load-time access control (§VIII-B). *)
   explain : (call -> decision * check_info) option;
-      (** Explained variant of [check]: same decision (including any
-          state recording), plus provenance for traces and forensic
-          reports.  [None] means the checker cannot explain itself;
-          traced runtimes then fall back to [check] with
-          {!no_check_info}.  Implementations MUST decide exactly as
-          [check] would — the traced and untraced runtimes must be
-          behaviourally identical. *)
+      (** Explained variant of [check]: same decision, plus
+          provenance for traces and forensic reports.  [None] means
+          the checker cannot explain itself; traced runtimes then
+          fall back to [check] with {!no_check_info}.  Implementations
+          MUST decide exactly as [check] would — the traced and
+          untraced runtimes must be behaviourally identical. *)
   snapshot : (unit -> checker) option;
       (** Epoch pinning for hot-swappable checkers (docs/CHURN.md).  A
           live-update deployment republishes an app's checker while
@@ -185,9 +186,6 @@ type checker = {
           is used directly.  Implementations must be cheap (one atomic
           load): this sits on the per-call hot path. *)
 }
-
-and state_change =
-  | Flow_expired of { dpid : dpid; match_ : Match_fields.t; cookie : int }
 
 let default_combine _call = function
   | [ r ] -> r
@@ -204,7 +202,7 @@ let allow_all =
     rewrite = (fun call -> [ call ]);
     combine = default_combine;
     vet_result = (fun _ r -> r);
-    observe = (fun _ -> ());
+    bind = (fun _ ~cookie:_ -> ());
     granted = (fun _ -> true);
     explain = None;
     snapshot = None }

@@ -19,10 +19,9 @@ type app_summary = {
   denials : int;
   runtime_faults : int;
       (** Mediation-path failures attributed to this app's calls: deputy
-          barrier conversions ("ksd-exception"), crashed handlers and
-          observer faults.  High counts mark an app whose inputs keep
-          tripping the enforcement machinery — a distinct signal from
-          denials. *)
+          barrier conversions ("ksd-exception") and crashed handlers.
+          High counts mark an app whose inputs keep tripping the
+          enforcement machinery — a distinct signal from denials. *)
   net_connections : int;
   distinct_net_destinations : string list;
   packets_delivered : int;
@@ -30,15 +29,15 @@ type app_summary = {
 }
 
 (** Audit actions the fault-tolerance layer records (docs/RUNTIME.md):
-    per-request barrier conversions, app handler crashes, observer
-    faults, and deputy lifecycle events (the latter logged under the
-    pseudo-app ["<ksd>"]).  The live-update market (docs/CHURN.md)
+    per-request barrier conversions, app handler crashes and deputy
+    lifecycle events (the latter logged under the pseudo-app
+    ["<ksd>"]).  The live-update market (docs/CHURN.md)
     adds ["market-rollback"]: a lifecycle transaction that failed
     mid-swap and was rolled back to the prior epoch — the fail-closed
     denial notification the churn pipeline owes forensics. *)
 let fault_actions =
-  [ "ksd-exception"; "handler-exception"; "observer-exception";
-    "deputy-crash"; "deputy-retired"; "market-rollback" ]
+  [ "ksd-exception"; "handler-exception"; "deputy-crash"; "deputy-retired";
+    "market-rollback" ]
 
 let is_fault_entry (e : Sandbox.audit_entry) =
   List.mem e.Sandbox.action fault_actions

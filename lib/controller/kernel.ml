@@ -85,9 +85,12 @@ let punts_to_events (r : Dataplane.result) =
           reason = Message.No_match; buffer_id = None })
     r.punted
 
-(** Execute a permission-approved call on behalf of [app].  Flow-mods
-    whose cookie is unset are stamped with the app's [cookie] so that
-    ownership stays attributable. *)
+(** Execute a permission-approved call on behalf of [app].  Every
+    flow-mod is stamped with the app's [cookie], whatever cookie the app
+    set, so the flow tables record which app owns each rule.  A Delete
+    queues one flow-removed event per entry it removes; an Add that
+    replaces an identical entry queues none (OpenFlow 1.0 reports only
+    timeouts and deletes). *)
 let exec t ~app ~cookie (call : Api.call) : Api.result =
   Faults.point Faults.Kernel_exec;
   t.execs <- t.execs + 1;
@@ -96,13 +99,15 @@ let exec t ~app ~cookie (call : Api.call) : Api.result =
     match Dataplane.switch_opt t.dataplane dpid with
     | None -> Api.Failed (Printf.sprintf "unknown switch %d" dpid)
     | Some _ ->
-      let fm = if fm.Flow_mod.cookie = 0 then { fm with cookie } else fm in
-      let removed = Dataplane.apply_flow_mod t.dataplane dpid fm in
-      List.iter
-        (fun (e : Flow_table.entry) ->
-          queue_event t
-            (Events.Flow_removed { dpid; match_ = e.match_; cookie = e.cookie }))
-        removed;
+      let removed = Dataplane.apply_flow_mod t.dataplane dpid { fm with cookie } in
+      (match fm.Flow_mod.command with
+      | Flow_mod.Delete ->
+        List.iter
+          (fun (e : Flow_table.entry) ->
+            queue_event t
+              (Events.Flow_removed { dpid; match_ = e.match_; cookie = e.cookie }))
+          removed
+      | Flow_mod.Add | Flow_mod.Modify -> ());
       Api.Done)
   | Api.Read_flow_table { dpid; pattern } ->
     let req = { Stats.level = Stats.Flow_level; dpid_filter = dpid; match_filter = pattern } in

@@ -165,16 +165,16 @@ let audit_denial t inst call why =
     ~action:(Fmt.to_to_string Api.pp_call call)
     ~allowed:false ~detail:why
 
-(* "No lock survives an exception": both kernel-lock scopes release via
-   [Fun.protect], so a raising [Kernel.exec] cannot wedge every
-   subsequent call and [process_pending] behind a held [kmutex]. *)
+(* "No lock survives an exception": every kernel-lock scope releases
+   via [Mutex.protect], so a raising checker or [Kernel.exec] cannot
+   wedge every subsequent call and [process_pending] behind a held
+   [kmutex]. *)
+
+let kernel_exec t inst call =
+  Kernel.exec t.kernel ~app:inst.app.App.name ~cookie:inst.cookie call
 
 let locked_exec t inst call =
-  Mutex.lock t.kmutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.kmutex)
-    (fun () ->
-      Kernel.exec t.kernel ~app:inst.app.App.name ~cookie:inst.cookie call)
+  Mutex.protect t.kmutex (fun () -> kernel_exec t inst call)
 
 (* Epoch pinning (docs/CHURN.md): a checker that publishes [snapshot]
    is resolved once per mediated call, and all phases of that call —
@@ -228,12 +228,11 @@ let record_group t inst sc ~deputy ~t0 calls decision explain =
 
 let raised exn = Some ("exception: " ^ Printexc.to_string exn)
 
-(* The mediated call, inline or on a deputy.  A sampled call asks the
-   checker to explain its decision and records one span; a raise past
-   the check still records its span before the deputy barrier shapes
-   the reply. *)
-let checked_exec t inst ~deputy sc call : Api.result =
-  Atomic.incr t.counters.calls;
+(* The mediated call, inline or on a deputy, its rewritten calls run
+   through [exec].  A sampled call asks the checker to explain its
+   decision and records one span; a raise past the check still records
+   its span before the deputy barrier shapes the reply. *)
+let mediate t inst ~deputy sc ~exec call : Api.result =
   let ck = resolve inst.checker in
   let t0 = stamp sc in
   let decision, info =
@@ -248,7 +247,7 @@ let checked_exec t inst ~deputy sc call : Api.result =
       audit_denial t inst call why;
       Api.Denied why
     | Api.Allow ->
-      let results = List.map (locked_exec t inst) (ck.Api.rewrite call) in
+      let results = List.map exec (ck.Api.rewrite call) in
       ck.Api.vet_result call (ck.Api.combine call results)
   with
   | result ->
@@ -263,34 +262,44 @@ let checked_exec t inst ~deputy sc call : Api.result =
         ~t2:(Metrics.now ()) Trace.Failed (raised exn);
     raise exn
 
-(* An atomic call group: checked as a whole, then executed under one
-   kernel lock so no other app observes a partial transaction. *)
+(* A flow-mod's verdict reads the flow tables (OWN_FLOWS,
+   MAX_RULE_COUNT), so it is checked and executed in one hold of
+   [kmutex]: no other call changes the tables between its decision and
+   its effect.  Every other call is checked lock-free and takes the
+   lock only around each execution. *)
+let checked_exec t inst ~deputy sc call : Api.result =
+  Atomic.incr t.counters.calls;
+  match call with
+  | Api.Install_flow _ ->
+    Mutex.protect t.kmutex (fun () ->
+        mediate t inst ~deputy sc ~exec:(kernel_exec t inst) call)
+  | _ -> mediate t inst ~deputy sc ~exec:(locked_exec t inst) call
+
+(* An atomic call group: checked and executed in one hold of [kmutex],
+   so its flow-mods are decided against the tables they land in and no
+   other app observes a partial transaction.  A denied group executed
+   nothing. *)
 let checked_txn t inst ~deputy sc calls =
   ignore (Atomic.fetch_and_add t.counters.calls (List.length calls));
   let ck = resolve inst.checker in
   let t0 = stamp sc in
   match
-    match ck.Api.check_transaction calls with
-    | Ok () ->
-      Mutex.lock t.kmutex;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.kmutex)
-        (fun () ->
-          Ok
-            (List.map
-               (fun call ->
-                 let rs =
-                   List.map
-                     (fun c ->
-                       Kernel.exec t.kernel ~app:inst.app.App.name
-                         ~cookie:inst.cookie c)
-                     (ck.Api.rewrite call)
-                 in
-                 ck.Api.vet_result call (ck.Api.combine call rs))
-               calls))
-    | Error (i, why) ->
-      audit_denial t inst (List.nth calls i) why;
-      Error (i, why)
+    let r =
+      Mutex.protect t.kmutex (fun () ->
+          match ck.Api.check_transaction calls with
+          | Ok () ->
+            Ok
+              (List.map
+                 (fun call ->
+                   let rs = List.map (kernel_exec t inst) (ck.Api.rewrite call) in
+                   ck.Api.vet_result call (ck.Api.combine call rs))
+                 calls)
+          | Error _ as denied -> denied)
+    in
+    (match r with
+    | Error (i, why) -> audit_denial t inst (List.nth calls i) why
+    | Ok _ -> ());
+    r
   with
   | r ->
     (if sampled sc then
@@ -450,24 +459,6 @@ let subscribers t ev =
   let kind = Events.kind ev in
   List.filter (fun inst -> App.subscribes inst.app kind) t.instances
 
-(** Tell every checker about state changes it must track (e.g. flow
-    expirations feeding ownership stores). *)
-let notify_observers t ev =
-  match ev with
-  | Events.Flow_removed { dpid; match_; cookie } ->
-    List.iter
-      (fun inst ->
-        try inst.checker.Api.observe (Api.Flow_expired { dpid; match_; cookie })
-        with exn ->
-          (* An observer fault must not kill the dispatcher; the skipped
-             notification is recorded so stale-budget anomalies can be
-             traced back to it. *)
-          Sandbox.record_audit (sandbox t) ~app:inst.app.App.name
-            ~action:"observer-exception" ~allowed:true
-            ~detail:(Printexc.to_string exn))
-      t.instances
-  | _ -> ()
-
 (** Dispatch all events the kernel queued as side effects of API calls,
     cascading until quiescent. *)
 let rec process_pending t =
@@ -478,9 +469,7 @@ let rec process_pending t =
   | [] -> ()
   | evs ->
     List.iter
-      (fun ev ->
-        notify_observers t ev;
-        List.iter (fun inst -> dispatch_one t inst ev) (subscribers t ev))
+      (fun ev -> List.iter (fun inst -> dispatch_one t inst ev) (subscribers t ev))
       evs;
     (* The handlers ran inline and may have queued more. *)
     process_pending t
@@ -488,7 +477,6 @@ let rec process_pending t =
 (** Dispatch [ev] to its subscribers, then its cascades until
     quiescent. *)
 let feed t ev =
-  notify_observers t ev;
   List.iter (fun inst -> dispatch_one t inst ev) (subscribers t ev);
   process_pending t
 
@@ -563,7 +551,6 @@ let feed_burst t (evs : Events.t list) =
     let pres = List.map (fun inst -> (inst, pre_for inst)) t.instances in
     Array.iteri
       (fun i ev ->
-        notify_observers t ev;
         List.iter
           (fun (inst, map) ->
             if App.subscribes inst.app (Events.kind ev) then
@@ -733,6 +720,11 @@ let create ?(load_check = Skip_load_check) ?(config = default_config) ~mode
       apps
   in
   t.instances <- instances;
+  (* The one identity of an app's rules: its checker reads the flow
+     tables where the kernel stamps them with [cookie]. *)
+  List.iter
+    (fun inst -> inst.checker.Api.bind kernel.Kernel.dataplane ~cookie:inst.cookie)
+    instances;
   List.iter (fun inst -> inst.ctx <- Some (make_ctx t inst)) instances;
   (match mode with
   | Monolithic -> ()

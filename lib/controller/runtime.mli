@@ -85,9 +85,14 @@ val create :
   ?load_check:load_check -> ?config:config -> mode:mode -> Kernel.t ->
   (App.t * Api.checker) list -> t
 (** Build a runtime hosting the apps, run load-time access control
-    (default: skip), start the supervised KSD pool per [mode] with the
+    (default: skip), bind every surviving app's checker
+    ({!Api.checker.bind}) to [kernel]'s data plane and the cookie the
+    kernel stamps on the app's rules (its position among the survivors,
+    from 1), start the supervised KSD pool per [mode] with the
     fault-tolerance knobs in [config] (default {!default_config}), and
-    run every surviving app's [init] through its mediated context.  For
+    run every surviving app's [init] through its mediated context.
+    A flow-mod, and a transaction, is checked and executed in one hold
+    of the kernel lock; every other call is checked lock-free.  For
     [Isolated] it returns only once every deputy has started, and it
     registers the request queue's depth gauge in {!Metrics}
     (["queue:ksd-reqs"]), unregistered again at {!shutdown}.

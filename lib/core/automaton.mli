@@ -49,8 +49,7 @@
 
     Stateful atoms ([OWN_FLOWS], [MAX_RULE_COUNT]) are evaluated live
     through [env] on every visit — the DAG itself never goes stale
-    when the ownership store mutates, and nothing memoizes a
-    decision.
+    when the flow tables change, and nothing memoizes a decision.
 
     See docs/AUTOMATON.md for construction details, batch semantics,
     and measured comparisons against the interpreter. *)

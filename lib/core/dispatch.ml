@@ -1,11 +1,10 @@
 (* Shared check-path plumbing.
 
-   Every decision answers the same two questions before it evaluates a
-   single filter: which token does this call require, and how are the
-   stateful filter dimensions (ownership, rule budgets) answered?  This
-   module holds both, so the [Engine], its [Automaton] and the
-   [Filter_eval] oracle's callers share one call→token mapping and one
-   ownership environment instead of drifting copies. *)
+   Every decision answers the same question before it evaluates a
+   single filter: which token does this call require?  This module
+   holds the answer, so the [Engine], its [Automaton] and the
+   [Filter_eval] oracle's callers share one call→token mapping instead
+   of drifting copies. *)
 
 open Shield_openflow
 open Shield_controller
@@ -86,24 +85,3 @@ let token_index_of_call (call : Api.call) : int =
   | Api.Syscall (Api.Net_connect _) -> ix_host_network
   | Api.Syscall (Api.File_open _) -> ix_file_system
   | Api.Syscall (Api.Spawn_process _) -> ix_process_runtime
-
-let is_stateful_call = function Api.Install_flow _ -> true | _ -> false
-
-(** Answer the stateful filter dimensions from a shared ownership
-    store on behalf of the app identified by [cookie]. *)
-let env_of_ownership ~ownership ~cookie : Filter_eval.env =
-  { Filter_eval.owns_all_targeted =
-      (fun attrs ->
-        match attrs.Attrs.cookie with
-        | Some c ->
-          (* Vetting an existing entry: owned iff tagged with our
-             cookie. *)
-          c = cookie
-        | None -> (
-          match (attrs.Attrs.dpid, attrs.Attrs.match_, attrs.Attrs.flow_command)
-          with
-          | Some dpid, Some match_, Some command ->
-            Ownership.owns_all_targeted ownership ~cookie ~dpid ~command
-              ~match_
-          | _ -> true));
-    rule_count = (fun dpid -> Ownership.count ownership ~cookie ~dpid) }

@@ -2,36 +2,115 @@
 
    One engine instance guards one app.  It holds the app's reconciled
    manifest, compiled at load time into an [Automaton] decision DAG
-   that answers allow/deny for every API call, tracks the stateful
-   dimensions (ownership, rule budgets) in a store shared with the
-   other apps' engines, enforces transactional call groups with
-   rollback, translates virtual-topology calls, and vets read results
-   for visibility.  [checker] packages all of it as the controller's
+   that answers allow/deny for every API call, answers the stateful
+   dimensions (ownership, rule budgets) from the flow tables of the
+   data plane it is bound to, checks transactional call groups,
+   translates virtual-topology calls, and vets read results for
+   visibility.  [checker] packages all of it as the controller's
    pluggable [Api.checker]. *)
 
 open Shield_openflow
+open Shield_openflow.Types
 open Shield_net
 open Shield_controller
 
+(* What the stateful atoms read.  The ownership filter "keeps track of
+   the issuers of all the existing flows" (§IV-B); here the flows are
+   that record: the kernel stamps every rule with its issuer's cookie,
+   so the bound data plane's tables answer OWN_FLOWS and
+   MAX_RULE_COUNT, and no check records anything. *)
+type tables = {
+  mutable bound : binding option;
+      (** Set by {!bind}.  [None]: an empty network, with no cookie of
+          its own. *)
+  mutable scratch : (dpid * Flow_table.t) list;
+      (** A transaction's copies of the switches it has touched, read in
+          front of the bound tables; empty outside
+          {!check_transaction}. *)
+}
+
+and binding = { dataplane : Dataplane.t; cookie : int }
+
 type t = {
-  cookie : int;
   manifest : Perm.manifest;
-  ownership : Ownership.t;
   vtopo : Vtopo.t option;
-  record_state : bool;
-      (** When false, approved flow-mods are not recorded in the
-          ownership store: pure stateless checking, as the paper
-          characterises the permission engine for its Figure-5
-          microbenchmark. *)
+  tables : tables;
   env : Filter_eval.env;
   automaton : Automaton.t;
       (** The manifest compiled once, at load time, into a decision
           DAG over [env]: every token decision goes through it. *)
-  mutex : Mutex.t;  (** Guards stateful check/record sequences. *)
   confined : int Atomic.t;
       (** Calls denied by virtual-topology confinement, which the
           automaton never sees; bumped on lock-free check paths. *)
 }
+
+(* The stateful environment --------------------------------------------------- *)
+
+(* [dpid]'s table as a check sees it: the transaction's scratch copy if
+   it has one, else the bound switch's. *)
+let table_at tables (b : binding) dpid =
+  match List.assoc_opt dpid tables.scratch with
+  | Some _ as copy -> copy
+  | None -> (
+    match Dataplane.switch_opt b.dataplane dpid with
+    | Some sw -> Some sw.Switch.table
+    | None -> None)
+
+(* The OWN_FLOWS test on one table: an Add must not overlap another
+   app's rule (the anti-shadowing, anti-tunnel property of §VII
+   Scenario 2); a Modify or Delete must target only the app's own. *)
+let owns_all table ~cookie ~(command : Flow_mod.command) ~match_ =
+  let foreign (e : Flow_table.entry) =
+    e.cookie <> cookie
+    &&
+    match command with
+    | Flow_mod.Add -> Match_fields.compatible e.match_ match_
+    | Flow_mod.Modify | Flow_mod.Delete ->
+      Match_fields.subsumes ~outer:match_ ~inner:e.match_
+  in
+  Flow_table.fold (fun e ok -> ok && not (foreign e)) table true
+
+let count table ~cookie =
+  Flow_table.fold
+    (fun (e : Flow_table.entry) n -> if e.cookie = cookie then n + 1 else n)
+    table 0
+
+(* A call on a virtual big switch has no table to read, so under a
+   virtual topology the stateful atoms deny; an entry being vetted is
+   physical and carries its owner's cookie either way. *)
+let env_of ~virtual_ tables : Filter_eval.env =
+  { Filter_eval.owns_all_targeted =
+      (fun attrs ->
+        match (attrs.Attrs.cookie, tables.bound) with
+        | Some c, Some b -> c = b.cookie
+        | Some _, None -> false
+        | None, _ when virtual_ -> false
+        | None, None -> true
+        | None, Some b -> (
+          match (attrs.Attrs.dpid, attrs.Attrs.match_, attrs.Attrs.flow_command) with
+          | Some dpid, Some match_, Some command -> (
+            match table_at tables b dpid with
+            | Some table -> owns_all table ~cookie:b.cookie ~command ~match_
+            | None -> true)
+          | _ -> true));
+    rule_count =
+      (fun dpid ->
+        match tables.bound with
+        | _ when virtual_ -> max_int
+        | None -> 0
+        | Some b -> (
+          match dpid with
+          | Some d -> (
+            match table_at tables b d with
+            | Some table -> count table ~cookie:b.cookie
+            | None -> 0)
+          | None ->
+            Hashtbl.fold
+              (fun d _ n ->
+                match table_at tables b d with
+                | Some table -> n + count table ~cookie:b.cookie
+                | None -> n)
+              b.dataplane.Dataplane.switches 0)) }
 
 (* Manifest compilation ----------------------------------------------------- *)
 
@@ -59,12 +138,10 @@ let find_virt_members (manifest : Perm.manifest) =
              | _ -> acc)
            Filter.Int_set.empty p.Perm.filter)
 
-(** Build an engine for [app_name].  [ownership] must be shared across
-    all engines of one deployment; [topo] enables virtual-topology
+(** Build an engine for [app_name].  [topo] enables virtual-topology
     translation when the manifest requests it.  Manifests containing
     unexpanded macros are rejected: reconciliation must run first. *)
-let create ?topo ?(record_state = true) ~ownership ~app_name ~cookie
-    (manifest : Perm.manifest) : t =
+let create ?topo ~app_name (manifest : Perm.manifest) : t =
   (match Perm.macros manifest with
   | [] -> ()
   | ms ->
@@ -82,10 +159,15 @@ let create ?topo ?(record_state = true) ~ownership ~app_name ~cookie
            app_name)
     | None, _ -> None
   in
-  let env = Dispatch.env_of_ownership ~ownership ~cookie in
-  { cookie; manifest; ownership; vtopo; record_state; env;
+  let tables = { bound = None; scratch = [] } in
+  let env = env_of ~virtual_:(vtopo <> None) tables in
+  { manifest; vtopo; tables; env;
     automaton = Automaton.of_manifest ~env manifest;
-    mutex = Mutex.create (); confined = Atomic.make 0 }
+    confined = Atomic.make 0 }
+
+(** Bind the engine to the data plane its calls run against, and the
+    cookie its app's rules carry there. *)
+let bind t dataplane ~cookie = t.tables.bound <- Some { dataplane; cookie }
 
 (* Token resolution --------------------------------------------------------- *)
 
@@ -97,15 +179,7 @@ let token_of_call = Dispatch.token_of_call
 (* Checking ------------------------------------------------------------------
 
    The automaton decides every token; the engine adds what the
-   automaton does not do: virtual-topology confinement in front, and
-   ownership recording behind an approved flow-mod. *)
-
-let record_state t (call : Api.call) =
-  if t.record_state then
-    match call with
-    | Api.Install_flow (dpid, fm) ->
-      Ownership.record t.ownership ~dpid fm ~cookie:t.cookie
-    | _ -> ()
+   automaton does not do: virtual-topology confinement in front. *)
 
 (** When a virtual topology is active, the app's entire view is the
     big switch: any call addressing a physical datapath directly is
@@ -133,78 +207,61 @@ let confine t r =
   Atomic.incr t.confined;
   r
 
-let check_unlocked t call =
-  if escapes_vtopo t call then confine t confinement_denial
-  else begin
-    let d = Automaton.check t.automaton call in
-    (match d with Api.Allow -> record_state t call | Api.Deny _ -> ());
-    d
-  end
-
-let check_explained_unlocked t call =
-  if escapes_vtopo t call then
-    confine t (confinement_denial, confinement_info)
-  else begin
-    let ((d, _) as r) = Automaton.check_explained t.automaton call in
-    (match d with Api.Allow -> record_state t call | Api.Deny _ -> ());
-    r
-  end
-
-(** Check one call; approved flow-mods update the ownership store.  The
-    lock serializes the check-then-record sequence of stateful calls;
-    with [record_state:false] there is no record step to keep atomic,
-    so pure checking runs lock-free. *)
+(** Check one call.  A flow-mod's verdict reads the bound tables, so a
+    caller that executes it must hold those tables still from check to
+    execution, as the runtime does under its kernel lock. *)
 let check t call =
-  if t.record_state && Dispatch.is_stateful_call call then begin
-    Mutex.lock t.mutex;
-    let d = check_unlocked t call in
-    Mutex.unlock t.mutex;
-    d
-  end
-  else check_unlocked t call
+  if escapes_vtopo t call then confine t confinement_denial
+  else Automaton.check t.automaton call
 
 (** Batched checking: one verdict per call, in order, each decided as
-    {!check} would at that position.  A burst with nothing to confine
-    or record goes through {!Automaton.check_batch} in one pass;
-    otherwise each element takes the ordinary {!check} path. *)
+    {!check} would at that position.  Without a virtual topology the
+    burst goes through {!Automaton.check_batch} in one pass; with one,
+    each element takes the ordinary {!check} path. *)
 let check_batch t (calls : Api.call array) : Api.decision array =
-  if
-    t.vtopo = None
-    && not (t.record_state && Array.exists Dispatch.is_stateful_call calls)
-  then Automaton.check_batch t.automaton calls
+  if t.vtopo = None then Automaton.check_batch t.automaton calls
   else Array.map (check t) calls
 
-(** Transactional check (§VI-B2): every call in the group must pass;
-    state updates from earlier calls in the group are visible to later
-    ones and roll back entirely when any call is denied. *)
+(* Apply an allowed flow-mod of a transaction to a scratch copy of its
+   switch, stamped as the kernel will stamp it, so the group's later
+   calls see it.  [Flow_table.apply] is the one place the replace and
+   subsume rules live.  A switch the data plane lacks gets no copy: the
+   kernel will refuse the flow-mod, so nothing lands there. *)
+let stage t (call : Api.call) =
+  match (call, t.tables.bound) with
+  | Api.Install_flow (dpid, fm), Some b -> (
+    (match Dataplane.switch_opt b.dataplane dpid with
+    | Some sw when not (List.mem_assoc dpid t.tables.scratch) ->
+      t.tables.scratch <- (dpid, Flow_table.copy sw.Switch.table) :: t.tables.scratch
+    | _ -> ());
+    match List.assoc_opt dpid t.tables.scratch with
+    | Some copy -> ignore (Flow_table.apply copy { fm with cookie = b.cookie })
+    | None -> ())
+  | _ -> ()
+
+(** Transactional check (§VI-B2): every call in the group must pass,
+    and each later call sees the earlier calls' flow-mods.  Nothing is
+    executed here, so a denied group has nothing to undo; the scratch
+    copies are dropped either way. *)
 let check_transaction t (calls : Api.call list) :
     (unit, int * string) Stdlib.result =
-  Mutex.lock t.mutex;
-  let snap = Ownership.snapshot t.ownership in
   let rec go i = function
     | [] -> Ok ()
     | call :: rest -> (
-      match check_unlocked t call with
-      | Api.Allow -> go (i + 1) rest
-      | Api.Deny why ->
-        Ownership.restore t.ownership snap;
-        Error (i, why))
+      match check t call with
+      | Api.Allow ->
+        stage t call;
+        go (i + 1) rest
+      | Api.Deny why -> Error (i, why))
   in
-  let r = go 0 calls in
-  Mutex.unlock t.mutex;
-  r
+  Fun.protect ~finally:(fun () -> t.tables.scratch <- []) (fun () -> go 0 calls)
 
-(** {!check} with provenance: the same decision (including ownership
-    recording and counters) plus a prose account of the deciding token
-    and filter clause, read off the same automaton walk. *)
+(** {!check} with provenance: the same decision (and counters) plus a
+    prose account of the deciding token and filter clause, read off
+    the same automaton walk. *)
 let check_explained t call =
-  if t.record_state && Dispatch.is_stateful_call call then begin
-    Mutex.lock t.mutex;
-    let r = check_explained_unlocked t call in
-    Mutex.unlock t.mutex;
-    r
-  end
-  else check_explained_unlocked t call
+  if escapes_vtopo t call then confine t (confinement_denial, confinement_info)
+  else Automaton.check_explained t.automaton call
 
 (* Virtual-topology call translation ---------------------------------------- *)
 
@@ -352,13 +409,6 @@ let vet_result t (call : Api.call) (result : Api.result) : Api.result =
 
 (* Packaging ----------------------------------------------------------------- *)
 
-(** React to controller state changes: a switch-expired rule leaves the
-    ownership store so OWN_FLOWS / MAX_RULE_COUNT reflect reality. *)
-let observe t (change : Api.state_change) =
-  match change with
-  | Api.Flow_expired { dpid; match_; cookie } ->
-    Ownership.forget t.ownership ~dpid ~match_ ~cookie
-
 (** Load-time capability test (§VIII-B): is the token behind the
     capability granted at all, whatever its filters? *)
 let granted t (cap : Api.capability) : bool =
@@ -383,7 +433,7 @@ let checker (t : t) : Api.checker =
     rewrite = (fun call -> rewrite t call);
     combine = (fun call results -> merge_results call results);
     vet_result = (fun call result -> vet_result t call result);
-    observe = (fun change -> observe t change);
+    bind = (fun dataplane ~cookie -> bind t dataplane ~cookie);
     granted = (fun cap -> granted t cap);
     explain = Some (fun call -> check_explained t call);
     snapshot = None }

@@ -48,7 +48,6 @@ type t = {
   sdeps : (Policy.stmt * deps) list;  (* policy order, one entry per stmt *)
   limits : Budget.limits option;
   topo : Topology.t option;
-  ownership : Ownership.t;
   mutex : Mutex.t;  (* serializes transactions; readers never take it *)
   epoch_counter : int Atomic.t;
   slots : (string * slot Atomic.t) list Atomic.t;
@@ -58,10 +57,10 @@ type t = {
   mutable originals : (string * Perm.manifest) list;
       (* Vetted pre-reconciliation manifests of the live apps — the
          inputs whole-policy reconciliation restarts from. *)
-  mutable cookies : (string * int) list;
-      (* Stable per-app engine cookies: an upgrade (or reinstall)
-         keeps the app's cookie so its ownership records survive. *)
-  mutable next_cookie : int;
+  mutable bindings : (string * (Dataplane.t * int)) list;
+      (* Per app name, the data plane and cookie a runtime bound its
+         checker to: every engine republished for the app is bound the
+         same way, so its installed rules keep counting. *)
   delta_runs : int Atomic.t;
   full_runs : int Atomic.t;
 }
@@ -144,11 +143,10 @@ let create ?limits ?topo ~policy () : (t, string) result =
   | Vetting.Admitted policy | Vetting.Degraded (policy, _) ->
     Ok
       (let t =
-         { policy; sdeps = analyze policy; limits; topo; ownership = Ownership.create ();
+         { policy; sdeps = analyze policy; limits; topo;
            mutex = Mutex.create (); epoch_counter = Atomic.make 0;
-           slots = Atomic.make []; originals = []; cookies = [];
-           next_cookie = 1; delta_runs = Atomic.make 0;
-           full_runs = Atomic.make 0 }
+           slots = Atomic.make []; originals = []; bindings = [];
+           delta_runs = Atomic.make 0; full_runs = Atomic.make 0 }
        in
        register_metrics t;
        t)
@@ -188,8 +186,6 @@ let apps t =
     (Atomic.get t.slots)
   |> List.sort compare
 
-let ownership t = t.ownership
-
 let reconcile_counts t = (Atomic.get t.delta_runs, Atomic.get t.full_runs)
 
 (* The fail-closed checker an [Absent] slot resolves to. *)
@@ -203,6 +199,16 @@ let absent_checker reason =
 let pinned = function
   | Active r -> r.checker
   | Absent { reason; _ } -> absent_checker reason
+
+(* Record an app's binding and bind its published engine.  Under the
+   transaction mutex, so a concurrent commit either compiles with the
+   binding or publishes before it and is bound here. *)
+let bind t app cell dataplane ~cookie =
+  Mutex.protect t.mutex (fun () ->
+      t.bindings <- (app, (dataplane, cookie)) :: List.remove_assoc app t.bindings;
+      match Atomic.get cell with
+      | Active r -> Engine.bind r.engine dataplane ~cookie
+      | Absent _ -> ())
 
 let checker t app : Api.checker =
   let cell = slot_cell t app in
@@ -219,7 +225,7 @@ let checker t app : Api.checker =
     rewrite = (fun call -> (resolve ()).Api.rewrite call);
     combine = (fun call results -> (resolve ()).Api.combine call results);
     vet_result = (fun call r -> (resolve ()).Api.vet_result call r);
-    observe = (fun change -> (resolve ()).Api.observe change);
+    bind = bind t app cell;
     granted = (fun cap -> (resolve ()).Api.granted cap);
     explain =
       Some
@@ -263,15 +269,6 @@ let published t =
       | Active r -> Some (name, r.manifest)
       | Absent _ -> None)
     (Atomic.get t.slots)
-
-let cookie_for t name =
-  match List.assoc_opt name t.cookies with
-  | Some c -> c
-  | None ->
-    let c = t.next_cookie in
-    t.next_cookie <- c + 1;
-    t.cookies <- (name, c) :: t.cookies;
-    c
 
 (* The reconcile stage.  [changed] is the app being installed/upgraded
    ([Some (app, manifest)]) or revoked ([None]); [app] names it either
@@ -369,10 +366,10 @@ let compile_stage t ~next_epoch to_publish () =
   List.map
     (fun (name, manifest) ->
       Faults.point Faults.Swap_compile;
-      let engine =
-        Engine.create ?topo:t.topo ~ownership:t.ownership ~app_name:name
-          ~cookie:(cookie_for t name) manifest
-      in
+      let engine = Engine.create ?topo:t.topo ~app_name:name manifest in
+      (match List.assoc_opt name t.bindings with
+      | Some (dataplane, cookie) -> Engine.bind engine dataplane ~cookie
+      | None -> ());
       ( name,
         Active
           { epoch = next_epoch; app = name; manifest; engine;

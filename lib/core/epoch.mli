@@ -38,8 +38,8 @@ type record = {
   app : string;
   manifest : Perm.manifest;  (** Reconciled, macro-free. *)
   engine : Engine.t;
-      (** Compiled checker: the manifest's {!Automaton} decision DAG
-          and its ownership wiring. *)
+      (** Compiled checker: the manifest's {!Automaton} decision DAG,
+          bound to the app's data plane once a runtime hosts it. *)
   checker : Api.checker;  (** [Engine.checker engine], epoch-pinned. *)
 }
 
@@ -95,16 +95,15 @@ val checker : t -> string -> Api.checker
     entirely on that record; its [snapshot] field exposes the same
     resolution so the runtime can pin a whole mediated call to one
     epoch.  While the app is absent or revoked the resolved checker
-    denies everything. *)
+    denies everything.  Its [bind] is kept per app name: the published
+    engine and every engine republished for the app later read the
+    bound data plane's tables. *)
 
 val epoch : t -> int
 (** Current global epoch (0 before the first commit). *)
 
 val apps : t -> (string * int) list
 (** Live apps with the epoch each was last published at. *)
-
-val ownership : t -> Ownership.t
-(** The deployment-wide ownership store shared by all engines. *)
 
 val reconcile_counts : t -> int * int
 (** (delta runs, full runs) — full includes delta fallbacks. *)

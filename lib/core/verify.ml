@@ -353,8 +353,7 @@ let expected_decision (m : Perm.manifest) (call : Api.call) : bool =
    [verify] degrades it to an empty, disagreeing cross-check. *)
 let build_engine notes (m : Perm.manifest) : Engine.t option =
   match
-    Engine.create ~record_state:false ~ownership:(Ownership.create ())
-      ~app_name:"verify" ~cookie:1 m
+    Engine.create ~app_name:"verify" m
   with
   | e -> Some e
   | exception Invalid_argument msg ->

@@ -163,6 +163,28 @@ let all_slots t =
 
 let entries t = in_table_order (all_slots t)
 
+let fold f t acc =
+  List.fold_left
+    (fun acc g ->
+      Buckets.fold
+        (fun _ slots acc -> List.fold_left (fun acc s -> f s.entry acc) acc slots)
+        g.buckets acc)
+    acc t.groups
+
+(* Entries are copied with their slots: counters are mutable. *)
+let copy t =
+  let copy_slot s =
+    { s with entry = { s.entry with packet_count = s.entry.packet_count } }
+  in
+  let copy_group g =
+    let buckets = Buckets.create (Buckets.length g.buckets) in
+    Buckets.iter
+      (fun k slots -> Buckets.replace buckets k (List.map copy_slot slots))
+      g.buckets;
+    { g with buckets }
+  in
+  { t with groups = List.map copy_group t.groups }
+
 (* Updates ---------------------------------------------------------------- *)
 
 let same_rule (e : entry) ~match_ ~priority =

@@ -26,6 +26,13 @@ val entries : t -> entry list
 (** All entries, by decreasing priority; equal priorities in install
     order. *)
 
+val fold : (entry -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over all entries in no particular order, building no list. *)
+
+val copy : t -> t
+(** An independent table with the same entries, clock and install
+    order: flow-mods applied to either leave the other unchanged. *)
+
 val tick : t -> unit
 (** Advance the logical clock. *)
 

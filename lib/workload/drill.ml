@@ -202,10 +202,7 @@ let calls_runtime ?trace ?health ~mode ~tag () =
       tag
   in
   let engine =
-    Engine.create
-      ~ownership:(Ownership.create ())
-      ~app_name:tag ~cookie:1
-      (Perm_parser.manifest_exn calls_manifest)
+    Engine.create ~app_name:tag (Perm_parser.manifest_exn calls_manifest)
   in
   let config = { Runtime.default_config with Runtime.trace; health } in
   Runtime.create ~config ~mode (linear_kernel ()) [ (app, Engine.checker engine) ]

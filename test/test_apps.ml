@@ -152,13 +152,12 @@ let test_apps_work_under_own_manifests () =
   (* Each benign app, run under its *declared* manifest instead of
      allow-all, must still function: the least-privilege manifests are
      sufficient. *)
-  let ownership = Sdnshield.Ownership.create () in
   let topo = Topology.linear 3 in
   let dp = Dataplane.create topo in
   let kernel = Kernel.create dp in
   let l2 = L2_switch.create () in
   let mon = Monitoring.create ~collector_ip:(ipv4_of_string "10.1.0.5") () in
-  let mk name src = Test_util.checker_of ~ownership ~topo ~name ~cookie:0 src in
+  let mk name src = Test_util.checker_of ~topo ~name src in
   (* Monitoring's shipped manifest has stubs; reconcile first, as the
      deployment flow prescribes. *)
   let mon_manifest =
@@ -173,8 +172,7 @@ let test_apps_work_under_own_manifests () =
     | Error e -> Alcotest.fail e
   in
   let mon_engine =
-    Sdnshield.Engine.create ~topo ~ownership ~app_name:"monitoring" ~cookie:2
-      mon_manifest
+    Sdnshield.Engine.create ~topo ~app_name:"monitoring" mon_manifest
   in
   let rt =
     Runtime.create ~mode:Runtime.Monolithic kernel

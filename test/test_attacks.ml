@@ -39,11 +39,9 @@ let test_rst_injection_blocked_by_pkt_out_filter () =
      arbitrary packets when its send_pkt_out is limited to replays
      (FROM_PKT_IN) — the L2-switch least-privilege manifest. *)
   let atk = Attacks.rst_injector () in
-  let ownership = Sdnshield.Ownership.create () in
   let topo, _dp, kernel = Test_util.linear_setup 3 in
   let checker =
-    Test_util.checker_of ~ownership ~topo ~name:"rst_injector" ~cookie:1
-      L2_switch.manifest_src
+    Test_util.checker_of ~topo ~name:"rst_injector" L2_switch.manifest_src
   in
   let rt = Runtime.create ~mode:Runtime.Monolithic kernel [ (atk.Attacks.app, checker) ] in
   Runtime.feed_sync rt (Threats.http_pkt_in topo);

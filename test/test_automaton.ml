@@ -2,11 +2,12 @@
    must agree exactly with the [Filter_eval] oracle: stateless
    decisions over random manifests × calls, batched vs. one-at-a-time
    verdicts, stateful (ownership/rule-budget) manifests under random
-   insert/delete sequences with recording on, and the leaf-mapped
+   insert/delete sequences on a bound data plane, and the leaf-mapped
    explanations against [Filter_eval.explain]'s wording. *)
 
 open Shield_openflow
 open Shield_openflow.Types
+open Shield_net
 open Shield_controller
 open Shield_workload
 open Sdnshield
@@ -34,9 +35,7 @@ let allows = function Api.Allow -> true | Api.Deny _ -> false
    decide as the oracle on stateless checking. *)
 let oracle_agree m call =
   let engine =
-    Engine.create ~record_state:false
-      ~ownership:(Ownership.create ())
-      ~app_name:"cmp" ~cookie:1 m
+    Engine.create ~app_name:"cmp" m
   in
   let automaton = Automaton.of_manifest m in
   let want = oracle_allows m call in
@@ -134,20 +133,19 @@ let test_priority_interval () =
         (allows (Automaton.check a (insert p)) = oracle_allows m (insert p)))
     [ 0; 99; 100; 50000; 50001; 60000; 65535 ]
 
-(* Stateful manifests: ownership and rule budgets are read live through
-   the environment, interleaved with mutations the engine records. *)
+(* Stateful manifests: ownership and rule budgets are read live
+   through the environment from the bound data plane's flow tables,
+   interleaved with the flow-mods executed there. *)
 let test_stateful_ownership () =
-  let ownership = Ownership.create () in
   let m =
     manifest
       "PERM insert_flow LIMITING OWN_FLOWS AND MAX_RULE_COUNT 2\n\
        PERM delete_flow LIMITING OWN_FLOWS"
   in
-  let engine =
-    Engine.create ~ownership ~app_name:"alice" ~cookie:1 m
-    (* record_state defaults to true: approvals mutate the store *)
-  in
-  let env = Dispatch.env_of_ownership ~ownership ~cookie:1 in
+  let kernel = Kernel.create (Dataplane.create (Topology.linear 1)) in
+  let engine = Engine.create ~app_name:"alice" m in
+  Engine.bind engine kernel.Kernel.dataplane ~cookie:1;
+  let twin = Serial_model.create [ 1 ] in
   let insert nw_dst =
     Api.Install_flow
       ( 1,
@@ -165,11 +163,16 @@ let test_stateful_ownership () =
           ~match_:(Match_fields.make ~nw_dst:(Match_fields.exact_ip (ip nw_dst)) ())
           () )
   in
-  (* Ask the oracle first at each step, against the same pre-state the
-     engine's check-then-record will see. *)
+  let exec ~cookie call =
+    ignore (Kernel.exec kernel ~app:"test" ~cookie call);
+    Serial_model.exec twin ~cookie call
+  in
+  (* The oracle and the engine decide against the same tables; an
+     allowed call then executes on both. *)
   let agree label call =
-    let want = oracle_allows ~env m call in
-    Alcotest.(check bool) label want (allows (Engine.check engine call))
+    let want = Serial_model.allows twin ~cookie:1 m call in
+    Alcotest.(check bool) label want (allows (Engine.check engine call));
+    if want then exec ~cookie:1 call
   in
   agree "first insert" (insert "10.0.0.1");
   agree "second insert" (insert "10.0.0.2");
@@ -179,11 +182,12 @@ let test_stateful_ownership () =
   | Api.Allow -> Alcotest.fail "rule budget exceeded: engine must deny");
   agree "third insert over budget" (insert "10.0.0.3");
   (* A foreign rule appears: deleting it violates OWN_FLOWS for both. *)
-  Ownership.record ownership ~dpid:1
-    (Flow_mod.add ~priority:5 ~cookie:2
-       ~match_:(Match_fields.make ~nw_dst:(Match_fields.exact_ip (ip "10.9.9.9")) ())
-       ~actions:[] ())
-    ~cookie:2;
+  exec ~cookie:2
+    (Api.Install_flow
+       ( 1,
+         Flow_mod.add ~priority:5
+           ~match_:(Match_fields.make ~nw_dst:(Match_fields.exact_ip (ip "10.9.9.9")) ())
+           ~actions:[] () ));
   agree "delete own flow" (delete "10.0.0.1");
   agree "delete foreign flow" (delete "10.9.9.9")
 
@@ -208,9 +212,7 @@ let test_batch_matches_single_on_trace () =
     (Automaton.stats a1 = Automaton.stats a2);
   (* The engine's batched entry point. *)
   let e =
-    Engine.create ~record_state:false
-      ~ownership:(Ownership.create ())
-      ~app_name:"batch" ~cookie:1 m
+    Engine.create ~app_name:"batch" m
   in
   let via_engine = Engine.check_batch e calls in
   Array.iteri
@@ -238,9 +240,7 @@ let oracle_explain m call =
 
 let explanations_agree m call =
   let engine =
-    Engine.create ~record_state:false
-      ~ownership:(Ownership.create ())
-      ~app_name:"exp" ~cookie:1 m
+    Engine.create ~app_name:"exp" m
   in
   let a = Automaton.of_manifest m in
   let want = (oracle_allows m call, Some (oracle_explain m call)) in
@@ -380,12 +380,12 @@ let test_explanation_text () =
 
 (* Stateful oracle ---------------------------------------------------------
 
-   An engine with recording on against a reference that decides with
-   [Filter_eval.eval] over [Dispatch.env_of_ownership] on a twin
-   [Ownership] store and records on allow.  Manifests mix OWN_FLOWS
-   and MAX_RULE_COUNT atoms into random filters; call sequences mix
+   An engine bound to a data plane against the serial model
+   (serial_model.ml): [Filter_eval.eval] over twin reference tables.
+   Every allowed call executes on both.  Manifests mix OWN_FLOWS and
+   MAX_RULE_COUNT atoms into random filters; call sequences mix
    inserts, exact and subnet-wide deletes, and rules another app
-   installs behind both stores' backs. *)
+   installs. *)
 
 type op =
   | Insert of { dpid : int; dst : int; priority : int }
@@ -465,38 +465,46 @@ let stateful_arb =
 (* Replay [ops]; each call goes through [Engine.check],
    [Engine.check_explained] or [Engine.check_batch] as [via] picks. *)
 let stateful_agree (m, ops, via) =
-  let own = Ownership.create () and twin = Ownership.create () in
-  let engine = Engine.create ~ownership:own ~app_name:"sut" ~cookie:1 m in
-  let env = Dispatch.env_of_ownership ~ownership:twin ~cookie:1 in
+  let kernel = Kernel.create (Dataplane.create (Topology.linear 2)) in
+  let engine = Engine.create ~app_name:"sut" m in
+  Engine.bind engine kernel.Kernel.dataplane ~cookie:1;
+  let twin = Serial_model.create [ 1; 2 ] in
+  let exec ~cookie call =
+    ignore (Kernel.exec kernel ~app:"test" ~cookie call);
+    Serial_model.exec twin ~cookie call
+  in
   let decide i call =
     match List.nth via i with
     | 0 -> Engine.check engine call
     | 1 -> fst (Engine.check_explained engine call)
     | _ -> (Engine.check_batch engine [| call |]).(0)
   in
-  let rules o = List.sort compare (Ownership.all_rules o) in
+  let rules dpid =
+    List.map
+      (fun (e : Flow_table.entry) -> (e.match_, e.priority, e.cookie))
+      (Flow_table.entries (Dataplane.switch kernel.Kernel.dataplane dpid).Switch.table)
+  and twin_rules dpid =
+    List.map
+      (fun (e : Flow_table_ref.entry) -> (e.match_, e.priority, e.cookie))
+      (Serial_model.entries twin dpid)
+  in
   List.for_all Fun.id
     (List.mapi
        (fun i op ->
          match (op, call_of_op op) with
          | Foreign { dpid; dst }, _ ->
-           List.iter
-             (fun o ->
-               Ownership.record o ~dpid
-                 (Flow_mod.add ~priority:5 ~match_:(dst_match (Some dst))
-                    ~actions:[] ())
-                 ~cookie:2)
-             [ own; twin ];
+           exec ~cookie:2
+             (Api.Install_flow
+                ( dpid,
+                  Flow_mod.add ~priority:5 ~match_:(dst_match (Some dst))
+                    ~actions:[] () ));
            true
          | _, None -> true
          | _, Some call ->
-           let want = oracle_allows ~env m call in
-           (if want then
-              match call with
-              | Api.Install_flow (dpid, fm) ->
-                Ownership.record twin ~dpid fm ~cookie:1
-              | _ -> ());
-           allows (decide i call) = want && rules own = rules twin)
+           let want = Serial_model.allows twin ~cookie:1 m call in
+           let got = allows (decide i call) in
+           if want then exec ~cookie:1 call;
+           got = want && rules 1 = twin_rules 1 && rules 2 = twin_rules 2)
        ops)
 
 (* Property suites ----------------------------------------------------------- *)
@@ -530,8 +538,8 @@ let suite =
       test_explanation_text ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qsuite
 
-(* The engine against the [Filter_eval] oracle, stateless and with
-   ownership recording on. *)
+(* The engine against the [Filter_eval] oracle, stateless and bound to
+   a data plane. *)
 let oracle_suite =
   List.map
     (QCheck_alcotest.to_alcotest ~long:false)

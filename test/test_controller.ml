@@ -148,7 +148,7 @@ let test_kernel_install_and_read () =
   | r -> Alcotest.failf "install failed: %a" Api.pp_result r);
   match Kernel.exec k ~app:"a" ~cookie:7 (Api.Read_flow_table { dpid = Some 1; pattern = None }) with
   | Api.Flow_entries [ (1, [ fs ]) ] ->
-    (* Unset cookies are stamped with the app's cookie. *)
+    (* Every flow-mod is stamped with the app's cookie. *)
     Alcotest.(check int) "cookie stamped" 7 fs.Stats.cookie
   | r -> Alcotest.failf "unexpected read result: %a" Api.pp_result r
 
@@ -192,6 +192,26 @@ let test_kernel_flow_removed_event () =
   match Kernel.take_pending k with
   | [ Events.Flow_removed { cookie; _ } ] -> Alcotest.(check int) "victim cookie" 3 cookie
   | evs -> Alcotest.failf "expected flow-removed, got %d events" (List.length evs)
+
+(* OpenFlow 1.0 reports a rule's removal on a timeout or a delete only:
+   an Add that replaces an identical entry queues nothing, and a Delete
+   queues one event per entry it removes. *)
+let test_kernel_reinstall_queues_nothing () =
+  let _topo, _dp, k = kernel_setup 1 in
+  let add tp_dst =
+    Api.Install_flow
+      (1, Flow_mod.add ~match_:(Match_fields.make ~tp_dst ()) ~actions:[] ())
+  in
+  ignore (Kernel.exec k ~app:"a" ~cookie:3 (add 80));
+  ignore (Kernel.exec k ~app:"a" ~cookie:3 (add 81));
+  ignore (Kernel.exec k ~app:"a" ~cookie:3 (add 80));
+  Alcotest.(check int) "a re-install queues no event" 0
+    (List.length (Kernel.take_pending k));
+  ignore
+    (Kernel.exec k ~app:"a" ~cookie:3
+       (Api.Install_flow (1, Flow_mod.delete ~match_:Match_fields.wildcard_all ())));
+  Alcotest.(check int) "a delete queues one event per removed entry" 2
+    (List.length (Kernel.take_pending k))
 
 let test_kernel_packet_out_punts_cascade () =
   (* With reflection enabled, a packet-out on the inter-switch port of
@@ -493,6 +513,8 @@ let suite =
     Alcotest.test_case "kernel unknown switch" `Quick test_kernel_unknown_switch;
     Alcotest.test_case "kernel topology" `Quick test_kernel_topology_view_and_modify;
     Alcotest.test_case "kernel flow-removed" `Quick test_kernel_flow_removed_event;
+    Alcotest.test_case "kernel re-install queues no flow-removed" `Quick
+      test_kernel_reinstall_queues_nothing;
     Alcotest.test_case "kernel pkt-out cascade" `Quick test_kernel_packet_out_punts_cascade;
     Alcotest.test_case "kernel syscall sandbox" `Quick test_kernel_syscall_via_sandbox;
     Alcotest.test_case "runtime dispatch (both modes)" `Quick test_runtime_dispatch_both_modes;

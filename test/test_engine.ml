@@ -10,11 +10,11 @@ open Sdnshield
 
 let ip = ipv4_of_string
 
-let insert ?(dpid = 1) ?(priority = 100) ?(cookie = 0) ?(nw_dst = "10.13.1.2")
-    ?(actions = [ Action.Output 1 ]) () =
+let insert ?(dpid = 1) ?(priority = 100) ?(cookie = 0) ?(hard_timeout = 0)
+    ?(nw_dst = "10.13.1.2") ?(actions = [ Action.Output 1 ]) () =
   Api.Install_flow
     ( dpid,
-      Flow_mod.add ~priority ~cookie
+      Flow_mod.add ~priority ~cookie ~hard_timeout
         ~match_:(Match_fields.make ~dl_type:Eth_ip ~nw_dst:(Match_fields.exact_ip (ip nw_dst)) ())
         ~actions () )
 
@@ -26,7 +26,7 @@ let delete ?(dpid = 1) ?(nw_dst = "10.13.1.2") () =
         () )
 
 let test_missing_token_denied () =
-  let e = Test_util.engine_of ~name:"a" ~cookie:1 "PERM read_statistics" in
+  let e = Test_util.engine_of ~name:"a" "PERM read_statistics" in
   Test_util.check_deny "insert without token" (Engine.check e (insert ()));
   Test_util.check_allow "stats with token"
     (Engine.check e (Api.Read_stats (Stats.request Stats.Port_level)));
@@ -36,7 +36,7 @@ let test_missing_token_denied () =
 
 let test_filter_gating () =
   let e =
-    Test_util.engine_of ~name:"a" ~cookie:1
+    Test_util.engine_of ~name:"a"
       "PERM insert_flow LIMITING IP_DST 10.13.0.0 MASK 255.255.0.0"
   in
   Test_util.check_allow "inside subnet" (Engine.check e (insert ()));
@@ -44,7 +44,7 @@ let test_filter_gating () =
     (Engine.check e (insert ~nw_dst:"10.14.1.2" ()))
 
 let test_insert_includes_modify_delete_separate () =
-  let e = Test_util.engine_of ~name:"a" ~cookie:1 "PERM insert_flow" in
+  let e = Test_util.engine_of ~name:"a" "PERM insert_flow" in
   (* Modify rides on insert_flow (Table II: "including insert and
      modify"), delete needs its own token. *)
   let modify =
@@ -56,7 +56,7 @@ let test_insert_includes_modify_delete_separate () =
 
 let test_event_tokens () =
   let e =
-    Test_util.engine_of ~name:"a" ~cookie:1 "PERM pkt_in_event\nPERM flow_event"
+    Test_util.engine_of ~name:"a" "PERM pkt_in_event\nPERM flow_event"
   in
   Test_util.check_allow "pkt-in event"
     (Engine.check e (Api.Receive_event Api.E_packet_in));
@@ -69,7 +69,7 @@ let test_event_tokens () =
     (Engine.check e (Api.Publish_event { tag = "x"; payload = "" }))
 
 let test_syscall_tokens () =
-  let e = Test_util.engine_of ~name:"a" ~cookie:1 "PERM file_system" in
+  let e = Test_util.engine_of ~name:"a" "PERM file_system" in
   Test_util.check_allow "file open"
     (Engine.check e (Api.Syscall (Api.File_open { path = "/tmp/x"; write = true })));
   Test_util.check_deny "net connect"
@@ -79,120 +79,144 @@ let test_syscall_tokens () =
     (Engine.check e (Api.Syscall (Api.Spawn_process "sh")))
 
 let test_unresolved_macro_rejected () =
-  let ownership = Ownership.create () in
   let m = Perm_parser.manifest_exn "PERM host_network LIMITING AdminRange" in
   Alcotest.check_raises "engine refuses stubs"
     (Invalid_argument
        "engine: manifest of a has unresolved macros: AdminRange")
-    (fun () -> ignore (Engine.create ~ownership ~app_name:"a" ~cookie:1 m))
+    (fun () -> ignore (Engine.create ~app_name:"a" m))
 
-(* Ownership state --------------------------------------------------------------- *)
+(* Flow ownership ----------------------------------------------------------------
+
+   The engines are bound to one data plane, as a runtime binds them,
+   and [run] executes each allowed call there, stamped with its app's
+   cookie: the flow tables are the only record of who owns which
+   rule. *)
+
+type bound = { engine : Engine.t; kernel : Kernel.t; cookie : int }
+
+let kernel () = Kernel.create (Dataplane.create (Topology.linear 3))
+
+let bound kernel ~cookie src =
+  let engine = Test_util.engine_of ~name:(string_of_int cookie) src in
+  Engine.bind engine kernel.Kernel.dataplane ~cookie;
+  { engine; kernel; cookie }
+
+let run b call =
+  let d = Engine.check b.engine call in
+  (match d with
+  | Api.Allow -> ignore (Kernel.exec b.kernel ~app:"test" ~cookie:b.cookie call)
+  | Api.Deny _ -> ());
+  d
+
+(* A transaction as the runtime runs it: checked as a whole, then
+   executed. *)
+let run_txn b calls =
+  let r = Engine.check_transaction b.engine calls in
+  if Result.is_ok r then
+    List.iter (fun c -> ignore (Kernel.exec b.kernel ~app:"test" ~cookie:b.cookie c)) calls;
+  r
+
+(* Rules carrying [b]'s cookie, over every switch. *)
+let rules b =
+  Hashtbl.fold
+    (fun _ sw n ->
+      Flow_table.fold
+        (fun e n -> if e.Flow_table.cookie = b.cookie then n + 1 else n)
+        sw.Switch.table n)
+    b.kernel.Kernel.dataplane.Dataplane.switches 0
 
 let two_engines () =
-  let ownership = Ownership.create () in
+  let k = kernel () in
   let alice =
-    Test_util.engine_of ~ownership ~name:"alice" ~cookie:1
+    bound k ~cookie:1
       "PERM insert_flow LIMITING OWN_FLOWS\nPERM delete_flow LIMITING OWN_FLOWS"
   in
-  let bob =
-    Test_util.engine_of ~ownership ~name:"bob" ~cookie:2
-      "PERM insert_flow\nPERM delete_flow"
-  in
+  let bob = bound k ~cookie:2 "PERM insert_flow\nPERM delete_flow" in
   (alice, bob)
 
 let test_ownership_blocks_overlap () =
   let alice, bob = two_engines () in
   (* Bob (unrestricted) installs a rule; Alice (own-flows-only) cannot
      overlap it, even with a fresh add. *)
-  Test_util.check_allow "bob installs" (Engine.check bob (insert ~nw_dst:"10.13.1.2" ()));
+  Test_util.check_allow "bob installs" (run bob (insert ~nw_dst:"10.13.1.2" ()));
   Test_util.check_deny "alice cannot shadow"
-    (Engine.check alice (insert ~nw_dst:"10.13.1.2" ~priority:999 ()));
+    (run alice (insert ~nw_dst:"10.13.1.2" ~priority:999 ()));
   Test_util.check_allow "alice elsewhere ok"
-    (Engine.check alice (insert ~nw_dst:"10.13.9.9" ()));
+    (run alice (insert ~nw_dst:"10.13.9.9" ()));
   (* And she cannot delete his rule. *)
   Test_util.check_deny "alice cannot delete bob's"
-    (Engine.check alice (delete ~nw_dst:"10.13.1.2" ()));
+    (run alice (delete ~nw_dst:"10.13.1.2" ()));
   (* She can delete her own. *)
   Test_util.check_allow "alice deletes hers"
-    (Engine.check alice (delete ~nw_dst:"10.13.9.9" ()))
+    (run alice (delete ~nw_dst:"10.13.9.9" ()))
 
 let test_ownership_delete_clears_state () =
   let alice, bob = two_engines () in
-  Test_util.check_allow "bob installs" (Engine.check bob (insert ()));
-  Test_util.check_allow "bob deletes" (Engine.check bob (delete ()));
+  Test_util.check_allow "bob installs" (run bob (insert ()));
+  Test_util.check_allow "bob deletes" (run bob (delete ()));
   (* Once bob's rule is gone, alice may use the space. *)
-  Test_util.check_allow "alice takes over" (Engine.check alice (insert ()))
+  Test_util.check_allow "alice takes over" (run alice (insert ()))
 
 let test_rule_count_budget () =
-  let ownership = Ownership.create () in
   let e =
-    Test_util.engine_of ~ownership ~name:"a" ~cookie:1
+    bound (kernel ()) ~cookie:1
       "PERM insert_flow LIMITING MAX_RULE_COUNT 2\nPERM delete_flow"
   in
-  Test_util.check_allow "1st" (Engine.check e (insert ~nw_dst:"10.0.0.1" ()));
-  Test_util.check_allow "2nd" (Engine.check e (insert ~nw_dst:"10.0.0.2" ()));
-  Test_util.check_deny "3rd over budget" (Engine.check e (insert ~nw_dst:"10.0.0.3" ()));
+  Test_util.check_allow "1st" (run e (insert ~nw_dst:"10.0.0.1" ()));
+  Test_util.check_allow "2nd" (run e (insert ~nw_dst:"10.0.0.2" ()));
+  Test_util.check_deny "3rd over budget" (run e (insert ~nw_dst:"10.0.0.3" ()));
   (* Deleting frees budget. *)
-  Test_util.check_allow "delete" (Engine.check e (delete ~nw_dst:"10.0.0.1" ()));
-  Test_util.check_allow "3rd now fits" (Engine.check e (insert ~nw_dst:"10.0.0.3" ()))
+  Test_util.check_allow "delete" (run e (delete ~nw_dst:"10.0.0.1" ()));
+  Test_util.check_allow "3rd now fits" (run e (insert ~nw_dst:"10.0.0.3" ()))
 
 let test_flow_removed_forget () =
-  let ownership = Ownership.create () in
-  let e =
-    Test_util.engine_of ~ownership ~name:"a" ~cookie:1
-      "PERM insert_flow LIMITING MAX_RULE_COUNT 1"
-  in
-  Test_util.check_allow "1st" (Engine.check e (insert ~nw_dst:"10.0.0.1" ()));
-  Test_util.check_deny "budget full" (Engine.check e (insert ~nw_dst:"10.0.0.2" ()));
-  (* The switch expired the rule (flow-removed): the engine learns. *)
-  Ownership.forget ownership ~dpid:1
-    ~match_:(Match_fields.make ~dl_type:Eth_ip ~nw_dst:(Match_fields.exact_ip (ip "10.0.0.1")) ())
-    ~cookie:1;
-  Test_util.check_allow "budget freed" (Engine.check e (insert ~nw_dst:"10.0.0.2" ()))
+  let e = bound (kernel ()) ~cookie:1 "PERM insert_flow LIMITING MAX_RULE_COUNT 1" in
+  Test_util.check_allow "1st" (run e (insert ~hard_timeout:1 ~nw_dst:"10.0.0.1" ()));
+  Test_util.check_deny "budget full" (run e (insert ~nw_dst:"10.0.0.2" ()));
+  (* The switch expires the rule: it leaves the table, and the budget
+     frees at once, before any flow-removed event is dispatched. *)
+  Alcotest.(check int) "one rule expired" 1
+    (List.length (Dataplane.tick e.kernel.Kernel.dataplane));
+  Test_util.check_allow "budget freed" (run e (insert ~nw_dst:"10.0.0.2" ()))
 
 (* Transactions -------------------------------------------------------------------- *)
 
 let test_transaction_rollback_state () =
-  let ownership = Ownership.create () in
   let e =
-    Test_util.engine_of ~ownership ~name:"a" ~cookie:1
+    bound (kernel ()) ~cookie:1
       "PERM insert_flow LIMITING MAX_RULE_COUNT 2 AND IP_DST 10.0.0.0 MASK 255.0.0.0"
   in
   (* Transaction: two fine inserts then one out-of-subnet. *)
   (match
-     Engine.check_transaction e
+     run_txn e
        [ insert ~nw_dst:"10.0.0.1" (); insert ~nw_dst:"10.0.0.2" ();
          insert ~nw_dst:"192.168.0.1" () ]
    with
   | Error (2, _) -> ()
   | Error (i, _) -> Alcotest.failf "wrong index %d" i
   | Ok () -> Alcotest.fail "expected failure");
-  (* The two approved inserts rolled back: the budget is still empty. *)
-  Alcotest.(check int) "state rolled back" 0 (Ownership.count ownership ~cookie:1 ~dpid:None);
+  (* A denied group executed nothing: the budget is still empty. *)
+  Alcotest.(check int) "state rolled back" 0 (rules e);
   (* A conforming transaction commits its state. *)
-  (match
-     Engine.check_transaction e [ insert ~nw_dst:"10.0.0.1" (); insert ~nw_dst:"10.0.0.2" () ]
-   with
+  (match run_txn e [ insert ~nw_dst:"10.0.0.1" (); insert ~nw_dst:"10.0.0.2" () ] with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "clean transaction should pass");
-  Alcotest.(check int) "committed" 2 (Ownership.count ownership ~cookie:1 ~dpid:None);
+  Alcotest.(check int) "committed" 2 (rules e);
   (* Budget-aware: a third insert inside a new transaction fails and the
      earlier state survives. *)
-  (match Engine.check_transaction e [ insert ~nw_dst:"10.0.0.3" () ] with
+  (match run_txn e [ insert ~nw_dst:"10.0.0.3" () ] with
   | Error (0, _) -> ()
   | _ -> Alcotest.fail "expected budget denial");
-  Alcotest.(check int) "unchanged" 2 (Ownership.count ownership ~cookie:1 ~dpid:None)
+  Alcotest.(check int) "unchanged" 2 (rules e)
 
 let test_transaction_intra_visibility () =
   (* Within a transaction, earlier calls' state is visible to later
      ones: two inserts exceed a budget of one even though each alone
      would pass. *)
-  let e =
-    Test_util.engine_of ~name:"a" ~cookie:1
-      "PERM insert_flow LIMITING MAX_RULE_COUNT 1"
-  in
+  let e = bound (kernel ()) ~cookie:1 "PERM insert_flow LIMITING MAX_RULE_COUNT 1" in
   match
-    Engine.check_transaction e [ insert ~nw_dst:"10.0.0.1" (); insert ~nw_dst:"10.0.0.2" () ]
+    Engine.check_transaction e.engine
+      [ insert ~nw_dst:"10.0.0.1" (); insert ~nw_dst:"10.0.0.2" () ]
   with
   | Error (1, _) -> ()
   | _ -> Alcotest.fail "second insert must see the first's budget use"
@@ -200,10 +224,7 @@ let test_transaction_intra_visibility () =
 (* Result vetting ------------------------------------------------------------------- *)
 
 let test_vet_flow_entries_ownership () =
-  let e =
-    Test_util.engine_of ~name:"a" ~cookie:1
-      "PERM read_flow_table LIMITING OWN_FLOWS"
-  in
+  let e = (bound (kernel ()) ~cookie:1 "PERM read_flow_table LIMITING OWN_FLOWS").engine in
   let entries =
     [ (1,
        [ { Stats.match_ = Match_fields.wildcard_all; priority = 1; cookie = 1;
@@ -222,7 +243,7 @@ let test_vet_flow_entries_ownership () =
 
 let test_vet_flow_entries_subnet () =
   let e =
-    Test_util.engine_of ~name:"a" ~cookie:1
+    Test_util.engine_of ~name:"a"
       "PERM read_flow_table LIMITING IP_DST 10.13.0.0 MASK 255.255.0.0"
   in
   let entry nw_dst =
@@ -243,7 +264,7 @@ let test_vet_flow_entries_subnet () =
 
 let test_vet_topology_switch_set () =
   let e =
-    Test_util.engine_of ~name:"a" ~cookie:1
+    Test_util.engine_of ~name:"a"
       "PERM visible_topology LIMITING SWITCH 1,2"
   in
   let topo = Topology.linear 4 in
@@ -263,7 +284,7 @@ let test_vet_topology_switch_set () =
 
 let test_vet_stats_by_switch () =
   let e =
-    Test_util.engine_of ~name:"a" ~cookie:1
+    Test_util.engine_of ~name:"a"
       "PERM read_statistics LIMITING SWITCH 2"
   in
   let reply =
@@ -285,7 +306,7 @@ let test_vet_stats_by_switch () =
 let vtopo_engine () =
   let topo = Topology.linear 3 in
   let e =
-    Test_util.engine_of ~topo ~name:"tenant" ~cookie:1
+    Test_util.engine_of ~topo ~name:"tenant"
       "PERM visible_topology LIMITING VIRTUAL SINGLE_BIG_SWITCH LINK EXTERNAL_LINKS\n\
        PERM insert_flow\nPERM read_statistics\nPERM send_pkt_out"
   in
@@ -413,7 +434,6 @@ let test_engine_in_runtime_end_to_end () =
   let topo = Topology.linear 2 in
   let dp = Dataplane.create topo in
   let kernel = Kernel.create dp in
-  let ownership = Ownership.create () in
   let installs = ref [] in
   let app =
     App.make ~subscriptions:[ Api.E_packet_in ]
@@ -424,7 +444,7 @@ let test_engine_in_runtime_end_to_end () =
       "worker"
   in
   let checker =
-    Test_util.checker_of ~ownership ~name:"worker" ~cookie:1
+    Test_util.checker_of ~name:"worker"
       "PERM pkt_in_event\nPERM read_payload\n\
        PERM insert_flow LIMITING IP_DST 10.13.0.0 MASK 255.255.0.0"
   in

@@ -163,7 +163,7 @@ let test_stats_filter () =
   Alcotest.(check bool) "disjunction widens" true (eval g (rd Stats.Flow_level));
   Alcotest.(check bool) "switch still rejected" false (eval g (rd Stats.Switch_level))
 
-(* Ownership (via env) ------------------------------------------------------------------------ *)
+(* OWN_FLOWS (via env) ----------------------------------------------------------------------- *)
 
 let test_owner_filter_env () =
   let f = Test_util.filter_exn "OWN_FLOWS" in

@@ -13,13 +13,12 @@ let run_incident ~protected_ () =
   let topo = Topology.linear 3 in
   let dp = Dataplane.create topo in
   let kernel = Kernel.create dp in
-  let ownership = Sdnshield.Ownership.create () in
   let rst = Attacks.rst_injector () in
   let leaker = Attacks.info_leaker () in
   let monitor = Monitoring.create ~collector_ip:(ipv4_of_string "10.1.0.5") () in
   let checker name =
     if protected_ then
-      Test_util.checker_of ~ownership ~topo ~name ~cookie:1
+      Test_util.checker_of ~topo ~name
         "PERM pkt_in_event\nPERM read_payload\nPERM send_pkt_out LIMITING FROM_PKT_IN\n\
          PERM visible_topology\nPERM read_statistics\n\
          PERM host_network LIMITING IP_DST 10.1.0.0 MASK 255.255.0.0"

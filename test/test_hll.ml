@@ -121,20 +121,17 @@ let test_ownership_tracking () =
 (* Deployment through per-owner engines ------------------------------------------ *)
 
 let engines_for specs =
-  let ownership = Ownership.create () in
   List.map
-    (fun (name, cookie, src) ->
-      ( name,
-        Engine.create ~ownership ~app_name:name ~cookie
-          (Perm_parser.manifest_exn src) ))
+    (fun (name, src) ->
+      (name, Engine.create ~app_name:name (Perm_parser.manifest_exn src)))
     specs
 
 let test_deploy_strict_blocks_unauthorized_owner () =
   let open Syntax in
   let engines =
     engines_for
-      [ ("fw", 1, "PERM insert_flow");
-        ("router", 2, "PERM insert_flow LIMITING ACTION FORWARD AND MAX_PRIORITY 100") ]
+      [ ("fw", "PERM insert_flow");
+        ("router", "PERM insert_flow LIMITING ACTION FORWARD AND MAX_PRIORITY 100") ]
   in
   (* Compiled band sits at priority ~60000: the router's MAX_PRIORITY
      100 bound rejects every rule it co-owns. *)
@@ -159,8 +156,8 @@ let test_deploy_partial_mode () =
   let open Syntax in
   let engines =
     engines_for
-      [ ("fw", 1, "PERM insert_flow");
-        ("router", 2, "PERM insert_flow LIMITING MAX_PRIORITY 100") ]
+      [ ("fw", "PERM insert_flow");
+        ("router", "PERM insert_flow LIMITING MAX_PRIORITY 100") ]
   in
   let policy =
     tag "fw" (if_ (tcp_dst 80) ~then_:(tag "router" (Forward 2)) ~else_:Drop)
@@ -194,7 +191,7 @@ let test_deploy_end_to_end_dataplane () =
   let topo = Topology.linear 2 in
   let dp = Dataplane.create topo in
   let kernel = Kernel.create dp in
-  let engines = engines_for [ ("fw", 1, "PERM insert_flow") ] in
+  let engines = engines_for [ ("fw", "PERM insert_flow") ] in
   let policy =
     tag "fw"
       (if_

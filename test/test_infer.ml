@@ -132,8 +132,7 @@ let test_infer_l2switch_end_to_end () =
   let kernel2 = Kernel.create (Dataplane.create topo2) in
   let l2b = L2_switch.create () in
   let engine =
-    Engine.create ~ownership:(Ownership.create ()) ~app_name:"l2" ~cookie:1
-      inferred
+    Engine.create ~app_name:"l2" inferred
   in
   let rt =
     Runtime.create ~mode:Runtime.Monolithic kernel2

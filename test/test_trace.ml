@@ -122,10 +122,7 @@ let demo_manifest = "PERM insert_flow LIMITING MAX_PRIORITY 400"
 
 let test_engine_check_explained () =
   let e =
-    Engine.create
-      ~ownership:(Ownership.create ())
-      ~app_name:"explained" ~cookie:1
-      (Perm_parser.manifest_exn demo_manifest)
+    Engine.create ~app_name:"explained" (Perm_parser.manifest_exn demo_manifest)
   in
   (* Denied: explanation names the token and the failing clause. *)
   (match Engine.check_explained e (insert ~priority:1000) with
@@ -327,9 +324,7 @@ let test_traced_runtime_denials_explained () =
       "traced"
   in
   let engine =
-    Engine.create
-      ~ownership:(Ownership.create ())
-      ~app_name:"traced" ~cookie:1
+    Engine.create ~app_name:"traced"
       (Perm_parser.manifest_exn
          "PERM insert_flow LIMITING MAX_PRIORITY 400\nPERM pkt_in_event")
   in
@@ -375,8 +370,8 @@ let test_traced_runtime_denials_explained () =
    run serves, on every runtime mode, and record one span per sampled
    call or group. *)
 
-(* MAX_RULE_COUNT reads the ownership the engine records, so later
-   denials depend on every approval recorded before them. *)
+(* MAX_RULE_COUNT reads the flow tables, so later denials depend on
+   every flow-mod executed before them. *)
 let oracle_manifest =
   "PERM insert_flow LIMITING MAX_PRIORITY 400 AND MAX_RULE_COUNT 8\n\
    PERM pkt_in_event\nPERM visible_topology"
@@ -414,8 +409,8 @@ let unregister_lat_hists app =
     [ "lat:queue"; "lat:check"; "lat:exec"; "lat:total"; "lat:app:" ^ app ]
 
 (* Feed one packet-in per script entry through a fresh deployment whose
-   handler issues that entry's operations, against an engine that
-   records ownership. *)
+   handler issues that entry's operations, against an engine whose
+   budget reads the flow tables. *)
 let run_script ~mode ?trace script =
   let kernel = Kernel.create (Dataplane.create (Topology.linear 2)) in
   let todo = ref script and outcomes = ref [] in
@@ -439,10 +434,7 @@ let run_script ~mode ?trace script =
       "oracle"
   in
   let engine =
-    Engine.create
-      ~ownership:(Ownership.create ())
-      ~app_name:"oracle" ~cookie:1
-      (Perm_parser.manifest_exn oracle_manifest)
+    Engine.create ~app_name:"oracle" (Perm_parser.manifest_exn oracle_manifest)
   in
   let rt =
     Runtime.create
@@ -593,10 +585,7 @@ let test_traced_transaction_spans () =
     (fun (name, mode) ->
       let trace = Trace.create () in
       let engine =
-        Engine.create
-          ~ownership:(Ownership.create ())
-          ~app_name:"group" ~cookie:1
-          (Perm_parser.manifest_exn oracle_manifest)
+        Engine.create ~app_name:"group" (Perm_parser.manifest_exn oracle_manifest)
       in
       let rt =
         Runtime.create

@@ -36,15 +36,14 @@ let runtime_setup ?(mode = Runtime.Monolithic) ?(switches = 3)
   let rt = Runtime.create ~mode kernel apps in
   (topo, dp, kernel, rt)
 
-(** An SDNShield checker for [manifest_src] (parsed), sharing
-    [ownership] (fresh by default). *)
-let engine_of ?(ownership = Sdnshield.Ownership.create ()) ?topo ~name ~cookie
-    manifest_src =
+(** An SDNShield engine for [manifest_src] (parsed), unbound: a runtime
+    hosting its checker binds it. *)
+let engine_of ?topo ~name manifest_src =
   let manifest = Sdnshield.Perm_parser.manifest_exn manifest_src in
-  Sdnshield.Engine.create ?topo ~ownership ~app_name:name ~cookie manifest
+  Sdnshield.Engine.create ?topo ~app_name:name manifest
 
-let checker_of ?ownership ?topo ~name ~cookie manifest_src =
-  Sdnshield.Engine.checker (engine_of ?ownership ?topo ~name ~cookie manifest_src)
+let checker_of ?topo ~name manifest_src =
+  Sdnshield.Engine.checker (engine_of ?topo ~name manifest_src)
 
 (* Alcotest helpers. *)
 

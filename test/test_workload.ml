@@ -80,8 +80,7 @@ let test_perm_gen_deterministic () =
 let check_trace_against_engine ~complexity ~focus =
   let manifest = Perm_gen.generate ~complexity ~focus () in
   let engine =
-    Engine.create ~ownership:(Ownership.create ()) ~app_name:"bench" ~cookie:1
-      manifest
+    Engine.create ~app_name:"bench" manifest
   in
   let trace = Api_trace.generate ~focus ~n:1000 () in
   let violations = ref 0 in
